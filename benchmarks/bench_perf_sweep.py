@@ -19,7 +19,6 @@ Runs standalone (``python benchmarks/bench_perf_sweep.py``) and under
 pytest (``pytest benchmarks/bench_perf_sweep.py``).
 """
 
-import gc
 import json
 import os
 import pathlib
@@ -39,7 +38,7 @@ from repro.dta.compiled import (  # noqa: E402
 )
 from repro.lab import ArtifactStore, ScenarioGrid  # noqa: E402
 from repro.obs.host import host_metadata  # noqa: E402
-from repro.sim import lockstep, predecode  # noqa: E402
+from repro.sim import predecode  # noqa: E402
 from repro.utils.tables import format_table  # noqa: E402
 
 BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_sweep.json"
@@ -54,9 +53,6 @@ PR2_BASELINE_COLD_SECONDS = 5.235
 #: finish under this on CI hardware.  Asserted where a second core
 #: exists (single-core runners time everything noisily).
 COLD_SWEEP_BUDGET_SECONDS = 0.2
-
-#: Lane count of the lockstep ISS micro-benchmark.
-LOCKSTEP_BATCH_LANES = 1000
 
 GRID = ScenarioGrid(
     name="bench-perf-sweep",
@@ -106,73 +102,6 @@ def _available_cores():
         return os.cpu_count() or 1
 
 
-def _lockstep_benchmark():
-    """Per-program ISS cost: scalar object layer vs. the lockstep batch.
-
-    Both sides get pre-built decode images (decode cost is shared and
-    reported separately); the lockstep side starts from cold image
-    caches so no lane is served from a memoised ISS result.
-    """
-    from repro.sim.iss import FunctionalSimulator
-    from repro.workloads.randomgen import generate_characterization_program
-
-    programs = [
-        generate_characterization_program(seed=seed, length=40, repeats=1)
-        for seed in range(1, LOCKSTEP_BATCH_LANES + 1)
-    ]
-
-    # best-of-2 full-size trials per engine: the first pass doubles as
-    # the warm-up (imports, allocator arenas for the batch-sized arrays)
-    # and the min filters single-core scheduler noise.  GC is paused
-    # around the timed regions — with the sweep runs' objects alive, a
-    # collection mid-batch costs more than the batch itself.
-    scalar_seconds = float("inf")
-    lockstep_seconds = float("inf")
-    batch = []
-    for _ in range(2):
-        predecode.clear_images()
-        for program in programs:
-            predecode.image_for(program)
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            for program in programs:
-                FunctionalSimulator(program).run()
-            scalar_seconds = min(
-                scalar_seconds, time.perf_counter() - start
-            )
-        finally:
-            gc.enable()
-
-        predecode.clear_images()
-        for program in programs:
-            predecode.image_for(program)
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            batch = lockstep.collect_batch(programs)
-            lockstep_seconds = min(
-                lockstep_seconds, time.perf_counter() - start
-            )
-        finally:
-            gc.enable()
-    deferred = sum(1 for data in batch if data is None)
-    predecode.clear_images()
-
-    lanes = len(programs)
-    return {
-        "lockstep_batch_lanes": lanes,
-        "lockstep_deferred_lanes": deferred,
-        "scalar_iss_programs_per_second": round(lanes / scalar_seconds, 1),
-        "lockstep_programs_per_second": round(lanes / lockstep_seconds, 1),
-        "lockstep_speedup_vs_scalar_iss": round(
-            scalar_seconds / lockstep_seconds, 2
-        ),
-    }
-
-
 def run_sweep_comparison(store_root=None):
     """Time cold/warm/serial-sim/parallel runs; returns the metrics dict."""
     owns_root = store_root is None
@@ -204,7 +133,6 @@ def run_sweep_comparison(store_root=None):
 
         warm_stats = warm.store_stats
         return {
-            **_lockstep_benchmark(),
             "decode_seconds": round(decode_stats["decode_seconds"], 4),
             "iss_seconds": round(decode_stats["iss_seconds"], 4),
             "parallel_fallback": parallel.parallel_fallback,
@@ -254,11 +182,6 @@ def report(metrics):
              ("in-process fallback (small run)"
               if metrics["parallel_fallback"]
               else f"{metrics['parallel_speedup']:.2f}x vs. serial")),
-            ("lockstep ISS batch",
-             f"{metrics['lockstep_batch_lanes']} lanes",
-             f"{metrics['lockstep_programs_per_second']:.0f} prog/s "
-             f"({metrics['lockstep_speedup_vs_scalar_iss']:.2f}x vs. "
-             f"scalar ISS)"),
         ],
         title=(
             f"Perf — sweep orchestration, {metrics['programs']} programs "
@@ -289,8 +212,6 @@ def test_perf_sweep():
     assert metrics["warm_trace_misses"] == 0, metrics
     assert metrics["warm_lut_misses"] == 0, metrics
     assert _parallel_ok(metrics), metrics
-    # batched ISS execution must beat the per-program object layer
-    assert metrics["lockstep_speedup_vs_scalar_iss"] > 1.0, metrics
     # wall-clock budget, only meaningful on multi-core CI hardware
     if metrics["cores"] >= 2:
         assert (metrics["cold_seconds"]
@@ -305,7 +226,6 @@ if __name__ == "__main__":
         or metrics["warm_simulations"]
         or metrics["warm_trace_misses"]
         or not _parallel_ok(metrics)
-        or metrics["lockstep_speedup_vs_scalar_iss"] <= 1.0
         or (metrics["cores"] >= 2
             and metrics["cold_seconds"] >= COLD_SWEEP_BUDGET_SECONDS)
     )

@@ -40,17 +40,15 @@ from repro.sim.spec import DEFAULT_SPEC, get_pipeline_spec
 from repro.timing.profiles import DesignVariant
 
 #: Valid evaluation engines: ``vector`` is the compiled-trace array
-#: pipeline, ``lockstep`` the same pipeline with the architectural ISS
-#: pass of uncached programs batched across the whole program list
-#: (:mod:`repro.sim.lockstep`; bit-identical results), and ``scalar``
-#: the retained per-record reference.
-ENGINES = ("vector", "lockstep", "scalar")
+#: pipeline, ``scalar`` the retained per-record reference
+#: (bit-identical results).
+ENGINES = ("vector", "scalar")
 
 #: Default over-scaling factor ladder (paper Sec. IV-A).
 DEFAULT_OVERSCALE_FACTORS = (1.0, 0.97, 0.94, 0.91, 0.88, 0.85)
 
 #: Session engine → characterisation engine name.
-_CHAR_ENGINES = {"vector": "array", "lockstep": "array", "scalar": "record"}
+_CHAR_ENGINES = {"vector": "array", "scalar": "record"}
 
 
 def design_point_label(variant, voltage, pipeline_spec=None):
@@ -175,9 +173,9 @@ class Session:
         :class:`~repro.sim.spec.PipelineSpec`, a registered preset name
         (``"shallow5"``, ``"deep7"``, ...), or ``None`` for the default
         six-stage machine.  Non-default specs key their own compiled
-        traces, LUTs and store artifacts, and require an array engine
-        (``vector``/``lockstep``).  Ignored when ``design`` is given
-        (the design carries its spec).
+        traces, LUTs and store artifacts, and require the ``vector``
+        engine.  Ignored when ``design`` is given (the design carries
+        its spec).
     telemetry:
         ``True`` to collect spans on a fresh
         :class:`~repro.obs.trace.Tracer`, or a ``Tracer`` to share one
@@ -212,8 +210,8 @@ class Session:
             raise ValueError(
                 "the scalar engine's record path (per-record policies, "
                 "event-log characterisation) assumes the default pipeline "
-                f"layout; spec {pipeline_spec.name!r} needs the vector or "
-                "lockstep engine"
+                f"layout; spec {pipeline_spec.name!r} needs the vector "
+                "engine"
             )
         self.variant = variant
         self.voltage = float(voltage)
@@ -492,7 +490,6 @@ class Session:
                 ]
             return _evaluate._evaluate_batch(
                 programs, self.design, configs, max_cycles=self.max_cycles,
-                engine=self.engine,
             )
 
     def evaluate(self, programs=None, configs=None, *, policies=None,
@@ -596,17 +593,16 @@ class Session:
         ``repro sweep --progress``.
 
         The orchestrated runner evaluates through the compiled-trace
-        array engines only (``vector`` or the batched ``lockstep``); a
-        ``scalar`` session refuses to sweep rather than return vector
-        results labelled as the reference.
+        ``vector`` engine only; a ``scalar`` session refuses to sweep
+        rather than return vector results labelled as the reference.
         """
         from repro.lab.runner import SweepRunner
         from repro.lab.scenario import ScenarioGrid
 
         if self.engine == "scalar":
             raise ValueError(
-                "orchestrated sweeps run on the vector/lockstep engines "
-                "only; use Session.evaluate for the scalar reference"
+                "orchestrated sweeps run on the vector engine only; use "
+                "Session.evaluate for the scalar reference"
             )
 
         if not isinstance(grid, ScenarioGrid):
@@ -616,7 +612,6 @@ class Session:
                 grid, store=self.store, jobs=self.jobs,
                 manifest_path=manifest_path,
                 store_budget_bytes=self.store_budget_bytes,
-                engine=self.engine,
             )
         with self._scope("session.sweep", grid=grid.name,
                          jobs=self.jobs):

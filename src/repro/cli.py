@@ -56,7 +56,7 @@ time/cache breakdown instead of the result table::
     Span                  Count  Wall [ms]  CPU [ms]  Mean [ms]
     session.sweep             1     191.43     82.11    191.430
     sweep.unit_batch          6     180.02     71.40     30.003
-    dta.compile_batch         3     161.77     60.91     53.923
+    dta.compile              12     161.77     60.91     13.481
     iss.collect              12     120.45     52.00     10.038
     ...
     counters:

@@ -125,7 +125,8 @@ class CompiledTrace:
                     "compiled trace was rehydrated without a delay matrix "
                     "and carries no excitation model to compute one"
                 )
-            self._delays = self._compute_delays()
+            with obs_span("dta.delays", program=self.program_name):
+                self._delays = self._compute_delays()
         return self._delays
 
     def _compute_delays(self):
@@ -542,80 +543,6 @@ def get_compiled_trace(program, design, max_cycles=4_000_000):
             _store.save_compiled_trace(compiled, program, design, max_cycles)
     _insert_cached(key, compiled)
     return compiled
-
-
-def get_compiled_traces(programs, design, max_cycles=4_000_000):
-    """Batched :func:`get_compiled_trace`: one compiled trace per program.
-
-    Cache and store resolution is identical to the scalar entry point; the
-    misses run their architectural ISS pass together through
-    :mod:`repro.sim.lockstep`, so a large batch of uncached programs pays
-    one vectorized step loop instead of one Python dispatch loop each.
-    Results are bit-identical to per-program compilation (lanes the
-    lockstep engine cannot represent re-run through the per-program
-    engines), and every trace lands in the same LRU/store as always.
-    """
-    from repro.sim import lockstep, vector
-    from repro.sim.pipeline import PipelineSimulator
-
-    global _simulations
-
-    programs = list(programs)
-    design_key = _design_key(design)
-    compiled_by_key = {}
-    keys = []
-    misses = []                   # (first position, program) per unique miss
-    for position, program in enumerate(programs):
-        key = (_program_key(program), design_key, max_cycles)
-        keys.append(key)
-        if key in compiled_by_key:
-            continue
-        compiled = _cache.get(key)
-        if compiled is None and _store is not None:
-            compiled = _store.load_compiled_trace(program, design, max_cycles)
-            if compiled is not None:
-                _insert_cached(key, compiled)
-        if compiled is not None:
-            if key in _cache:
-                _cache.move_to_end(key)
-            compiled_by_key[key] = compiled
-        else:
-            misses.append((position, program))
-
-    if misses:
-        spec = design.pipeline_spec
-        with obs_span("dta.compile_batch", misses=len(misses)):
-            batch = lockstep.collect_batch(
-                [program for _, program in misses], max_cycles=max_cycles
-            )
-            for (position, program), data in zip(misses, batch):
-                key = keys[position]
-                if key in compiled_by_key:  # duplicate program in the batch
-                    continue
-                with obs_span("dta.compile", program=program.name):
-                    if data is None:
-                        run = vector.simulate(program, max_cycles=max_cycles,
-                                              spec=spec)
-                    else:
-                        run = vector.reconstruct(program, data,
-                                                 max_cycles=max_cycles,
-                                                 spec=spec)
-                    _simulations += 1
-                    if run is None:
-                        trace = PipelineSimulator(program, spec=spec).run(
-                            max_cycles=max_cycles
-                        )
-                        compiled = compile_trace(trace, design.excitation,
-                                                 spec=spec)
-                    else:
-                        compiled = compile_vector_run(run, design.excitation)
-                if _store is not None:
-                    _store.save_compiled_trace(compiled, program, design,
-                                               max_cycles)
-                _insert_cached(key, compiled)
-                compiled_by_key[key] = compiled
-
-    return [compiled_by_key[key] for key in keys]
 
 
 def _insert_cached(key, compiled):

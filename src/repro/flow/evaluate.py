@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.clocking.controller import ClockAdjustmentController
-from repro.dta.compiled import get_compiled_trace, get_compiled_traces
+from repro.dta.compiled import get_compiled_trace
 from repro.obs.trace import span as obs_span
 from repro.sim.pipeline import PipelineSimulator
 from repro.sim.trace import Stage
@@ -182,19 +182,13 @@ def evaluate_compiled(compiled, design, policy, generator=None,
 
 
 def _evaluate_batch(programs, design, configs,
-                    max_cycles=DEFAULT_MAX_CYCLES, engine="vector"):
+                    max_cycles=DEFAULT_MAX_CYCLES):
     """The batch engine: trace once, vectorize everywhere.
 
     Each program is simulated and compiled at most once (and reused from
     the module-level cache across calls); each
     :class:`SweepConfig` then costs only a few array operations per
     program.  Returns the ``[config][program]`` result grid.
-
-    ``engine="lockstep"`` runs the architectural ISS pass of every
-    uncached program in one batched step loop
-    (:func:`repro.dta.compiled.get_compiled_traces`) — bit-identical
-    traces, amortised per-program cost.  ``"vector"`` compiles the
-    programs one at a time.
 
     This is the engine :class:`repro.api.Session` runs on; first-party
     code calls it through the Session, never through the deprecated
@@ -203,15 +197,11 @@ def _evaluate_batch(programs, design, configs,
     programs = list(programs)
     configs = list(configs)
     with obs_span("evaluate.batch", programs=len(programs),
-                  configs=len(configs), engine=engine):
-        if engine == "lockstep":
-            compiled = get_compiled_traces(programs, design,
-                                           max_cycles=max_cycles)
-        else:
-            compiled = [
-                get_compiled_trace(program, design, max_cycles=max_cycles)
-                for program in programs
-            ]
+                  configs=len(configs)):
+        compiled = [
+            get_compiled_trace(program, design, max_cycles=max_cycles)
+            for program in programs
+        ]
         results = []
         for index, config in enumerate(configs):
             row = []

@@ -93,8 +93,7 @@ def result_to_dict(result, design_point, spec):
 _WORKER = {}
 
 
-def _worker_init(grid_dict, store_root, engine="vector", telemetry=False,
-                 ship_obs=False):
+def _worker_init(grid_dict, store_root, telemetry=False, ship_obs=False):
     from repro.dta.compiled import set_trace_store, simulation_count
 
     if telemetry:
@@ -111,7 +110,6 @@ def _worker_init(grid_dict, store_root, engine="vector", telemetry=False,
         grid=ScenarioGrid.from_dict(grid_dict),
         store=store,
         previous_store=previous,
-        engine=engine,
         contexts={},
         # baseline, not reset: simulations run before this sweep (other
         # tests, fork-inherited counters) must not be attributed to it
@@ -168,14 +166,13 @@ def _run_units(design_point, workloads):
     """Evaluate a batch of same-design-point units against every config.
 
     One :func:`~repro.flow.evaluate._evaluate_batch` call covers every
-    workload in the batch — under the ``lockstep`` engine the uncached
-    programs share a single batched ISS pass; under ``vector`` the batch
-    degenerates to the per-program loop and is bit-identical to running
-    units one at a time.  Returns ``(rows_per_unit, store_stats_delta,
-    simulations_delta, obs_delta)`` — counters are snapshotted per batch
-    so the parent can aggregate them across any number of workers;
-    ``obs_delta`` is ``None`` except in subprocess shards, where it
-    carries the worker's registry counter deltas and span buffer.
+    workload in the batch; it compiles the programs one at a time, so
+    the rows are bit-identical to running units one at a time.  Returns
+    ``(rows_per_unit, store_stats_delta, simulations_delta, obs_delta)``
+    — counters are snapshotted per batch so the parent can aggregate
+    them across any number of workers; ``obs_delta`` is ``None`` except
+    in subprocess shards, where it carries the worker's registry counter
+    deltas and span buffer.
     """
     from repro.dta.compiled import simulation_count
     from repro.flow.evaluate import _evaluate_batch
@@ -187,9 +184,8 @@ def _run_units(design_point, workloads):
         design, specs, configs = _context_for(design_point)
         programs = [resolve_program(workload) for workload in workloads]
         grid_results = _evaluate_batch(
-            [program for program in programs], design, configs,
+            programs, design, configs,
             max_cycles=grid.max_cycles,
-            engine=_WORKER.get("engine", "vector"),
         )
         rows_per_unit = [
             [
@@ -346,10 +342,6 @@ class SweepRunner:
     store_budget_bytes:
         Optional size budget; after each merged run the store is
         LRU-``gc``-ed down to it, so long campaigns self-limit.
-    engine:
-        Evaluation engine for the units: ``"vector"`` (per-program
-        compiled traces) or ``"lockstep"`` (uncached programs of a unit
-        batch share one batched ISS pass; bit-identical rows).
     parallel_threshold:
         Minimum pending-unit count before ``jobs > 1`` actually spins up
         a process pool; below it the run falls back in-process (pool
@@ -358,15 +350,13 @@ class SweepRunner:
     """
 
     def __init__(self, grid, store=None, jobs=1, manifest_path=None,
-                 store_budget_bytes=None, engine="vector",
-                 parallel_threshold=None):
+                 store_budget_bytes=None, parallel_threshold=None):
         self.grid = grid
         if store is not None and not isinstance(store, ArtifactStore):
             store = ArtifactStore(store)
         self.store = store
         self.jobs = max(1, int(jobs))
         self.store_budget_bytes = store_budget_bytes
-        self.engine = engine
         self.parallel_threshold = (
             PARALLEL_MIN_UNITS if parallel_threshold is None
             else parallel_threshold
@@ -597,7 +587,7 @@ class SweepRunner:
 
     def _run_serial(self, pending, completed, progress, unit_done=None):
         store_root = str(self.store.root) if self.store is not None else None
-        _worker_init(self.grid.to_dict(), store_root, self.engine)
+        _worker_init(self.grid.to_dict(), store_root)
         outcomes = []
         try:
             for point, group in self._grouped(pending):
@@ -619,7 +609,7 @@ class SweepRunner:
                       unit_done=None):
         store_root = str(self.store.root) if self.store is not None else None
         # shard each design point's units into ~jobs batches, so every
-        # worker gets one batched ISS pass per (design point, shard)
+        # worker gets one _evaluate_batch call per (design point, shard)
         tasks = []
         for point, group in self._grouped(pending):
             chunk = max(1, -(-len(group) // jobs))
@@ -628,7 +618,7 @@ class SweepRunner:
         pool = ShardPool(
             jobs,
             initializer=_worker_init,
-            initargs=(self.grid.to_dict(), store_root, self.engine,
+            initargs=(self.grid.to_dict(), store_root,
                       obs_trace.is_enabled(), True),
         )
         outcomes = []

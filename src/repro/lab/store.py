@@ -249,12 +249,14 @@ class ArtifactStore:
     def save_compiled_trace(self, compiled, program, design, max_cycles):
         """Persist a compiled trace (delays are materialised first)."""
         path = self.trace_path(program, design, max_cycles)
+        # materialise the lazy matrix outside the span, so the delay
+        # replay is billed to its own dta.delays span, not to store I/O
+        delays = compiled.delays
         with obs_span("store.trace.save", program=compiled.program_name):
-            self._save_compiled_trace(path, compiled)
+            self._save_compiled_trace(path, compiled, delays)
         self.stats.record("trace", "writes")
 
-    def _save_compiled_trace(self, path, compiled):
-        delays = compiled.delays   # force the lazy matrix before freezing
+    def _save_compiled_trace(self, path, compiled, delays):
         payload = {
             "schema": np.int64(self.schema_version),
             "program_name": np.str_(compiled.program_name),

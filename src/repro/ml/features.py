@@ -301,7 +301,7 @@ class OnlineFeatureExtractor:
     only cycles already presented, so build one extractor per program.
 
     Record-path extraction assumes the default six-slot record layout
-    (non-default pipeline specs evaluate through the array engines,
+    (non-default pipeline specs evaluate through the vector engine,
     which :class:`repro.api.Session` enforces).
     """
 

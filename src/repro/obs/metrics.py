@@ -4,7 +4,7 @@ One flat, thread-safe ``name -> number`` map per process.  It unifies
 the engine's historically scattered counters — per-store
 :class:`~repro.lab.store.StoreStats` objects, the compiled-trace
 engine's ``simulation_count`` proof counter, the vector engine's
-fallback tally, and the predecode/lockstep module stats — behind a
+fallback tally, and the predecode module stats — behind a
 single namespace:
 
 ``store.<kind>.<event>``
@@ -12,9 +12,9 @@ single namespace:
     (all store objects feed the same registry).
 ``sim.simulations``, ``sim.vector.fallbacks``
     Mirrored from :mod:`repro.dta.compiled` / :mod:`repro.sim.vector`.
-``sim.predecode.*``, ``sim.lockstep.*``
-    *Gathered live* from those modules' own stats dicts (they stay the
-    owners; the registry view sums registry entries with module
+``sim.predecode.*``
+    *Gathered live* from that module's own stats dict (it stays the
+    owner; the registry view sums registry entries with module
     counters), so hot loops pay no extra per-increment cost.
 
 "Process-safe" means cross-process by *delta shipping*, not shared
@@ -66,7 +66,7 @@ def gather():
     out = snapshot()
     # imported lazily: the engine modules import this module's inc()
     from repro.dta import compiled
-    from repro.sim import lockstep, predecode, vector
+    from repro.sim import predecode, vector
 
     def _add(name, value):
         if value:
@@ -74,8 +74,6 @@ def gather():
 
     for key, value in predecode.stats().items():
         _add(f"sim.predecode.{key}", value)
-    for key, value in lockstep.stats().items():
-        _add(f"sim.lockstep.{key}", value)
     _add("sim.vector.fallbacks", vector.fallback_count())
     _add("sim.simulations", compiled.simulation_count())
     return out

@@ -49,7 +49,6 @@ def job_payload(job, config):
         "result_name": job.result_name,
         "store_root": str(config.store_root),
         "jobs": config.sweep_jobs,
-        "engine": config.engine,
         "telemetry": bool(config.telemetry),
         "options": job.options,
     }
@@ -69,10 +68,7 @@ def execute_job(payload, on_progress, on_window=None):
     from repro.obs import metrics as obs_metrics
 
     grid = ScenarioGrid.from_dict(payload["grid"])
-    session = Session(
-        store=payload["store_root"], jobs=payload["jobs"],
-        engine=payload["engine"],
-    )
+    session = Session(store=payload["store_root"], jobs=payload["jobs"])
     kind = payload["kind"]
     baseline = simulation_count()
     obs_baseline = obs_metrics.gather()
@@ -111,7 +107,7 @@ def _evaluate_grid(grid, payload, on_progress):
         session = Session(
             variant=point.variant, voltage=point.voltage,
             store=payload["store_root"], jobs=payload["jobs"],
-            engine=payload["engine"], max_cycles=grid.max_cycles,
+            max_cycles=grid.max_cycles,
         )
         frame = session.evaluate(
             list(grid.workload_specs()), configs=specs,
@@ -163,7 +159,7 @@ def _stream_grid(grid, payload, on_progress, on_window):
         session = Session(
             variant=point.variant, voltage=point.voltage,
             store=payload["store_root"], jobs=payload["jobs"],
-            engine=payload["engine"], max_cycles=grid.max_cycles,
+            max_cycles=grid.max_cycles,
         )
         streaming = StreamingSession(
             session, window_cycles=options["window_cycles"],

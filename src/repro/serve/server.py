@@ -94,8 +94,6 @@ class ServeConfig:
     store_budget_bytes:
         Whole-store size budget, LRU-``gc``-ed after every completed
         job (``None`` disables).
-    engine:
-        Evaluation engine for job sessions (``vector`` / ``lockstep``).
     telemetry:
         Trace server + worker spans onto one timeline.
     """
@@ -103,7 +101,7 @@ class ServeConfig:
     def __init__(self, store_root, host="127.0.0.1", port=8787,
                  workers=2, sweep_jobs=1, queue_limit=16,
                  tenant_budget_bytes=None, store_budget_bytes=None,
-                 engine="vector", telemetry=False):
+                 telemetry=False):
         self.store_root = store_root
         self.host = host
         self.port = int(port)
@@ -112,7 +110,6 @@ class ServeConfig:
         self.queue_limit = int(queue_limit)
         self.tenant_budget_bytes = tenant_budget_bytes
         self.store_budget_bytes = store_budget_bytes
-        self.engine = engine
         self.telemetry = telemetry
 
 

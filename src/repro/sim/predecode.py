@@ -21,15 +21,12 @@ This module removes it from the hot path:
 - :func:`collect` is a dispatch-table step loop over the image: plain int
   compares on the dispatch id, list-indexed register file, no ``isa``
   object attribute ever touched.  It produces the exact
-  :class:`IssData` that ``vector._reconstruct`` consumes.  Any condition
+  :class:`IssData` that ``vector.reconstruct`` consumes.  Any condition
   the object ISS would turn into an error or that the image cannot
   represent (fetch outside the decoded text, misaligned access, control in
   a delay slot, budget overrun) makes :func:`collect` return ``None`` and
   the caller re-runs the object-layer ISS, which owns all rare paths —
   bit-identity by construction.
-
-The same image feeds :mod:`repro.sim.lockstep`, which executes many
-programs' images as batched NumPy arrays.
 """
 
 import time
@@ -228,7 +225,7 @@ class DecodedImage:
     __slots__ = (
         "addrs", "instrs", "slots", "lookup", "sparse", "fast_ok",
         "class_names", "np_pc", "np_cls", "np_kind", "np_dest", "np_src",
-        "memory_proto", "_lockstep_cols", "iss_results", "crit_cache",
+        "memory_proto", "iss_results", "crit_cache",
     )
 
     def __init__(self, program):
@@ -286,7 +283,6 @@ class DecodedImage:
             self.fast_ok = False
         self.memory_proto = Memory("dmem")
         program.load_into(self.memory_proto)
-        self._lockstep_cols = None
         self.iss_results = {}     # max_cycles -> IssData | _DEFERRED
         self.crit_cache = {}      # EX criticality arrays (dta.compiled)
 
@@ -303,44 +299,10 @@ class DecodedImage:
         index = self.sparse.get(address, -1)
         return self.instrs[index] if index >= 0 else None
 
-    def lockstep_columns(self):
-        """Per-slot NumPy columns for the batched lockstep engine."""
-        if self._lockstep_cols is None:
-            none_slot = (-1, 0, 0, 0, 0, 0, 0, False)
-            rows = [none_slot if slot is None else slot
-                    for slot in self.slots]
-            if rows:
-                op, rd, ra, rb, aux, aux2, bmask, is_ctrl = zip(*rows)
-            else:
-                op = rd = ra = rb = aux = aux2 = bmask = is_ctrl = ()
-            cols = {
-                "op": np.array(op, dtype=np.int64),
-                "rd": np.array(rd, dtype=np.int64),
-                "ra": np.array(ra, dtype=np.int64),
-                "rb": np.array(rb, dtype=np.int64),
-                "aux": np.array(aux, dtype=np.int64),
-                "aux2": np.array(aux2, dtype=np.int64),
-                "bmask": np.array(
-                    [0 if value is None else value for value in bmask],
-                    dtype=np.int64,
-                ),
-                "b_is_reg": np.array(
-                    [value is None for value in bmask], dtype=bool
-                ),
-                "is_ctrl": np.array(is_ctrl, dtype=bool),
-            }
-            cols["lookup"] = (
-                np.array(self.lookup, dtype=np.int64)
-                if self.lookup is not None
-                else np.empty(0, dtype=np.int64)
-            )
-            self._lockstep_cols = cols
-        return self._lockstep_cols
-
 
 @dataclass
 class IssData:
-    """One architectural run in the columnar form ``vector._reconstruct``
+    """One architectural run in the columnar form ``vector.reconstruct``
     consumes.  ``class_names`` is owned by the receiver (victim/drain
     interning appends to it)."""
 
@@ -836,23 +798,18 @@ def _collect_impl(image, program, max_cycles):
 def _package(image, program, memory, regs, flag, carry, pc,
              retired_idx, a_list, b_list, ctrl_rows, store_words):
     count = len(retired_idx)
-    if isinstance(retired_idx, np.ndarray):
-        index = retired_idx
-        idx_list = retired_idx.tolist()
-    else:
-        index = np.array(retired_idx, dtype=np.int64)
-        idx_list = retired_idx
+    index = np.array(retired_idx, dtype=np.int64)
     pcs = image.np_pc[index]
     taken = np.zeros(count, dtype=bool)
     targets = np.zeros(count, dtype=np.int64)
-    if len(ctrl_rows):      # list (scalar loop) or (k, 2) array (lockstep)
+    if ctrl_rows:
         rows = np.array(ctrl_rows, dtype=np.int64)
         where = rows[:, 0]
         target = rows[:, 1]
         taken[where] = target >= 0
         targets[where] = np.maximum(target, 0)
     image_instrs = image.instrs
-    instrs = [image_instrs[i] for i in idx_list]
+    instrs = [image_instrs[i] for i in retired_idx]
     state = ArchState(entry=program.entry)
     state.regs = regs
     state.flag = flag

@@ -1,15 +1,15 @@
 """Declarative pipeline specifications: the microarchitecture as a parameter.
 
-Every engine in :mod:`repro.sim` — the scalar reference
-(:class:`~repro.sim.pipeline.PipelineSimulator`), the two-phase vector
-reconstruction (:mod:`repro.sim.vector`) and the lockstep batch engine
-(:mod:`repro.sim.lockstep`) — historically modelled one fixed machine: the
-customised six-stage mor1kx of the paper.  A :class:`PipelineSpec` turns
-that machine into *data*: stage count and naming, forwarding on/off,
-mul/div EX latencies, the load-use penalty, and the (currently single)
-hazard and branch policies.  Named presets are registered litex-style in
-:data:`PIPELINE_VARIANTS` and selected by name everywhere a design is
-built (``build_design(..., pipeline_spec="deep7")``, ``Session``,
+Both engines in :mod:`repro.sim` — the scalar reference
+(:class:`~repro.sim.pipeline.PipelineSimulator`) and the two-phase vector
+reconstruction (:mod:`repro.sim.vector`) — historically modelled one fixed
+machine: the customised six-stage mor1kx of the paper.  A
+:class:`PipelineSpec` turns that machine into *data*: stage count and
+naming, forwarding on/off, mul/div EX latencies, the load-use penalty,
+and the (currently single) hazard and branch policies.  Named presets
+are registered litex-style in :data:`PIPELINE_VARIANTS` and selected by
+name everywhere a design is built
+(``build_design(..., pipeline_spec="deep7")``, ``Session``,
 ``ScenarioGrid``, ``repro --pipeline-spec``).
 
 Design rules
@@ -45,7 +45,7 @@ Hazard semantics per spec (the scalar engine is the reference):
 
 - *forwarding on* (default): results forward EX→EX; the only interlock
   is load-use — a consumer directly behind a load stalls
-  ``load_use_penalty`` cycles.  The vectorized engines implement the
+  ``load_use_penalty`` cycles.  The vector engine implements the
   one-cycle case (``load_use_penalty == 1``), which is every bundled
   preset with forwarding; other values run on the scalar reference.
 - *forwarding off*: a consumer stalls at the last front stage while any
@@ -212,7 +212,7 @@ class PipelineSpec:
 
     @property
     def fast_path(self):
-        """Whether the vectorized engines implement this spec's hazards
+        """Whether the vector engine implements this spec's hazards
         (the cumsum reconstruction covers forwarding machines with a
         one-cycle load-use penalty; everything else runs on the scalar
         reference)."""

@@ -388,36 +388,15 @@ def _simulate(program, div_latency, max_cycles, spec):
     if data is None:
         with obs_span("iss.object", program=program.name):
             data = _collect_iss(program, max_cycles)
-    return _reconstruct(program, div_latency, max_cycles, data, spec)
+    return reconstruct(program, div_latency, max_cycles, data, spec)
 
 
-def reconstruct(program, data, div_latency=None,
-                max_cycles=DEFAULT_MAX_CYCLES, spec=None):
-    """Pipeline run from an externally collected ISS pass.
+def reconstruct(program, div_latency, max_cycles, data, spec):
+    """Array pass: the pipeline run of an ISS pass's :class:`IssData`.
 
-    This is the entry point the lockstep engine uses: it hands each lane's
-    :class:`~repro.sim.predecode.IssData` to the same array reconstruction
-    that :func:`simulate` runs, with identical fallback semantics
-    (``None`` when the program needs the scalar engine).
+    Raises :class:`_Fallback` when the run needs the scalar engine;
+    :func:`simulate` owns the argument checks and fallback bookkeeping.
     """
-    spec = get_pipeline_spec(spec)
-    if div_latency is None:
-        div_latency = spec.div_latency
-    if div_latency < 1:
-        raise ValueError("div_latency must be at least 1 cycle")
-    try:
-        if not spec.fast_path:
-            raise _Fallback(
-                f"spec {spec.name!r} hazards need the scalar engine"
-            )
-        return _reconstruct(program, div_latency, max_cycles, data, spec)
-    except _Fallback as fallback:
-        _fallbacks["count"] += 1
-        _fallbacks["reason"] = str(fallback)
-        return None
-
-
-def _reconstruct(program, div_latency, max_cycles, data, spec):
     instrs = data.instrs
     targets = data.targets
     store_words = data.store_words

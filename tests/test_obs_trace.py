@@ -101,6 +101,40 @@ class TestTracer:
         obs_trace.merge_worker_spans([_record()])   # must not raise
 
 
+class TestSpanAttribution:
+    def test_cold_store_save_excludes_delay_materialisation(self, tmp_path,
+                                                            design):
+        """A cold compile with a store attached bills the lazy delay
+        matrix to one ``dta.delays`` span that ends before the
+        ``store.trace.save`` span starts (not nested inside it)."""
+        from repro.dta import compiled
+        from repro.lab.store import ArtifactStore
+        from repro.workloads.kernels import get_kernel
+
+        program = get_kernel("fib").program()
+        compiled.discard_compiled_trace(program, design)
+        tracer = obs_trace.Tracer(label="t")
+        obs_trace.set_tracer(tracer)
+        previous = compiled.set_trace_store(ArtifactStore(tmp_path / "s"))
+        try:
+            trace = compiled.get_compiled_trace(program, design)
+            trace.delays           # already materialised: no second span
+        finally:
+            compiled.set_trace_store(previous)
+        spans = tracer.snapshot()
+        delays = [s for s in spans if s["span"] == "dta.delays"]
+        saves = [s for s in spans if s["span"] == "store.trace.save"]
+        assert len(delays) == 1 and len(saves) == 1
+        delay, save = delays[0], saves[0]
+        assert delay["attrs"] == {"program": program.name}
+        assert delay["depth"] == save["depth"]        # siblings, not nested
+        assert delay["start_us"] < save["start_us"]
+        # 1 us of slack for float rounding of the absolute timestamps
+        assert delay["start_us"] + delay["duration_us"] <= (
+            save["start_us"] + 1.0
+        )
+
+
 class TestChromeTrace:
     def test_structure_and_tracks(self):
         spans = [

@@ -7,11 +7,10 @@ Three contracts are enforced here:
   never mentioning specs at all — operating points, store keys and grid
   fingerprints do not change.
 - **Every fast-path preset is cross-engine equivalent.**  The scalar
-  engine is the reference for *all* specs; the vector and lockstep
-  engines must reproduce it bit-for-bit on every preset they accept
-  (``shallow5``, ``deep7``, ``slowmul6``) and must defer (return
-  ``None``) on the presets they cannot represent (``nofwd6``,
-  ``slowmem6``).
+  engine is the reference for *all* specs; the vector engine must
+  reproduce it bit-for-bit on every preset it accepts (``shallow5``,
+  ``deep7``, ``slowmul6``) and must defer (return ``None``) on the
+  presets it cannot represent (``nofwd6``, ``slowmem6``).
 - **Specs key artifacts.**  Two specs over the same program produce two
   distinct store artifacts; corrupting one never touches the other.
 """
@@ -21,7 +20,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.dta.compiled import compile_trace, compile_vector_run
-from repro.sim import lockstep, predecode, vector
+from repro.sim import vector
 from repro.sim.pipeline import PipelineSimulator
 from repro.sim.spec import (
     DEFAULT_SPEC,
@@ -279,36 +278,6 @@ class TestFastPresetEquivalence:
             )
             assert_spec_equivalent(program, spec, design,
                                    check_delays=(seed % 10 == 0))
-
-    def test_lockstep_matches_vector(self, preset_context):
-        spec, design = preset_context
-        programs = _directed_programs()
-        predecode.clear_images()
-        references = [
-            vector.simulate(program, spec=spec) for program in programs
-        ]
-        predecode.clear_images()
-        runs = lockstep.simulate_batch(programs, spec=spec)
-        for program, reference, candidate in zip(
-            programs, references, runs
-        ):
-            name = f"{program.name} on {spec.name}"
-            assert candidate is not None, name
-            assert candidate.num_cycles == reference.num_cycles, name
-            assert candidate.retired == reference.retired, name
-            for field in (
-                "slot_pc", "slot_class", "slot_taken", "slot_is_instr",
-                "slot_squashed", "stall", "redirect", "ex_occ", "ex_held",
-            ):
-                assert np.array_equal(
-                    getattr(candidate, field), getattr(reference, field)
-                ), f"{name}: lockstep {field} differs"
-            expected = compile_vector_run(reference, design.excitation)
-            actual = compile_vector_run(candidate, design.excitation)
-            for field in ("class_ids", "bubble", "held"):
-                assert np.array_equal(
-                    getattr(actual, field), getattr(expected, field)
-                ), f"{name}: compiled {field} differs"
 
     def test_geometry_visible_in_trace(self, preset_context):
         spec, design = preset_context

@@ -28,7 +28,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.dta.compiled import compile_trace, compile_vector_run
-from repro.sim import lockstep, predecode, vector
+from repro.sim import vector
 from repro.sim.iss import SimulationError
 from repro.sim.pipeline import PipelineSimulator
 from repro.timing.design import build_design
@@ -314,156 +314,6 @@ class TestRandomPrograms:
             )
 
 
-def _assert_runs_identical(reference, candidate, name):
-    """Two :class:`VectorPipelineRun` objects must agree bit-for-bit."""
-    assert candidate is not None, f"{name}: unexpected lockstep fallback"
-    assert candidate.state.regs == reference.state.regs, name
-    assert candidate.state.pc == reference.state.pc, name
-    assert candidate.state.flag == reference.state.flag, name
-    assert candidate.state.carry == reference.state.carry, name
-    assert candidate.state.instret == reference.state.instret, name
-    assert candidate.num_cycles == reference.num_cycles, name
-    assert candidate.num_slots == reference.num_slots, name
-    assert candidate.retired == reference.retired, name
-    for field in (
-        "slot_pc", "slot_class", "slot_kind", "slot_a", "slot_b",
-        "slot_taken", "slot_is_instr", "slot_squashed", "stall",
-        "redirect", "ex_occ", "ex_held", "ctrl_occ", "wb_occ",
-    ):
-        assert np.array_equal(
-            getattr(candidate, field), getattr(reference, field)
-        ), f"{name}: lockstep {field} differs"
-    assert dict(candidate.memory.words()) == dict(
-        reference.memory.words()
-    ), name
-
-
-def _lockstep_vs_vector(programs, div_latency=32, compiled_indices=()):
-    """Differential check: a lockstep batch against per-program vector
-    runs, each computed from cold image caches so the batched engine
-    cannot serve memoised per-program results."""
-    predecode.clear_images()
-    references = [
-        vector.simulate(program, div_latency=div_latency)
-        for program in programs
-    ]
-    predecode.clear_images()
-    runs = lockstep.simulate_batch(programs, div_latency=div_latency)
-    for index, (reference, candidate) in enumerate(
-        zip(references, runs)
-    ):
-        name = f"lane {index} ({programs[index].name})"
-        if reference is None:
-            assert candidate is None, (
-                f"{name}: vector fell back but lockstep did not"
-            )
-            continue
-        _assert_runs_identical(reference, candidate, name)
-        if index in compiled_indices:
-            expected = compile_vector_run(reference, DESIGN.excitation)
-            actual = compile_vector_run(candidate, DESIGN.excitation)
-            assert actual.class_names == expected.class_names, name
-            for field in ("class_ids", "bubble", "held", "stall",
-                          "redirect"):
-                assert np.array_equal(
-                    getattr(actual, field), getattr(expected, field)
-                ), f"{name}: compiled {field} differs"
-            assert np.array_equal(actual.delays, expected.delays), (
-                f"{name}: delay matrices differ"
-            )
-    return runs
-
-
-class TestLockstepEquivalence:
-    """The cross-program lockstep engine vs. the per-program engines."""
-
-    def test_bundled_kernels_batch(self):
-        programs = [kernel.program() for kernel in all_kernels()]
-        _lockstep_vs_vector(
-            programs, compiled_indices=range(len(programs))
-        )
-
-    @pytest.mark.parametrize("div_latency", [1, 7, 32])
-    def test_divider_latencies_batch(self, div_latency):
-        from repro.workloads.kernels import get_kernel
-
-        programs = [
-            get_kernel(name).program() for name in ("gcd", "fib", "crc16")
-        ]
-        _lockstep_vs_vector(programs, div_latency=div_latency)
-
-    @pytest.mark.parametrize("chunk", range(4))
-    def test_random_program_batches(self, chunk):
-        per_chunk = NUM_RANDOM_PROGRAMS // 4
-        programs = [
-            generate_characterization_program(seed=seed, length=40,
-                                              repeats=1)
-            for seed in range(chunk * per_chunk, (chunk + 1) * per_chunk)
-        ]
-        # every lane bit-identical; compiled traces spot-checked per chunk
-        _lockstep_vs_vector(programs, compiled_indices=(0, per_chunk - 1))
-
-    def test_ragged_batch(self):
-        """Lanes of wildly different lengths retire correctly: short
-        lanes halt early and drop out while long lanes keep stepping."""
-        from repro.workloads.kernels import get_kernel
-
-        tiny = _assemble(["l.addi r3, r0, 1"], name="tiny")
-        programs = [
-            tiny,
-            get_kernel("matmult").program(),       # thousands of steps
-            _assemble(["l.addi r3, r0, 2"] * 3, name="short"),
-            get_kernel("fib").program(),
-            _assemble(["l.movhi r4, 0x7"], name="mini"),
-        ]
-        _lockstep_vs_vector(
-            programs, compiled_indices=range(len(programs))
-        )
-
-    def test_duplicate_programs_share_one_lane(self):
-        """The same program content appearing on several lanes executes
-        once and every lane gets the identical result."""
-        from repro.workloads.kernels import get_kernel
-
-        program = get_kernel("fib").program()
-        predecode.clear_images()
-        runs = lockstep.simulate_batch([program, program, program])
-        _assert_runs_identical(runs[0], runs[1], "duplicate lane 1")
-        _assert_runs_identical(runs[0], runs[2], "duplicate lane 2")
-
-    def test_fallback_lane_does_not_poison_batch(self):
-        """A lane the fast engines cannot represent (store into the fetch
-        path) falls back per-lane; its neighbours stay lockstep."""
-        from repro.workloads.kernels import get_kernel
-
-        self_store = assemble("\n".join([
-            "start:",
-            "    l.movhi r3, hi(patched)",
-            "    l.ori  r3, r3, lo(patched)",
-            "    l.movhi r4, 0x1520",
-            "    l.sw   0(r3), r4",
-            "patched:",
-            "    l.addi r5, r0, 7",
-            "    l.nop  0x1",
-            "    l.nop",
-        ]), name="self-store")
-        programs = [
-            get_kernel("fib").program(), self_store,
-            get_kernel("crc16").program(),
-        ]
-        runs = _lockstep_vs_vector(programs)
-        assert runs[1] is None      # deferred exactly like vector.simulate
-
-    def test_budget_overrun_defers_every_lane(self):
-        programs = [
-            _assemble(["l.addi r3, r0, 1"] * 8, name="budget-a"),
-            _assemble(["l.addi r4, r0, 2"] * 8, name="budget-b"),
-        ]
-        predecode.clear_images()
-        batch = lockstep.collect_batch(programs, max_cycles=5)
-        assert batch == [None, None]
-
-
 _MNEMONIC_POOL = (
     "l.add", "l.addi", "l.sub", "l.and", "l.or", "l.xori", "l.slli",
     "l.srl", "l.mul", "l.ff1", "l.exths", "l.cmov", "l.sfeq", "l.sfgts",
@@ -537,13 +387,3 @@ if HAVE_HYPOTHESIS:
             source, div_latency = generated
             program = assemble(source, name="hyp")
             assert_equivalent(program, div_latency=div_latency)
-
-        @settings(max_examples=15, deadline=None)
-        @given(st.lists(_programs(), min_size=2, max_size=5),
-               st.sampled_from([1, 3, 32]))
-        def test_lockstep_batch_bit_identical(self, generated, div_latency):
-            programs = [
-                assemble(source, name=f"hyp-{index}")
-                for index, (source, _) in enumerate(generated)
-            ]
-            _lockstep_vs_vector(programs, div_latency=div_latency)
