@@ -1,16 +1,17 @@
 """Perf smoke benchmark — scalar loop vs. compiled-trace batch engine.
 
 Times the full-suite sweep (every Fig. 8 kernel × 4 policies × 3 margins)
-through a ``Session(engine="scalar")`` (the original per-record path) and
-a ``Session(engine="vector")`` (the compiled-trace batch engine),
-verifies the results are bit-identical, and writes both timings to
-``BENCH_evaluate.json`` at the repository root so the performance
-trajectory is tracked PR over PR.
+through the per-record test oracle (``tests/oracle.py``, the scalar
+reference loop) and ``Session.evaluate_results`` (the compiled-trace
+batch engine), verifies the results are bit-identical, and writes both
+timings to ``BENCH_evaluate.json`` at the repository root so the
+performance trajectory is tracked PR over PR.
 
 Runs standalone (``python benchmarks/bench_perf_evaluate.py``) and under
 pytest (``pytest benchmarks/bench_perf_evaluate.py``).
 """
 
+import importlib.util
 import json
 import pathlib
 import sys
@@ -32,6 +33,8 @@ from repro.utils.tables import format_table  # noqa: E402
 from repro.workloads.suite import benchmark_suite  # noqa: E402
 
 BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_evaluate.json"
+
+ORACLE_PATH = pathlib.Path(__file__).parent.parent / "tests" / "oracle.py"
 
 MARGINS = (0.0, 5.0, 10.0)
 
@@ -57,6 +60,16 @@ def _sweep_configs(design, lut):
     ]
 
 
+def _load_oracle():
+    """``tests/oracle.py``, loaded by file path so that ``tests/`` never
+    goes on ``sys.path``, where its ``conftest`` could shadow this
+    directory's."""
+    spec = importlib.util.spec_from_file_location("oracle", ORACLE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def run_perf_comparison(design, lut):
     """Time the same full sweep both ways; returns the metrics dict.
 
@@ -67,7 +80,7 @@ def run_perf_comparison(design, lut):
     programs = benchmark_suite()
     configs = _sweep_configs(design, lut)
     vector = Session.for_design(design, lut=lut)
-    scalar = Session.for_design(design, lut=lut, engine="scalar")
+    oracle = _load_oracle()
 
     previous_store = set_trace_store(None)
     clear_compiled_cache()   # charge compilation to the batch timing
@@ -76,7 +89,7 @@ def run_perf_comparison(design, lut):
     batch_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    scalar_grid = scalar.evaluate_results(programs, configs)
+    scalar_grid = oracle.evaluate_grid(programs, design, configs)
     scalar_seconds = time.perf_counter() - start
     set_trace_store(previous_store)
 
@@ -108,7 +121,7 @@ def report(metrics):
     table = format_table(
         ["Engine", "Wall time", "Evaluations"],
         [
-            ("scalar per-record loop", f"{metrics['scalar_seconds']:.2f} s",
+            ("per-record oracle loop", f"{metrics['scalar_seconds']:.2f} s",
              metrics["evaluations"]),
             ("compiled-trace batch", f"{metrics['batch_seconds']:.2f} s",
              metrics["evaluations"]),

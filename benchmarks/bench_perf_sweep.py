@@ -13,7 +13,7 @@ root (CI artifact, tracked PR over PR):
   parallel-speedup measurement.
 
 Every run's merged rows must be bit-identical to the serial in-process
-``evaluate_batch`` reference (independently characterised, no store).
+``Session`` reference (independently characterised, no store).
 
 Runs standalone (``python benchmarks/bench_perf_sweep.py``) and under
 pytest (``pytest benchmarks/bench_perf_sweep.py``).
@@ -205,7 +205,7 @@ def _parallel_ok(metrics):
 def test_perf_sweep():
     metrics = run_sweep_comparison()
     report(metrics)
-    # every orchestrated run is bit-identical to in-process evaluate_batch
+    # every orchestrated run is bit-identical to in-process Session rows
     assert metrics["mismatches"] == 0, metrics
     # the warm store serves everything: zero simulations, zero misses
     assert metrics["warm_simulations"] == 0, metrics

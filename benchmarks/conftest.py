@@ -18,7 +18,6 @@ import pathlib
 import pytest
 
 from repro.dta.compiled import set_trace_store
-from repro.flow.characterize import characterize
 from repro.lab.store import ArtifactStore
 from repro.timing.design import build_design
 from repro.timing.profiles import DesignVariant
@@ -42,8 +41,8 @@ def store():
 def _attach_store(store):
     """Attach the store to the compiled-trace cache for each bench (and
     only for benches — the tier-1 tests in ``tests/`` share the process
-    and must stay hermetic), so every ``evaluate_batch`` call here reads
-    and writes through it."""
+    and must stay hermetic), so every batch evaluation here reads and
+    writes through it."""
     previous = set_trace_store(store)
     yield
     set_trace_store(previous)
@@ -61,7 +60,9 @@ def conventional_design():
 
 @pytest.fixture(scope="session")
 def characterization(design):
-    return characterize(design)
+    from repro.api import Session
+
+    return Session.for_design(design).characterize(keep_runs=True)
 
 
 @pytest.fixture(scope="session")
@@ -82,7 +83,11 @@ def session(design, lut, store):
 
 @pytest.fixture(scope="session")
 def conventional_characterization(conventional_design):
-    return characterize(conventional_design)
+    from repro.api import Session
+
+    return Session.for_design(conventional_design).characterize(
+        keep_runs=True
+    )
 
 
 @pytest.fixture(scope="session")

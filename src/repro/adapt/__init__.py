@@ -14,10 +14,9 @@ delay prediction table".  This package implements that outlook:
 """
 
 from repro.adapt.environment import EnvironmentModel
-from repro.adapt.online import AdaptiveEvaluationResult, evaluate_with_drift
+from repro.adapt.online import AdaptiveEvaluationResult
 
 __all__ = [
     "EnvironmentModel",
-    "evaluate_with_drift",
     "AdaptiveEvaluationResult",
 ]

@@ -14,16 +14,14 @@ Three controller configurations are compared under environmental drift:
 The monitor is modelled as measuring the true drift factor with a small
 quantisation error, which is how hardware delay monitors behave.
 
-Two engines produce bit-identical results (held together by
-``tests/test_batch_equivalence.py``):
-
-- ``engine="array"`` (default) consumes the compiled-trace arrays: the
-  policy prediction is one ``periods_for`` gather, the monitor rescale
-  schedule is a ``repeat`` over the update points, and the ground-truth
-  safety check is a single comparison against the drift-scaled delay
-  matrix;
-- ``engine="record"`` is the retained scalar reference: one pipeline
-  record at a time, one excitation replay per stage.
+The evaluation consumes the compiled-trace arrays: the policy prediction
+is one ``periods_for`` gather, the monitor rescale schedule is a
+``repeat`` over the update points, and the ground-truth safety check is a
+single comparison against the drift-scaled delay matrix.
+:meth:`repro.api.Session.adapt` is the entry point.  The per-record walk
+(one pipeline record at a time, one excitation replay per stage) is the
+test oracle in ``tests/oracle.py``, which
+``tests/test_batch_equivalence.py`` holds this engine bit-identical to.
 """
 
 from dataclasses import dataclass, field
@@ -32,23 +30,11 @@ import numpy as np
 
 from repro.clocking.policies import InstructionLutPolicy
 from repro.dta.compiled import get_compiled_trace
-from repro.sim.pipeline import PipelineSimulator
-from repro.sim.trace import Stage
+from repro.flow.evaluate import DEFAULT_MAX_CYCLES, VIOLATION_TOLERANCE_PS
 from repro.utils.units import ps_to_mhz
 
 #: Resolution of the hardware delay monitor (relative).
 MONITOR_RESOLUTION = 0.005
-
-#: Pipeline-simulation cycle budget — matches the main evaluation
-#: engine's default so the drift adapter shares compiled-trace cache and
-#: store entries with sweeps instead of keying a second simulation.
-DEFAULT_MAX_CYCLES = 4_000_000
-
-#: Safety tolerance, as in the main evaluation engine.
-VIOLATION_TOLERANCE_PS = 1e-6
-
-#: Valid adapter engines.
-ENGINES = ("array", "record")
 
 #: Valid schemes.
 SCHEMES = ("fixed-none", "fixed-guard", "online")
@@ -95,16 +81,15 @@ def _monitor_measurement(true_drift):
     return steps * MONITOR_RESOLUTION
 
 
-def _check_arguments(scheme, engine):
+def _check_scheme(scheme):
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown adapter engine {engine!r}")
 
 
 def _finish(result, periods):
-    """Shared aggregation: both engines reduce the same period sequence
-    with the same array operations, so their aggregates are bit-equal."""
+    """Shared aggregation: the array engine and the per-record test
+    oracle reduce the same period sequence with the same array
+    operations, so their aggregates are bit-equal."""
     periods = np.asarray(periods, dtype=float)
     result.total_time_ps = float(periods.sum())
     result.periods = periods.tolist()
@@ -114,35 +99,9 @@ def _finish(result, periods):
 def _evaluate_with_drift_impl(program, design, lut, environment,
                               scheme="online", update_interval=150,
                               tracking_margin=0.025,
-                              max_cycles=DEFAULT_MAX_CYCLES,
-                              engine="array"):
-    """The drift-adaptation engine (see :func:`evaluate_with_drift`).
-
-    :class:`repro.api.Session.adapt` runs on this directly; the public
-    function below is the legacy shim over the Session.
-    """
-    _check_arguments(scheme, engine)
-    if engine == "record":
-        return _evaluate_with_drift_records(
-            program, design, lut, environment, scheme, update_interval,
-            tracking_margin, max_cycles,
-        )
-    return _evaluate_with_drift_arrays(
-        program, design, lut, environment, scheme, update_interval,
-        tracking_margin, max_cycles,
-    )
-
-
-def evaluate_with_drift(program, design, lut, environment,
-                        scheme="online", update_interval=150,
-                        tracking_margin=0.025, max_cycles=DEFAULT_MAX_CYCLES,
-                        engine="array"):
-    """Evaluate a program while the environment drifts.
-
-    .. deprecated::
-        Legacy shim over :class:`repro.api.Session` (bit-identical); new
-        code should use ``Session.adapt``, which returns a columnar
-        ``ResultFrame`` over (program, scheme).
+                              max_cycles=DEFAULT_MAX_CYCLES):
+    """Evaluate a program while the environment drifts — the engine
+    behind :meth:`repro.api.Session.adapt`.
 
     Parameters
     ----------
@@ -153,26 +112,8 @@ def evaluate_with_drift(program, design, lut, environment,
         Cycles between monitor readings / LUT rescales (online scheme).
     tracking_margin:
         Relative margin covering drift between two updates (online scheme).
-    engine:
-        ``"array"`` (compiled-trace, default) or ``"record"`` (scalar
-        reference); bit-identical results.
     """
-    _check_arguments(scheme, engine)
-    from repro.api import Session
-
-    session = Session.for_design(
-        design, lut=lut, max_cycles=max_cycles,
-        engine="vector" if engine == "array" else "scalar",
-    )
-    return session.adapt_results(
-        [program], environment, [scheme], update_interval, tracking_margin,
-    )[0]
-
-
-def _evaluate_with_drift_arrays(program, design, lut, environment, scheme,
-                                update_interval, tracking_margin,
-                                max_cycles):
-    """Array engine: one compiled trace, a handful of vector operations."""
+    _check_scheme(scheme)
     compiled = get_compiled_trace(program, design, max_cycles=max_cycles)
     num_cycles = compiled.num_cycles
     drift = environment.drift_array(num_cycles)
@@ -214,76 +155,3 @@ def _evaluate_with_drift_arrays(program, design, lut, environment, scheme,
     )
     result.violations = int(np.count_nonzero(violating))
     return _finish(result, periods)
-
-
-def _evaluate_with_drift_records(program, design, lut, environment, scheme,
-                                 update_interval, tracking_margin,
-                                 max_cycles):
-    """Scalar reference: the original per-record walk."""
-    simulator = PipelineSimulator(program)
-    trace = simulator.run(max_cycles=max_cycles)
-    policy = InstructionLutPolicy(lut)
-    excitation = design.excitation
-
-    if scheme == "fixed-guard":
-        static_scale = environment.max_drift(trace.num_cycles)
-    else:
-        static_scale = 1.0
-
-    result = AdaptiveEvaluationResult(
-        program_name=program.name,
-        scheme=scheme,
-        num_cycles=trace.num_cycles,
-        total_time_ps=0.0,
-    )
-
-    periods = []
-    online_scale = 1.0 + tracking_margin
-    for record in trace.records:
-        drift = environment.drift(record.cycle)
-        result.max_drift_seen = max(result.max_drift_seen, drift)
-
-        if scheme == "online" and record.cycle % update_interval == 0:
-            measured = _monitor_measurement(drift)
-            online_scale = measured + tracking_margin
-            result.lut_updates += 1
-
-        predicted = policy.period_for(record)
-        if scheme == "online":
-            period = predicted * online_scale
-        else:
-            period = predicted * static_scale
-        periods.append(period)
-
-        # ground truth: every excited delay is stretched by the drift
-        for stage in Stage:
-            excited = excitation.group_delay(record, stage)
-            if excited.delay_ps * drift > period + VIOLATION_TOLERANCE_PS:
-                result.violations += 1
-    return _finish(result, periods)
-
-
-def compare_schemes(program, design, lut, environment,
-                    update_interval=150, tracking_margin=0.025,
-                    engine="array"):
-    """Run all three schemes; returns {scheme: result}.
-
-    .. deprecated::
-        Legacy shim over :class:`repro.api.Session` (bit-identical); new
-        code should use ``Session.adapt``.
-
-    With the array engine the program is simulated and compiled once (via
-    the shared compiled-trace cache) and each scheme costs only its own
-    rescale/compare pass.
-    """
-    _check_arguments(SCHEMES[0], engine)
-    from repro.api import Session
-
-    session = Session.for_design(
-        design, lut=lut,
-        engine="vector" if engine == "array" else "scalar",
-    )
-    results = session.adapt_results(
-        [program], environment, SCHEMES, update_interval, tracking_margin,
-    )
-    return dict(zip(SCHEMES, results))

@@ -8,8 +8,8 @@ traces, evaluate clock policies, check safety — and this package exposes
 it through exactly two objects:
 
 - :class:`Session` owns the cross-cutting context once (operating point,
-  artifact store, engine selection, worker count, cycle budget, store gc
-  budget) and offers the whole pipeline as methods;
+  artifact store, worker count, cycle budget, store gc budget) and offers
+  the whole pipeline as methods;
 - :class:`ResultFrame` is the columnar result every workflow returns:
   structured NumPy columns under a stable schema, with ``iter_rows()``,
   ``to_json()``/``to_csv()``, filtering, group-by aggregation, and a
@@ -54,11 +54,8 @@ Stability
 
 ``repro.api.__all__`` is the public-API contract — additions are fine,
 renames/removals are breaking and guarded by
-``tests/test_api_surface.py``.  The legacy free functions
-(``repro.flow.evaluate.*``, ``repro.flow.characterize.characterize``,
-``SweepRunner.run``, ``repro.approx.violations.*``,
-``repro.adapt.online.*``) are bit-identical shims over :class:`Session`
-and remain supported for one deprecation cycle.
+``tests/test_api_surface.py``.  :class:`Session` is the one entry point
+of every workflow.
 """
 
 from repro.api.frame import (
@@ -72,7 +69,6 @@ from repro.api.frame import (
 )
 from repro.api.session import (
     DEFAULT_OVERSCALE_FACTORS,
-    ENGINES,
     Session,
     design_point_label,
     evaluation_row,
@@ -89,7 +85,6 @@ __all__ = [
     "OVERSCALING_SCHEMA",
     "TRAINING_SCHEMA",
     "TELEMETRY_SCHEMA",
-    "ENGINES",
     "DEFAULT_OVERSCALE_FACTORS",
     "design_point_label",
     "evaluation_row",

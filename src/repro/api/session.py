@@ -4,8 +4,8 @@ context.
 Every workflow of the reproduction — characterise a design point, compile
 traces, evaluate clock policies, check safety, sweep scenario grids,
 adapt under drift, scan over-scaling — used to re-thread ``design``,
-``store``, ``jobs``, ``max_cycles`` and engine selection by hand through
-five disjoint entry points.  A :class:`Session` owns that context once:
+``store``, ``jobs`` and ``max_cycles`` by hand through five disjoint
+entry points.  A :class:`Session` owns that context once:
 
     >>> from repro.api import Session
     >>> session = Session(voltage=0.70, store=".repro-store", jobs=4)
@@ -17,10 +17,9 @@ five disjoint entry points.  A :class:`Session` owns that context once:
 Methods return a columnar :class:`~repro.api.frame.ResultFrame` (see its
 module docstring); ``characterize`` returns the merged
 :class:`~repro.flow.characterize.CharacterizationResult` since a LUT is
-not tabular.  The legacy free functions (``evaluate_program``,
-``evaluate_batch``, ``characterize``, ``SweepRunner.run``,
-``evaluate_overscaling``, ``evaluate_with_drift``) remain as bit-identical
-shims over this facade.
+not tabular.  Each workflow has one production path, the compiled-trace
+array engine; the per-record reference loops it is held bit-identical to
+live in the test oracle (``tests/oracle.py``).
 """
 
 from contextlib import contextmanager
@@ -39,16 +38,8 @@ from repro.flow.evaluate import DEFAULT_MAX_CYCLES, SweepConfig
 from repro.sim.spec import DEFAULT_SPEC, get_pipeline_spec
 from repro.timing.profiles import DesignVariant
 
-#: Valid evaluation engines: ``vector`` is the compiled-trace array
-#: pipeline, ``scalar`` the retained per-record reference
-#: (bit-identical results).
-ENGINES = ("vector", "scalar")
-
 #: Default over-scaling factor ladder (paper Sec. IV-A).
 DEFAULT_OVERSCALE_FACTORS = (1.0, 0.97, 0.94, 0.91, 0.88, 0.85)
-
-#: Session engine → characterisation engine name.
-_CHAR_ENGINES = {"vector": "array", "scalar": "record"}
 
 
 def design_point_label(variant, voltage, pipeline_spec=None):
@@ -154,9 +145,6 @@ class Session:
     store:
         Optional :class:`~repro.lab.store.ArtifactStore` (or path);
         compiled traces, LUTs and sweep results are cached through it.
-    engine:
-        ``"vector"`` (compiled-trace arrays, default) or ``"scalar"``
-        (the retained per-record reference) — bit-identical results.
     jobs:
         Worker processes for sharded characterisation and grid sweeps.
     max_cycles:
@@ -173,9 +161,8 @@ class Session:
         :class:`~repro.sim.spec.PipelineSpec`, a registered preset name
         (``"shallow5"``, ``"deep7"``, ...), or ``None`` for the default
         six-stage machine.  Non-default specs key their own compiled
-        traces, LUTs and store artifacts, and require the ``vector``
-        engine.  Ignored when ``design`` is given (the design carries
-        its spec).
+        traces, LUTs and store artifacts.  Ignored when ``design`` is
+        given (the design carries its spec).
     telemetry:
         ``True`` to collect spans on a fresh
         :class:`~repro.obs.trace.Tracer`, or a ``Tracer`` to share one
@@ -190,15 +177,11 @@ class Session:
 
     def __init__(self, variant=DesignVariant.CRITICAL_RANGE.value,
                  voltage=0.70, *, design=None, lut=None,
-                 characterization=None, store=None, engine="vector",
-                 jobs=1, max_cycles=DEFAULT_MAX_CYCLES,
+                 characterization=None, store=None, jobs=1,
+                 max_cycles=DEFAULT_MAX_CYCLES,
                  min_occurrences=DEFAULT_MIN_OCCURRENCES,
                  store_budget_bytes=None, seed=None, telemetry=None,
                  pipeline_spec=None):
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
-            )
         if design is not None:
             variant = design.variant.value
             voltage = design.library.voltage
@@ -206,17 +189,9 @@ class Session:
         elif isinstance(variant, DesignVariant):
             variant = variant.value
         pipeline_spec = get_pipeline_spec(pipeline_spec)
-        if engine == "scalar" and not pipeline_spec.is_default:
-            raise ValueError(
-                "the scalar engine's record path (per-record policies, "
-                "event-log characterisation) assumes the default pipeline "
-                f"layout; spec {pipeline_spec.name!r} needs the vector "
-                "engine"
-            )
         self.variant = variant
         self.voltage = float(voltage)
         self.pipeline_spec = pipeline_spec
-        self.engine = engine
         self.jobs = max(1, int(jobs))
         self.max_cycles = int(max_cycles)
         self.min_occurrences = min_occurrences
@@ -363,8 +338,7 @@ class Session:
     # -- characterisation ----------------------------------------------------
 
     def characterize(self, programs=None, *, min_occurrences=None,
-                     sim_period_ps=None, keep_runs=False, engine=None,
-                     via_store=None):
+                     sim_period_ps=None, keep_runs=False, via_store=None):
         """Characterise the session's design point.
 
         Returns the merged
@@ -387,7 +361,6 @@ class Session:
             programs is None
             and min_occurrences == self.min_occurrences
             and sim_period_ps is None
-            and engine in (None, _CHAR_ENGINES[self.engine])
         )
         if (default_call and not keep_runs
                 and self._characterization is None
@@ -417,7 +390,6 @@ class Session:
                     self.design, programs=programs,
                     min_occurrences=min_occurrences,
                     sim_period_ps=sim_period_ps, keep_runs=keep_runs,
-                    engine=engine or _CHAR_ENGINES[self.engine],
                     jobs=self.jobs, store=self.store,
                 )
         if default_call:
@@ -463,8 +435,7 @@ class Session:
         """Evaluation as the ``[config][program]`` grid of
         ``EvaluationResult`` objects — the object-shaped view of
         :meth:`evaluate` for consumers that introspect violations or
-        result properties directly.  The legacy shim layer also routes
-        through here.
+        result properties directly.
         """
         from repro.flow import evaluate as _evaluate
 
@@ -474,20 +445,6 @@ class Session:
                          programs=len(programs),
                          configs=len(configs)), \
                 self._attached_store():
-            if self.engine == "scalar":
-                return [
-                    [
-                        _evaluate.evaluate_program_scalar(
-                            program, self.design, config.make_policy(),
-                            generator=config.make_generator(),
-                            margin_percent=config.margin_percent,
-                            check_safety=config.check_safety,
-                            max_cycles=self.max_cycles,
-                        )
-                        for program in programs
-                    ]
-                    for config in configs
-                ]
             return _evaluate._evaluate_batch(
                 programs, self.design, configs, max_cycles=self.max_cycles,
             )
@@ -591,19 +548,9 @@ class Session:
         ``on_unit(done, total)`` is called as units complete (once up
         front with the resumed count) — the hook behind
         ``repro sweep --progress``.
-
-        The orchestrated runner evaluates through the compiled-trace
-        ``vector`` engine only; a ``scalar`` session refuses to sweep
-        rather than return vector results labelled as the reference.
         """
         from repro.lab.runner import SweepRunner
         from repro.lab.scenario import ScenarioGrid
-
-        if self.engine == "scalar":
-            raise ValueError(
-                "orchestrated sweeps run on the vector engine only; use "
-                "Session.evaluate for the scalar reference"
-            )
 
         if not isinstance(grid, ScenarioGrid):
             grid = ScenarioGrid.from_file(grid)
@@ -726,7 +673,6 @@ class Session:
                         scheme=scheme, update_interval=update_interval,
                         tracking_margin=tracking_margin,
                         max_cycles=self.max_cycles,
-                        engine=_CHAR_ENGINES[self.engine],
                     ))
         return results
 
@@ -776,14 +722,6 @@ class Session:
         with self._scope("session.overscaling", program=program.name,
                          factors=len(factors)), \
                 self._attached_store():
-            if self.engine == "scalar":
-                return [
-                    _violations.evaluate_overscaling_scalar(
-                        program, self.design, self.lut, factor,
-                        max_cycles=max_cycles,
-                    )
-                    for factor in factors
-                ]
             return [
                 _violations._evaluate_overscaling_impl(
                     program, self.design, self.lut, factor,
@@ -835,7 +773,6 @@ class Session:
 
     def __repr__(self):
         return (
-            f"Session({self.design_point}, engine={self.engine!r}, "
-            f"jobs={self.jobs}, store="
+            f"Session({self.design_point}, jobs={self.jobs}, store="
             f"{str(self.store.root) if self.store else None!r})"
         )

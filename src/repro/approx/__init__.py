@@ -9,11 +9,10 @@ counts which cycles violate timing and models the resulting bit errors on
 the affected results.
 """
 
-from repro.approx.violations import OverscalingReport, evaluate_overscaling
+from repro.approx.violations import OverscalingReport
 from repro.approx.errors import approximate_value, error_magnitude_bits
 
 __all__ = [
-    "evaluate_overscaling",
     "OverscalingReport",
     "approximate_value",
     "error_magnitude_bits",

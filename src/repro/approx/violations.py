@@ -1,18 +1,20 @@
 """Over-scaling evaluation: run faster than safe, count what breaks.
 
-``evaluate_overscaling`` applies ``overscale_factor < 1.0`` to the periods
-of an instruction-LUT policy, replays the ground-truth excitation model,
-and reports which cycles violated timing, in which stage groups, and the
-error statistics of the affected EX-stage results (the multiplier being
-the prime candidate, per the paper's discussion).
+:meth:`repro.api.Session.overscaling` applies ``overscale_factor < 1.0``
+to the periods of an instruction-LUT policy, replays the ground-truth
+excitation model, and reports which cycles violated timing, in which
+stage groups, and the error statistics of the affected EX-stage results
+(the multiplier being the prime candidate, per the paper's discussion).
 
 The evaluation runs on the compiled-trace artifact: periods come from the
 vectorized policy protocol and the violation scan is one array comparison
 of the compiled delay matrix — only the (sparse) violating EX cells
-replay per-record state to synthesise the corrupted results.
-``evaluate_overscaling_scalar`` keeps the original per-record loop as the
-reference semantics, which ``tests/test_batch_equivalence.py`` enforces
-bit-identically.
+replay per-record state to synthesise the corrupted results.  The scan is
+spec-aware: columns are labelled by their canonical stage group and the
+EX column is the pipeline spec's.  The original per-record loop is the
+test oracle in ``tests/oracle.py``, which
+``tests/test_batch_equivalence.py`` holds this engine bit-identical to on
+the default pipeline.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +29,6 @@ from repro.approx.errors import (
 from repro.clocking.policies import InstructionLutPolicy
 from repro.dta.compiled import get_compiled_trace
 from repro.sim.pipeline import PipelineSimulator
-from repro.sim.trace import Stage
 
 
 @dataclass
@@ -94,7 +95,8 @@ _OVERSHOOT_TOLERANCE_PS = 1e-9
 
 def _evaluate_overscaling_impl(program, design, lut, overscale_factor,
                                max_cycles=2_000_000):
-    """The over-scaling scan engine (see :func:`evaluate_overscaling`).
+    """Run a program with LUT periods scaled by ``overscale_factor`` —
+    the scan engine behind :meth:`repro.api.Session.overscaling`.
 
     A factor of 1.0 reproduces the paper's error-free operation; smaller
     factors trade accuracy for speed.  Functional execution is unchanged
@@ -103,14 +105,13 @@ def _evaluate_overscaling_impl(program, design, lut, overscale_factor,
 
     Runs through the compiled trace (cached per program × design): the
     scaled periods are one vectorized policy call, the violation scan one
-    array comparison.  Bit-identical to
-    :func:`evaluate_overscaling_scalar`.
-    :class:`repro.api.Session.overscaling` runs on this directly; the
-    public function below is the legacy shim over the Session.
+    array comparison.
     """
     if not 0.0 < overscale_factor <= 1.0:
         raise ValueError("overscale_factor must be in (0, 1]")
 
+    spec = design.pipeline_spec
+    ex_column = spec.ex_index
     compiled = get_compiled_trace(program, design, max_cycles=max_cycles)
     policy = InstructionLutPolicy(lut)
     periods = policy.periods_for(compiled) * overscale_factor
@@ -119,7 +120,7 @@ def _evaluate_overscaling_impl(program, design, lut, overscale_factor,
         program_name=program.name,
         overscale_factor=overscale_factor,
         num_cycles=compiled.num_cycles,
-        # in-order Python sum, matching the scalar loop's accumulation
+        # in-order Python sum, matching the per-record accumulation
         total_time_ps=sum(periods.tolist()),
     )
     overshoot = compiled.delays - periods[:, None]
@@ -129,31 +130,32 @@ def _evaluate_overscaling_impl(program, design, lut, overscale_factor,
     # rehydrated from the artifact store carries none, so re-simulate in
     # that (rare) case
     records = compiled.trace.records if compiled.trace is not None else None
-    if records is None and mask[:, Stage.EX].any():
-        records = PipelineSimulator(program).run(
+    if records is None and mask[:, ex_column].any():
+        records = PipelineSimulator(program, spec=spec).run(
             max_cycles=max_cycles
         ).records
-    # argwhere walks row-major — the same (cycle, stage) order as the
-    # scalar loop, so the per-stage/per-class dicts build identically
-    for cycle, stage in np.argwhere(mask):
+    # argwhere walks row-major — the same (cycle, column) order as the
+    # per-record loop, so the per-stage/per-class dicts build identically
+    for cycle, column in np.argwhere(mask):
         cycle = int(cycle)
-        stage = Stage(int(stage))
-        report.violations_by_stage[stage.name] = (
-            report.violations_by_stage.get(stage.name, 0) + 1
+        column = int(column)
+        stage = spec.stage_label(column).name
+        report.violations_by_stage[stage] = (
+            report.violations_by_stage.get(stage, 0) + 1
         )
-        driver_class = compiled.class_name_at(cycle, stage)
+        driver_class = compiled.class_name_at(cycle, column)
         report.violations_by_class[driver_class] = (
             report.violations_by_class.get(driver_class, 0) + 1
         )
-        if stage != Stage.EX:
+        if column != ex_column:
             continue
         record = records[cycle]
         if record.ex_operands is None:
             continue
-        view = record.view(Stage.EX)
-        spec = design.profile.ex_spec(view.timing_class)
+        view = record.view(ex_column)
+        ex_timing = design.profile.ex_spec(view.timing_class)
         bits = error_magnitude_bits(
-            float(overshoot[cycle, stage]), spec.spread_ps
+            float(overshoot[cycle, column]), ex_timing.spread_ps
         )
         a, b = record.ex_operands
         exact = (a * b) & 0xFFFFFFFF   # representative result
@@ -169,98 +171,3 @@ def _evaluate_overscaling_impl(program, design, lut, overscale_factor,
             )
         )
     return report
-
-
-def evaluate_overscaling_scalar(program, design, lut, overscale_factor,
-                                max_cycles=2_000_000):
-    """Reference implementation: the original per-record scalar loop.
-
-    Kept as the semantics :func:`evaluate_overscaling` must reproduce
-    bit-identically (see ``tests/test_batch_equivalence.py``).
-    """
-    if not 0.0 < overscale_factor <= 1.0:
-        raise ValueError("overscale_factor must be in (0, 1]")
-
-    simulator = PipelineSimulator(program)
-    trace = simulator.run(max_cycles=max_cycles)
-    policy = InstructionLutPolicy(lut)
-    excitation = design.excitation
-
-    report = OverscalingReport(
-        program_name=program.name,
-        overscale_factor=overscale_factor,
-        num_cycles=trace.num_cycles,
-        total_time_ps=0.0,
-    )
-    for record in trace.records:
-        period = policy.period_for(record) * overscale_factor
-        report.total_time_ps += period
-        cycle_violated = False
-        for stage in Stage:
-            excited = excitation.group_delay(record, stage)
-            overshoot = excited.delay_ps - period
-            if overshoot <= 1e-9:
-                continue
-            cycle_violated = True
-            report.violations_by_stage[stage.name] = (
-                report.violations_by_stage.get(stage.name, 0) + 1
-            )
-            report.violations_by_class[excited.driver_class] = (
-                report.violations_by_class.get(excited.driver_class, 0) + 1
-            )
-            if stage == Stage.EX and record.ex_operands is not None:
-                view = record.view(Stage.EX)
-                spec = design.profile.ex_spec(view.timing_class)
-                bits = error_magnitude_bits(overshoot, spec.spread_ps)
-                a, b = record.ex_operands
-                exact = (a * b) & 0xFFFFFFFF   # representative result
-                report.approx_results.append(
-                    ApproximateResult(
-                        cycle=record.cycle,
-                        mnemonic=view.mnemonic,
-                        exact_value=exact,
-                        approx_value=approximate_value(
-                            exact, bits, salt=record.cycle
-                        ),
-                        corrupted_bits=bits,
-                    )
-                )
-        if cycle_violated:
-            report.violation_cycles += 1
-    return report
-
-
-def evaluate_overscaling(program, design, lut, overscale_factor,
-                         max_cycles=2_000_000):
-    """Run a program with LUT periods scaled by ``overscale_factor``.
-
-    .. deprecated::
-        Legacy shim over :class:`repro.api.Session` (bit-identical); new
-        code should use ``Session.overscaling``, which returns a
-        columnar ``ResultFrame`` over (program, factor).
-    """
-    if not 0.0 < overscale_factor <= 1.0:
-        raise ValueError("overscale_factor must be in (0, 1]")
-    from repro.api import Session
-
-    session = Session.for_design(design, lut=lut)
-    return session.overscaling_reports(
-        program, [overscale_factor], max_cycles=max_cycles
-    )[0]
-
-
-def overscaling_sweep(program, design, lut, factors=None):
-    """Sweep over-scaling factors; returns a list of reports.
-
-    .. deprecated::
-        Legacy shim over :class:`repro.api.Session` (bit-identical); new
-        code should use ``Session.overscaling``.
-    """
-    from repro.api import Session
-
-    session = Session.for_design(design, lut=lut)
-    if factors is None:
-        factors = [1.0, 0.97, 0.94, 0.91, 0.88, 0.85]
-    return session.overscaling_reports(
-        program, list(factors), max_cycles=2_000_000
-    )

@@ -9,23 +9,11 @@
   used by the bench harnesses.
 """
 
-from repro.flow.characterize import CharacterizationResult, characterize
-from repro.flow.evaluate import (
-    EvaluationResult,
-    SweepConfig,
-    evaluate_batch,
-    evaluate_program,
-    evaluate_program_scalar,
-    evaluate_suite,
-)
+from repro.flow.characterize import CharacterizationResult
+from repro.flow.evaluate import EvaluationResult, SweepConfig
 
 __all__ = [
-    "characterize",
     "CharacterizationResult",
-    "evaluate_batch",
-    "evaluate_program",
-    "evaluate_program_scalar",
-    "evaluate_suite",
     "EvaluationResult",
     "SweepConfig",
 ]

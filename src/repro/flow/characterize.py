@@ -4,15 +4,16 @@ Mirrors the paper's Fig. 2 right half: gate-level simulation of
 characterisation programs, dynamic timing analysis of the resulting event
 logs, per-instruction extraction and LUT merge.
 
-Two engines produce bit-identical results:
-
-- ``engine="array"`` (default) — the vectorized path:
-  :meth:`~repro.dta.gatesim.GateLevelSimulator.run_dta` replays the
-  event-log arithmetic on the compiled delay matrices and
-  :func:`~repro.dta.extraction.extract_lut_arrays` reduces the
-  attribution with array maxima;
-- ``engine="record"`` — the retained reference: materialised event log,
-  per-event analysis, per-record extraction.
+The flow is vectorized:
+:meth:`~repro.dta.gatesim.GateLevelSimulator.run_dta` replays the
+event-log arithmetic on the compiled delay matrices and
+:func:`~repro.dta.extraction.extract_lut_arrays` reduces the attribution
+with array maxima.  The materialised event-log path
+(:meth:`~repro.dta.gatesim.GateLevelSimulator.run` →
+:func:`~repro.dta.analyzer.analyze_event_log` →
+:func:`~repro.dta.extraction.extract_lut`) is the test oracle
+(``tests/oracle.py``) this flow is held byte-identical to.
+:class:`repro.api.Session` (``Session.characterize``) is the entry point.
 
 Characterisation shards: each program's gate-sim batch is independent, so
 ``jobs > 1`` fans the suite out over worker processes, and per-program
@@ -29,18 +30,13 @@ from dataclasses import dataclass, field
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import span as obs_span
-from repro.dta.analyzer import analyze_event_log
 from repro.dta.extraction import (
     DEFAULT_MIN_OCCURRENCES,
-    extract_lut,
     extract_lut_arrays,
     merge_luts,
 )
 from repro.dta.gatesim import GateLevelSimulator
 from repro.workloads.suite import characterization_suite
-
-#: Valid characterisation engines.
-ENGINES = ("array", "record")
 
 
 @dataclass
@@ -76,57 +72,34 @@ class CharacterizationResult:
 
 def characterize_program(program, design,
                          min_occurrences=DEFAULT_MIN_OCCURRENCES,
-                         sim_period_ps=None, engine="array",
-                         keep_run=False):
+                         sim_period_ps=None, keep_run=False):
     """One characterisation batch: gate-sim + DTA + extraction.
 
     Returns ``(lut, num_cycles, run)`` — ``run`` is a
     :class:`CharacterizationRun` when ``keep_run`` is set, else ``None``.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown characterisation engine {engine!r}")
-    with obs_span("characterize.program", program=program.name,
-                  engine=engine):
-        return _characterize_program_impl(
-            program, design, min_occurrences, sim_period_ps, engine,
-            keep_run,
-        )
-
-
-def _characterize_program_impl(program, design, min_occurrences,
-                               sim_period_ps, engine, keep_run):
-    gatesim = GateLevelSimulator(program, design, sim_period_ps=sim_period_ps)
-    if engine == "array":
+    with obs_span("characterize.program", program=program.name):
+        gatesim = GateLevelSimulator(program, design,
+                                     sim_period_ps=sim_period_ps)
         dta, compiled = gatesim.run_dta()
         lut = extract_lut_arrays(
             dta, compiled, design.static_period_ps,
             min_occurrences=min_occurrences, source=program.name,
         )
-        num_cycles = compiled.num_cycles
-        trace = compiled.trace
-    else:
-        result = gatesim.run()
-        dta = analyze_event_log(result.event_log)
-        lut = extract_lut(
-            dta, result.trace, design.static_period_ps,
-            min_occurrences=min_occurrences, source=program.name,
-        )
-        num_cycles = result.num_cycles
-        trace = result.trace
-    run = None
-    if keep_run:
-        run = CharacterizationRun(
-            program_name=program.name,
-            num_cycles=num_cycles,
-            dta=dta,
-            trace=trace,
-            lut=lut,
-        )
-    return lut, num_cycles, run
+        run = None
+        if keep_run:
+            run = CharacterizationRun(
+                program_name=program.name,
+                num_cycles=compiled.num_cycles,
+                dta=dta,
+                trace=compiled.trace,
+                lut=lut,
+            )
+        return lut, compiled.num_cycles, run
 
 
 def _cached_program_lut(program, design, min_occurrences, sim_period_ps,
-                        engine, store):
+                        store):
     """Per-program LUT through the store's charlut cache (if any)."""
     if store is not None:
         cached = store.load_char_lut(
@@ -137,7 +110,7 @@ def _cached_program_lut(program, design, min_occurrences, sim_period_ps,
             return cached
     lut, num_cycles, _ = characterize_program(
         program, design, min_occurrences=min_occurrences,
-        sim_period_ps=sim_period_ps, engine=engine,
+        sim_period_ps=sim_period_ps,
     )
     if store is not None:
         store.save_char_lut(
@@ -155,7 +128,7 @@ def _shard_worker(payload):
     stats and telemetry reflect sharded activity exactly like a serial
     run's."""
     (index, program, variant_value, voltage, spec_dict, min_occurrences,
-     sim_period_ps, engine, store_root, telemetry) = payload
+     sim_period_ps, store_root, telemetry) = payload
     from repro.sim.spec import PipelineSpec
     from repro.timing.design import build_design
     from repro.timing.profiles import DesignVariant
@@ -181,7 +154,7 @@ def _shard_worker(payload):
 
         store = ArtifactStore(store_root)
     lut, num_cycles = _cached_program_lut(
-        program, design, min_occurrences, sim_period_ps, engine, store
+        program, design, min_occurrences, sim_period_ps, store
     )
     stats = store.stats.as_dict() if store is not None else None
     tracer = obs_trace.get_tracer()
@@ -194,12 +167,10 @@ def _shard_worker(payload):
 
 def _characterize_impl(design, programs=None,
                        min_occurrences=DEFAULT_MIN_OCCURRENCES,
-                       sim_period_ps=None, keep_runs=True, engine="array",
-                       jobs=1, store=None):
-    """The characterisation flow engine (see :func:`characterize`).
-
-    :class:`repro.api.Session` runs on this directly; the public
-    :func:`characterize` below is the legacy shim over the Session.
+                       sim_period_ps=None, keep_runs=True, jobs=1,
+                       store=None):
+    """The characterisation flow engine behind
+    :meth:`repro.api.Session.characterize`.
 
     Parameters
     ----------
@@ -217,9 +188,6 @@ def _characterize_impl(design, programs=None,
         Keep per-run DTA artefacts (needed by the histogram benches).
         Incompatible with ``jobs > 1`` — per-run artefacts stay in their
         worker process.
-    engine:
-        ``"array"`` (vectorized, default) or ``"record"`` (the retained
-        scalar reference); both produce bit-identical LUTs.
     jobs:
         Worker processes to shard the per-program gate-sim batches over.
     store:
@@ -250,7 +218,7 @@ def _characterize_impl(design, programs=None,
         spec_dict = None if spec.is_default else spec.to_dict()
         payloads = [
             (index, program, design.variant.value, design.library.voltage,
-             spec_dict, min_occurrences, sim_period_ps, engine, store_root,
+             spec_dict, min_occurrences, sim_period_ps, store_root,
              telemetry)
             for index, program in enumerate(programs)
         ]
@@ -271,14 +239,13 @@ def _characterize_impl(design, programs=None,
             if keep_runs:
                 lut, num_cycles, run = characterize_program(
                     program, design, min_occurrences=min_occurrences,
-                    sim_period_ps=sim_period_ps, engine=engine,
-                    keep_run=True,
+                    sim_period_ps=sim_period_ps, keep_run=True,
                 )
                 runs.append(run)
             else:
                 lut, num_cycles = _cached_program_lut(
                     program, design, min_occurrences, sim_period_ps,
-                    engine, store,
+                    store,
                 )
             luts[index] = lut
             cycle_counts[index] = num_cycles
@@ -292,25 +259,3 @@ def _characterize_impl(design, programs=None,
         design=design, lut=merged, runs=runs, total_cycles=total_cycles
     )
 
-
-def characterize(design, programs=None,
-                 min_occurrences=DEFAULT_MIN_OCCURRENCES,
-                 sim_period_ps=None, keep_runs=True, engine="array",
-                 jobs=1, store=None):
-    """Characterise a design and return its merged delay LUT.
-
-    .. deprecated::
-        Legacy shim over :class:`repro.api.Session` (bit-identical,
-        including per-program ``charlut`` store traffic); new code
-        should use ``Session.characterize``.
-
-    See :func:`_characterize_impl` for the parameters.
-    """
-    from repro.api import Session
-
-    session = Session.for_design(design, jobs=jobs, store=store)
-    return session.characterize(
-        programs, min_occurrences=min_occurrences,
-        sim_period_ps=sim_period_ps, keep_runs=keep_runs, engine=engine,
-        via_store=False,
-    )

@@ -13,20 +13,14 @@ The engine is built around the compiled-trace artifact
 (policy, margin, generator) configuration is evaluated as a handful of
 array operations — policy gather, margin multiply, generator quantisation,
 and a single array comparison for the safety check.
-``evaluate_program_scalar`` keeps the original per-record loop as the
-reference semantics (the batch path is bit-identical to it, which
-``tests/test_batch_equivalence.py`` enforces).
-
-.. deprecated::
-    The free functions ``evaluate_program``, ``evaluate_suite`` and
-    ``evaluate_batch`` are legacy shims over :class:`repro.api.Session`
-    (bit-identical; ``evaluate_batch`` additionally emits a
-    ``DeprecationWarning`` for its ``[config][program]`` return-shape
-    footgun).  New code should use ``Session.evaluate`` and the columnar
-    ``ResultFrame`` it returns.
+:class:`repro.api.Session` is the entry point (``Session.evaluate`` for
+the columnar ``ResultFrame``, ``Session.evaluate_results`` for the
+``[config][program]`` grid of :class:`EvaluationResult` objects).  The
+original per-record loop survives only as the test oracle
+(``tests/oracle.py``), which ``tests/test_batch_equivalence.py`` holds
+this engine bit-identical to.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +28,6 @@ import numpy as np
 from repro.clocking.controller import ClockAdjustmentController
 from repro.dta.compiled import get_compiled_trace
 from repro.obs.trace import span as obs_span
-from repro.sim.pipeline import PipelineSimulator
 from repro.sim.trace import Stage
 from repro.utils.units import ps_to_mhz
 
@@ -123,7 +116,7 @@ class SweepConfig:
 
     ``policy`` and ``generator`` may be instances or zero-argument
     factories; factories are called once per program so that stateful
-    policies keep the fresh-per-program semantics of ``evaluate_suite``.
+    policies start fresh on every program.
     """
 
     policy: object
@@ -190,9 +183,7 @@ def _evaluate_batch(programs, design, configs,
     :class:`SweepConfig` then costs only a few array operations per
     program.  Returns the ``[config][program]`` result grid.
 
-    This is the engine :class:`repro.api.Session` runs on; first-party
-    code calls it through the Session, never through the deprecated
-    public shims below.
+    This is the engine :class:`repro.api.Session` runs on.
     """
     programs = list(programs)
     configs = list(configs)
@@ -218,144 +209,6 @@ def _evaluate_batch(programs, design, configs,
                     )
             results.append(row)
     return results
-
-
-def _session_for(design, max_cycles):
-    from repro.api import Session
-
-    return Session.for_design(design, max_cycles=max_cycles)
-
-
-def evaluate_batch(programs, design, configs,
-                   max_cycles=DEFAULT_MAX_CYCLES):
-    """Evaluate many programs under many configurations.
-
-    .. deprecated::
-        Legacy shim over :class:`repro.api.Session`; the
-        ``[config][program]`` list-of-lists return shape is the footgun
-        the columnar ``Session.evaluate`` replaces.  Bit-identical to the
-        Session path (enforced by ``tests/test_api_parity.py``).
-
-    Returns
-    -------
-    list of lists of :class:`EvaluationResult`, indexed
-    ``[config][program]`` in input order.
-    """
-    warnings.warn(
-        "evaluate_batch is deprecated and its [config][program] nesting "
-        "is easy to index wrong; use repro.api.Session.evaluate, which "
-        "returns a columnar ResultFrame",
-        DeprecationWarning, stacklevel=2,
-    )
-    return _session_for(design, max_cycles).evaluate_results(
-        list(programs), list(configs)
-    )
-
-
-def evaluate_program(program, design, policy, generator=None,
-                     margin_percent=0.0, check_safety=True,
-                     max_cycles=DEFAULT_MAX_CYCLES):
-    """Run one program under one clock policy.
-
-    .. deprecated::
-        Legacy shim over :class:`repro.api.Session` (bit-identical); new
-        code should use ``Session.evaluate``.
-
-    Parameters
-    ----------
-    program:
-        Assembled program.
-    design:
-        The :class:`~repro.timing.design.ProcessorDesign` providing the
-        static period and the ground-truth excitation for safety checking.
-    policy:
-        A clock policy (see :mod:`repro.clocking.policies`).
-    generator:
-        Optional clock-generator model (quantises requested periods).
-    margin_percent:
-        Extra guard band (ablation A4).
-    check_safety:
-        Replay the excitation model and record any cycle whose applied
-        period is shorter than an excited path delay.
-    """
-    config = SweepConfig(
-        policy=policy, generator=generator,
-        margin_percent=margin_percent, check_safety=check_safety,
-    )
-    return _session_for(design, max_cycles).evaluate_results(
-        [program], [config]
-    )[0][0]
-
-
-def evaluate_program_scalar(program, design, policy, generator=None,
-                            margin_percent=0.0, check_safety=True,
-                            max_cycles=DEFAULT_MAX_CYCLES):
-    """Reference implementation: the original per-record scalar loop.
-
-    Kept as the compatibility path and as the semantics the batch engine
-    must reproduce bit-identically (see ``tests/test_batch_equivalence``).
-
-    The safety replay is spec-aware (one excitation sample per spec
-    column); record-path *policies* assume the default six-slot layout,
-    so non-default specs pair this loop with layout-independent policies
-    (e.g. static) or use the batch engine.
-    """
-    spec = design.pipeline_spec
-    simulator = PipelineSimulator(program, spec=spec)
-    trace = simulator.run(max_cycles=max_cycles)
-
-    controller = ClockAdjustmentController(
-        policy, generator=generator, margin_percent=margin_percent
-    )
-    excitation = design.excitation
-    violations = []
-    for record in trace.records:
-        period = controller.period_for(record)
-        if check_safety:
-            for column in range(spec.num_stages):
-                excited = excitation.column_delay(record, column, spec)
-                if excited.delay_ps > period + VIOLATION_TOLERANCE_PS:
-                    violations.append(
-                        TimingViolation(
-                            cycle=record.cycle,
-                            stage=spec.stage_label(column),
-                            applied_period_ps=period,
-                            excited_delay_ps=excited.delay_ps,
-                            driver_class=excited.driver_class,
-                        )
-                    )
-
-    stats = controller.stats
-    return EvaluationResult(
-        program_name=program.name,
-        policy_name=getattr(policy, "name", type(policy).__name__),
-        num_cycles=trace.num_cycles,
-        num_retired=trace.num_retired,
-        total_time_ps=stats.total_time_ps,
-        static_period_ps=design.static_period_ps,
-        min_period_ps=stats.min_period_ps,
-        max_period_ps=stats.max_period_ps,
-        switch_rate=stats.switch_rate,
-        violations=violations,
-    )
-
-
-def evaluate_suite(programs, design, policy_factory, generator=None,
-                   margin_percent=0.0, check_safety=True):
-    """Evaluate a list of programs; ``policy_factory()`` builds a fresh
-    policy per program (policies may be stateful via their controller).
-
-    .. deprecated::
-        Legacy shim over :class:`repro.api.Session` (bit-identical); new
-        code should use ``Session.evaluate``.
-    """
-    config = SweepConfig(
-        policy=policy_factory, generator=generator,
-        margin_percent=margin_percent, check_safety=check_safety,
-    )
-    return _session_for(design, DEFAULT_MAX_CYCLES).evaluate_results(
-        list(programs), [config]
-    )[0]
 
 
 def average_speedup_percent(results):

@@ -75,8 +75,8 @@ def fig8_series(results, static_period_ps):
 def sweep_series(labels, batch_results):
     """Batch-sweep series: one row per (configuration, benchmark).
 
-    ``batch_results`` is the legacy ``[config][program]`` grid
-    (``evaluate_batch`` shape); ``labels`` names each configuration row.
+    ``batch_results`` is the ``[config][program]`` grid of
+    ``Session.evaluate_results``; ``labels`` names each configuration row.
     New code should pass an evaluation frame to
     :func:`sweep_frame_series` instead.
     """

@@ -15,7 +15,7 @@ the compiled-trace batch engine:
 - **deterministic merge**: results are reassembled in canonical
   (design point, config, workload) order regardless of completion order,
   and each row is produced by exactly the same array math as the serial
-  in-process ``evaluate_batch`` path — parallel results are bit-identical
+  in-process ``Session.evaluate`` path — parallel results are bit-identical
   to serial ones;
 - **resume**: every completed unit is checkpointed into a run manifest
   keyed by the grid fingerprint; re-running with ``resume=True`` skips

@@ -18,7 +18,8 @@ recompute; writes are atomic (temp file + ``os.replace``).
 
 Attach a store to the in-process compiled-trace cache with
 :func:`repro.dta.compiled.set_trace_store`; every consumer of
-``evaluate_batch`` then reads and writes through it transparently.
+the batch evaluation engine then reads and writes through it
+transparently.
 """
 
 import hashlib
@@ -416,11 +417,11 @@ class ArtifactStore:
         ``jobs`` workers when asked), so an interrupted characterisation
         resumes by recomputing only the missing batches, and the merged
         LUT — assembled in canonical suite order — is bit-identical to an
-        in-process :func:`repro.flow.characterize.characterize`.
+        in-process, store-less characterisation.
 
         Only the default characterisation suite is cached — callers with
-        custom program sets should run
-        :func:`repro.flow.characterize.characterize` directly.
+        custom program sets should call
+        :meth:`repro.api.Session.characterize` with their programs.
         """
         lut = self.load_lut(design, min_occurrences)
         if lut is None:

@@ -243,6 +243,12 @@ class JobRegistry:
 
     # -- lifecycle events (posted from watcher threads) ----------------------
 
+    def events_since(self, job, cursor):
+        """``(events after cursor, terminal)`` read under one lock, so a
+        reader that sees the job terminal also sees its final event."""
+        with self._lock:
+            return list(job.events[cursor:]), job.terminal
+
     def progress(self, job, done, total):
         with self._lock:
             job.progress_done = int(done)

@@ -473,17 +473,19 @@ class SweepServer:
         cursor = 0
         try:
             while True:
-                events = list(job.events)
-                for record in events[cursor:]:
+                # cleared before the read: a change posted while this
+                # handler drains re-arms the wait instead of being lost
+                event.clear()
+                records, terminal = self.registry.events_since(job, cursor)
+                for record in records:
                     writer.write(
                         (json.dumps(record, sort_keys=True) + "\n")
                         .encode()
                     )
-                cursor = len(events)
+                cursor += len(records)
                 await writer.drain()
-                if job.terminal or self._stopping.is_set():
+                if terminal or self._stopping.is_set():
                     return
-                event.clear()
                 await event.wait()
         finally:
             waiters = self._waiters.get(job.id)

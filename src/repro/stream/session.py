@@ -26,7 +26,8 @@ export):
   ``EnvironmentModel.drift_array(n, start=...)``, carries the online
   monitor scale across window boundaries, and defers the period-sum
   reduction to one whole-program array (the same
-  :func:`repro.adapt.online._finish` both offline engines share).
+  :func:`repro.adapt.online._finish` the offline engine and the
+  per-record test oracle share).
 
 ``tests/test_stream.py`` enforces the contract for every policy ×
 window size, including a Hypothesis window-partition property test.
@@ -452,7 +453,7 @@ class StreamingSession:
         session = self.session
         schemes = list(schemes or _online.SCHEMES)
         for scheme in schemes:
-            _online._check_arguments(scheme, "array")
+            _online._check_scheme(scheme)
         callback = on_window if on_window is not None else self.on_window
         rows = []
         with session._scope("stream.adapt", schemes=len(schemes),

@@ -7,7 +7,8 @@ treat it as read-only.
 
 import pytest
 
-from repro.flow.characterize import characterize
+from repro.api import Session
+from repro.flow.evaluate import SweepConfig
 from repro.timing.design import build_design
 from repro.timing.profiles import DesignVariant
 
@@ -37,9 +38,26 @@ def conventional_design():
 
 
 @pytest.fixture(scope="session")
+def evaluate_one(design):
+    """``evaluate_one(program, policy, **config)``: the batch engine's
+    ``EvaluationResult`` for one program under one clock configuration
+    (``config`` holds the other :class:`SweepConfig` fields) on the
+    critical-range design, through ``Session.evaluate_results``."""
+    session = Session.for_design(design)
+
+    def evaluate(program, policy, **config):
+        return session.evaluate_results(
+            [program], [SweepConfig(policy=policy, **config)]
+        )[0][0]
+
+    return evaluate
+
+
+@pytest.fixture(scope="session")
 def characterization(design):
-    """Full characterisation of the critical-range design."""
-    return characterize(design)
+    """Full characterisation of the critical-range design (per-run DTA
+    artefacts kept for the histogram tests)."""
+    return Session.for_design(design).characterize(keep_runs=True)
 
 
 @pytest.fixture(scope="session")
@@ -49,4 +67,6 @@ def lut(characterization):
 
 @pytest.fixture(scope="session")
 def conventional_characterization(conventional_design):
-    return characterize(conventional_design)
+    return Session.for_design(conventional_design).characterize(
+        keep_runs=True
+    )

@@ -3,13 +3,27 @@
 import pytest
 
 from repro.adapt.environment import EnvironmentModel
-from repro.adapt.online import compare_schemes, evaluate_with_drift
+from repro.adapt.online import SCHEMES
+from repro.api import Session
 from repro.workloads import get_kernel
 
 
 @pytest.fixture(scope="module")
 def environment():
     return EnvironmentModel()
+
+
+@pytest.fixture(scope="module")
+def session(design, lut):
+    return Session.for_design(design, lut=lut)
+
+
+def adapt_one(session, program, environment, scheme="online",
+                        update_interval=150, tracking_margin=0.025):
+    """One drift-aware result through ``Session.adapt_results``."""
+    return session.adapt_results(
+        [program], environment, [scheme], update_interval, tracking_margin,
+    )[0]
 
 
 class TestEnvironmentModel:
@@ -48,12 +62,13 @@ class TestEnvironmentModel:
 
 class TestAdaptiveEvaluation:
     @pytest.fixture(scope="class")
-    def schemes(self, design, lut, environment):
+    def schemes(self, session, environment):
         # crc32 runs ~5.6 k cycles: a full droop pulse plus most of a
         # thermal period fall inside the run
-        return compare_schemes(
-            get_kernel("crc32").program(), design, lut, environment
+        results = session.adapt_results(
+            [get_kernel("crc32").program()], environment, SCHEMES
         )
+        return dict(zip(SCHEMES, results))
 
     def test_no_guard_band_is_unsafe_under_drift(self, schemes):
         assert schemes["fixed-none"].violations > 0
@@ -74,35 +89,35 @@ class TestAdaptiveEvaluation:
             > schemes["fixed-guard"].effective_frequency_mhz
         )
 
-    def test_nominal_environment_matches_paper_mode(self, design, lut):
+    def test_nominal_environment_matches_paper_mode(self, session):
         """With no drift, the online scheme's only cost is its tracking
         margin."""
-        result = evaluate_with_drift(
-            get_kernel("fib").program(), design, lut,
+        result = adapt_one(
+            session, get_kernel("fib").program(),
             EnvironmentModel.nominal(), scheme="online",
             tracking_margin=0.0,
         )
         assert result.is_safe
         assert result.max_drift_seen == pytest.approx(1.0)
 
-    def test_unknown_scheme_rejected(self, design, lut, environment):
+    def test_unknown_scheme_rejected(self, session, environment):
         with pytest.raises(ValueError):
-            evaluate_with_drift(
-                get_kernel("fib").program(), design, lut, environment,
+            adapt_one(
+                session, get_kernel("fib").program(), environment,
                 scheme="bogus",
             )
 
     def test_summary_text(self, schemes):
         assert "LUT updates" in schemes["online"].summary()
 
-    def test_faster_updates_track_tighter(self, design, lut, environment):
+    def test_faster_updates_track_tighter(self, session, environment):
         program = get_kernel("crc32").program()
-        slow = evaluate_with_drift(
-            program, design, lut, environment, update_interval=2_000,
+        slow = adapt_one(
+            session, program, environment, update_interval=2_000,
             tracking_margin=0.04,
         )
-        fast = evaluate_with_drift(
-            program, design, lut, environment, update_interval=100,
+        fast = adapt_one(
+            session, program, environment, update_interval=100,
             tracking_margin=0.04,
         )
         assert fast.lut_updates > slow.lut_updates

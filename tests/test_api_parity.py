@@ -1,75 +1,30 @@
-"""API-parity suite: every legacy entry point is a bit-identical shim
-over ``repro.api.Session``.
+"""API-parity suite: ``repro.api.Session`` against the per-record oracle
+and against its own views.
 
-Each test runs one legacy function and its Session equivalent and
-compares results field-for-field with ``==`` (no tolerances): the shims
-route through the very same engine the Session drives, so any
-discrepancy is a real regression, not float noise.  Also covers the
-``evaluate_batch`` deprecation contract and the first-party
-warnings-clean guarantee.
+Every comparison is field-for-field with ``==`` (no tolerances): the
+Session's frames, its object views (``evaluate_results``,
+``adapt_results``, ``overscaling_reports``) and the orchestrated sweep
+runner all drive the same compiled-trace engine, and the oracle
+(``tests/oracle.py``) is the per-record reference that engine must
+reproduce, so any discrepancy is a real regression, not float noise.
+Also covers the first-party warnings-clean guarantee.
 """
 
 import json
-import re
 import warnings
 
 import pytest
 
 from repro.adapt.environment import EnvironmentModel
-from repro.adapt.online import SCHEMES, compare_schemes, evaluate_with_drift
 from repro.api import Session, result_from_row
-from repro.approx.violations import evaluate_overscaling, overscaling_sweep
 from repro.clocking.generator import IdealClockGenerator
-from repro.clocking.policies import (
-    ExOnlyLutPolicy,
-    GeniePolicy,
-    InstructionLutPolicy,
-    StaticClockPolicy,
-    TwoClassPolicy,
-)
-from repro.flow.characterize import characterize
-from repro.flow.evaluate import (
-    SweepConfig,
-    evaluate_batch,
-    evaluate_program,
-    evaluate_suite,
-)
+from repro.clocking.policies import InstructionLutPolicy
+from repro.flow.evaluate import SweepConfig
 from repro.lab import ArtifactStore, ScenarioGrid, SweepRunner
 from repro.workloads import get_kernel
 from repro.workloads.suite import benchmark_suite
 
-POLICY_NAMES = ("instruction", "ex-only", "two-class", "genie", "static")
-
-
-def make_policy(name, design, lut):
-    return {
-        "instruction": lambda: InstructionLutPolicy(lut),
-        "ex-only": lambda: ExOnlyLutPolicy(lut),
-        "two-class": lambda: TwoClassPolicy(lut),
-        "genie": lambda: GeniePolicy(design.excitation),
-        "static": lambda: StaticClockPolicy(design.static_period_ps),
-    }[name]()
-
-
-def assert_result_matches_row(result, row):
-    """Bitwise comparison of an ``EvaluationResult`` and a frame row."""
-    assert result.program_name == row["program"]
-    assert result.num_cycles == row["num_cycles"]
-    assert result.num_retired == row["num_retired"]
-    assert result.total_time_ps == row["total_time_ps"]
-    assert result.static_period_ps == row["static_period_ps"]
-    assert result.min_period_ps == row["min_period_ps"]
-    assert result.max_period_ps == row["max_period_ps"]
-    assert result.switch_rate == row["switch_rate"]
-    assert result.average_period_ps == row["average_period_ps"]
-    assert result.effective_frequency_mhz == row["effective_frequency_mhz"]
-    assert result.speedup_percent == row["speedup_percent"]
-    assert len(result.violations) == row["num_violations"]
-    assert [
-        [v.cycle, v.stage.name, v.applied_period_ps, v.excited_delay_ps,
-         v.driver_class]
-        for v in result.violations
-    ] == row["violations"]
+import oracle
 
 
 @pytest.fixture(scope="module")
@@ -78,23 +33,23 @@ def session(design, lut):
 
 
 class TestEvaluateParity:
-    def test_full_suite_every_policy_bit_identical(self, design, lut,
-                                                   session):
-        """The headline parity check: full kernel suite × every policy,
-        legacy ``evaluate_program`` vs. ``Session.evaluate``."""
+    def test_full_suite_matches_oracle(self, design, lut, session):
+        """The headline differential check: the full Fig. 8 suite under
+        the instruction LUT with the safety replay, the per-record
+        oracle vs. ``Session.evaluate`` rows.  Every-policy coverage is
+        ``tests/test_batch_equivalence.py``'s (periods on every kernel,
+        full results on a kernel subset)."""
         programs = benchmark_suite()
         frame = session.evaluate(
-            programs, policies=list(POLICY_NAMES), check_safety=True,
+            programs, policies=["instruction"], check_safety=True,
         )
-        assert len(frame) == len(programs) * len(POLICY_NAMES)
-        for name in POLICY_NAMES:
-            rows = frame.where(policy=name).to_rows()
-            for program, row in zip(programs, rows):
-                legacy = evaluate_program(
-                    program, design, make_policy(name, design, lut),
-                    generator=IdealClockGenerator(), check_safety=True,
-                )
-                assert_result_matches_row(legacy, row)
+        assert len(frame) == len(programs)
+        for program, row in zip(programs, frame.iter_rows()):
+            reference = oracle.evaluate_program(
+                program, design, InstructionLutPolicy(lut),
+                generator=IdealClockGenerator(), check_safety=True,
+            )
+            oracle.assert_results_identical(reference, row)
 
     def test_result_from_row_round_trip(self, design, lut, session):
         """Frame rows rehydrate into equal EvaluationResults."""
@@ -102,70 +57,38 @@ class TestEvaluateParity:
         frame = session.evaluate([program], margins=[0.0, 5.0])
         for row in frame.iter_rows():
             result = result_from_row(row)
-            assert_result_matches_row(result, row)
+            oracle.assert_results_identical(result, row)
 
-    def test_evaluate_suite_parity(self, design, lut, session):
-        programs = [get_kernel(n).program() for n in ("fib", "crc16")]
-        legacy = evaluate_suite(
-            programs, design, lambda: InstructionLutPolicy(lut),
-        )
-        rows = session.evaluate(
-            programs, configs=[SweepConfig(
-                policy=lambda: InstructionLutPolicy(lut),
-                check_safety=True,
-            )],
-        ).to_rows()
-        for result, row in zip(legacy, rows):
-            assert_result_matches_row(result, row)
-
-    def test_evaluate_batch_parity_and_warning(self, design, lut, session):
-        """The return-shape footgun: the shim keeps [config][program]
-        nesting, warns, and names the Session.evaluate replacement."""
-        programs = [get_kernel(n).program() for n in ("fib", "memcpy")]
-        configs = [
-            SweepConfig(policy=lambda: InstructionLutPolicy(lut),
-                        check_safety=True, label="lut"),
-            SweepConfig(policy=lambda: TwoClassPolicy(lut),
-                        margin_percent=5.0, check_safety=False,
-                        label="two-class"),
-        ]
-        with pytest.warns(DeprecationWarning,
-                          match=r"Session\.evaluate"):
-            grid = evaluate_batch(programs, design, configs)
-        assert len(grid) == len(configs)           # [config][program]
-        assert len(grid[0]) == len(programs)
-        frame = session.evaluate(programs, configs=configs)
-        rows = frame.to_rows()
-        flattened = [result for row in grid for result in row]
-        for result, row in zip(flattened, rows):
-            assert_result_matches_row(result, row)
-
-    def test_scalar_engine_parity(self, design, lut):
-        """engine="scalar" reproduces the vector session bit-identically
-        (the reference loop behind the equivalence suite)."""
-        vector = Session.for_design(design, lut=lut)
-        scalar = Session.for_design(design, lut=lut, engine="scalar")
+    def test_scalar_engine_parity(self, design, lut, session):
+        """The scalar per-record oracle reproduces the Session's object
+        view and its frame rows bit-identically."""
         program = get_kernel("fib").program()
         config = [SweepConfig(policy=lambda: InstructionLutPolicy(lut),
                               check_safety=True)]
-        fast = vector.evaluate_results([program], config)[0][0]
-        slow = scalar.evaluate_results([program], config)[0][0]
-        assert fast.total_time_ps == slow.total_time_ps
-        assert fast.switch_rate == slow.switch_rate
-        assert len(fast.violations) == len(slow.violations)
+        fast = session.evaluate_results([program], config)[0][0]
+        slow = oracle.evaluate_grid([program], design, config)[0][0]
+        oracle.assert_results_identical(slow, fast)
+        row = session.evaluate([program], configs=config).row(0)
+        oracle.assert_results_identical(slow, row)
 
 
 class TestCharacterizeParity:
-    def test_legacy_shim_bit_identical(self, design, characterization):
-        """Legacy ``characterize(design)`` (the conftest fixture) vs. a
-        fresh ``Session.characterize`` — byte-equal LUT JSON."""
-        fresh = Session.for_design(design).characterize()
-        assert fresh.lut.to_json() == characterization.lut.to_json()
-        assert fresh.total_cycles == characterization.total_cycles
+    @pytest.mark.parametrize("variant", ["critical_range", "conventional"])
+    def test_event_log_oracle_bit_identical(self, request, variant):
+        """The event-log characterisation (gate-sim event log →
+        per-event DTA → per-record extraction → merge) and the Session's
+        array path (the conftest fixtures) give byte-equal LUT JSON and
+        the same cycle count."""
+        prefix = "" if variant == "critical_range" else "conventional_"
+        design = request.getfixturevalue(prefix + "design")
+        session = request.getfixturevalue(prefix + "characterization")
+        reference = oracle.characterize(design)
+        assert reference.lut.to_json() == session.lut.to_json()
+        assert reference.total_cycles == session.total_cycles
 
     def test_charlut_store_traffic_matches(self, design, tmp_path):
-        """The shim keeps per-program charlut caching: a second
-        characterisation through either path recomputes nothing."""
+        """Per-program charlut caching: a second characterisation
+        through the same store recomputes nothing."""
         store = ArtifactStore(tmp_path / "store")
         Session.for_design(design, store=store).characterize(
             via_store=False
@@ -173,7 +96,9 @@ class TestCharacterizeParity:
         writes = store.stats.get("charlut", "writes")
         assert writes > 0
         store.stats.reset()
-        characterize(design, keep_runs=False, store=store)
+        Session.for_design(design, store=store).characterize(
+            via_store=False
+        )
         assert store.stats.get("charlut", "hits") == writes
         assert store.stats.get("charlut", "writes") == 0
 
@@ -294,91 +219,56 @@ class TestEvaluateAxes:
         assert len(labels) == 2
         assert labels[1].endswith("margin=10%")
 
-    def test_scalar_session_refuses_to_sweep(self, design, lut):
-        """The orchestrated runner is array-engine-only: a scalar session
-        must not return vector results labelled as the reference."""
-        scalar = Session.for_design(design, lut=lut, engine="scalar")
-        with pytest.raises(ValueError, match="vector engine only"):
-            scalar.sweep(GRID)
-        with pytest.raises(ValueError, match="vector engine only"):
-            scalar.training_table(GRID)
-
 
 class TestOverscalingParity:
     def test_single_factor(self, design, lut, session):
+        """The object view and the frame row of one over-scaled run."""
         program = get_kernel("matmult").program()
-        legacy = evaluate_overscaling(program, design, lut, 0.88)
+        report = session.overscaling_reports(program, [0.88])[0]
         row = session.overscaling([program], factors=[0.88]).row(0)
-        assert legacy.program_name == row["program"]
-        assert legacy.overscale_factor == row["overscale_factor"]
-        assert legacy.num_cycles == row["num_cycles"]
-        assert legacy.total_time_ps == row["total_time_ps"]
-        assert legacy.violation_cycles == row["violation_cycles"]
-        assert legacy.violation_rate == row["violation_rate"]
-        assert len(legacy.approx_results) == row["num_approx_results"]
-        assert legacy.mean_corrupted_bits == row["mean_corrupted_bits"]
-        assert legacy.mean_relative_error == row["mean_relative_error"]
-        assert legacy.violations_by_stage == row["violations_by_stage"]
-        assert legacy.violations_by_class == row["violations_by_class"]
-
-    def test_sweep_shim(self, design, lut, session):
-        program = get_kernel("fib").program()
-        factors = [1.0, 0.9]
-        legacy = overscaling_sweep(program, design, lut, factors=factors)
-        reports = session.overscaling_reports(program, factors)
-        for a, b in zip(legacy, reports):
-            assert a.overscale_factor == b.overscale_factor
-            assert a.total_time_ps == b.total_time_ps
-            assert a.violation_cycles == b.violation_cycles
+        assert report.program_name == row["program"]
+        assert report.overscale_factor == row["overscale_factor"]
+        assert report.num_cycles == row["num_cycles"]
+        assert report.total_time_ps == row["total_time_ps"]
+        assert report.violation_cycles == row["violation_cycles"]
+        assert report.violation_rate == row["violation_rate"]
+        assert len(report.approx_results) == row["num_approx_results"]
+        assert report.mean_corrupted_bits == row["mean_corrupted_bits"]
+        assert report.mean_relative_error == row["mean_relative_error"]
+        assert report.violations_by_stage == row["violations_by_stage"]
+        assert report.violations_by_class == row["violations_by_class"]
 
 
 class TestAdaptParity:
     def test_single_scheme(self, design, lut, session):
+        """The object view and the frame row of one drift evaluation."""
         program = get_kernel("crc32").program()
         environment = EnvironmentModel()
-        legacy = evaluate_with_drift(
-            program, design, lut, environment, scheme="online",
-        )
+        result = session.adapt_results([program], environment, ["online"])[0]
         row = session.adapt(
             [program], environment, schemes=["online"],
         ).row(0)
-        assert legacy.program_name == row["program"]
-        assert legacy.scheme == row["scheme"]
-        assert legacy.num_cycles == row["num_cycles"]
-        assert legacy.total_time_ps == row["total_time_ps"]
-        assert legacy.violations == row["violations"]
-        assert legacy.lut_updates == row["lut_updates"]
-        assert legacy.max_drift_seen == row["max_drift_seen"]
-        assert legacy.average_period_ps == row["average_period_ps"]
+        assert result.program_name == row["program"]
+        assert result.scheme == row["scheme"]
+        assert result.num_cycles == row["num_cycles"]
+        assert result.total_time_ps == row["total_time_ps"]
+        assert result.violations == row["violations"]
+        assert result.lut_updates == row["lut_updates"]
+        assert result.max_drift_seen == row["max_drift_seen"]
+        assert result.average_period_ps == row["average_period_ps"]
 
-    def test_compare_schemes_shim(self, design, lut, session):
-        program = get_kernel("fib").program()
-        environment = EnvironmentModel()
-        legacy = compare_schemes(program, design, lut, environment)
-        frame = session.adapt([program], environment)
-        assert [row["scheme"] for row in frame.iter_rows()] == list(SCHEMES)
-        for row in frame.iter_rows():
-            result = legacy[row["scheme"]]
-            assert result.total_time_ps == row["total_time_ps"]
-            assert result.violations == row["violations"]
-
-    def test_bad_scheme_and_engine_still_raise(self, design, lut):
-        program = get_kernel("fib").program()
+    def test_bad_scheme_and_engine_still_raise(self, session):
+        """An unknown scheme is rejected; the ``engine=`` option is gone
+        (one production path per workflow)."""
         with pytest.raises(ValueError, match="unknown scheme"):
-            evaluate_with_drift(
-                program, design, lut, EnvironmentModel(), scheme="magic",
-            )
-        with pytest.raises(ValueError, match="unknown adapter engine"):
-            evaluate_with_drift(
-                program, design, lut, EnvironmentModel(), engine="warp",
-            )
-        for engine in ("warp", "lockstep"):
-            with pytest.raises(ValueError, match="unknown engine"):
+            session.adapt(["fib"], EnvironmentModel(), schemes=["magic"])
+        for engine in ("scalar", "vector"):
+            with pytest.raises(TypeError, match="engine"):
                 Session(engine=engine)
 
 
 class TestWarningsClean:
-    """First-party code never calls the deprecated shims."""
+    """First-party Session and CLI paths emit no DeprecationWarning."""
 
     def test_session_and_cli_paths_are_warning_free(self, tmp_path, design,
                                                     lut, session, capsys):
@@ -409,38 +299,3 @@ class TestWarningsClean:
                 str(store.root),
             ]) == 0
         capsys.readouterr()
-
-    def test_source_tree_never_calls_shims(self):
-        """Static check: no module under ``src/repro`` calls a legacy
-        shim (each may only appear in its defining module)."""
-        import pathlib
-
-        import repro
-
-        shims = {
-            "evaluate_batch": "flow/evaluate.py",
-            "evaluate_program": "flow/evaluate.py",
-            "evaluate_suite": "flow/evaluate.py",
-            "characterize": "flow/characterize.py",
-            "evaluate_overscaling": "approx/violations.py",
-            "overscaling_sweep": "approx/violations.py",
-            "evaluate_with_drift": "adapt/online.py",
-            "compare_schemes": "adapt/online.py",
-        }
-        root = pathlib.Path(repro.__file__).parent
-        offenders = []
-        for path in root.rglob("*.py"):
-            relative = path.relative_to(root).as_posix()
-            text = path.read_text()
-            for name, home in shims.items():
-                if relative == home:
-                    continue
-                # a bare call: not an attribute access, not a definition
-                for match in re.finditer(
-                    rf"(?<![.\w]){name}\(", text
-                ):
-                    if text[:match.start()].rsplit("\n", 1)[-1].lstrip() \
-                            .startswith("def "):
-                        continue
-                    offenders.append(f"{relative}: {name}()")
-        assert not offenders, offenders

@@ -18,7 +18,6 @@ EXPECTED_ALL = [
     "OVERSCALING_SCHEMA",
     "TRAINING_SCHEMA",
     "TELEMETRY_SCHEMA",
-    "ENGINES",
     "DEFAULT_OVERSCALE_FACTORS",
     "design_point_label",
     "evaluation_row",
@@ -30,16 +29,15 @@ EXPECTED_ALL = [
 EXPECTED_SESSION_SIGNATURES = {
     "__init__": (
         "(self, variant='critical_range', voltage=0.7, *, design=None, "
-        "lut=None, characterization=None, store=None, engine='vector', "
-        "jobs=1, max_cycles=4000000, min_occurrences=30, "
+        "lut=None, characterization=None, store=None, jobs=1, "
+        "max_cycles=4000000, min_occurrences=30, "
         "store_budget_bytes=None, seed=None, telemetry=None, "
         "pipeline_spec=None)"
     ),
     "for_design": "(cls, design, **kwargs)",
     "characterize": (
         "(self, programs=None, *, min_occurrences=None, "
-        "sim_period_ps=None, keep_runs=False, engine=None, "
-        "via_store=None)"
+        "sim_period_ps=None, keep_runs=False, via_store=None)"
     ),
     "evaluate": (
         "(self, programs=None, configs=None, *, policies=None, "

@@ -7,8 +7,13 @@ from repro.approx.errors import (
     error_magnitude_bits,
     relative_error,
 )
-from repro.approx.violations import evaluate_overscaling, overscaling_sweep
+from repro.api import Session
 from repro.workloads import get_kernel
+
+
+@pytest.fixture(scope="module")
+def session(design, lut):
+    return Session.for_design(design, lut=lut)
 
 
 class TestErrorModel:
@@ -47,57 +52,57 @@ class TestErrorModel:
 
 
 class TestOverscaling:
-    def test_factor_one_is_error_free(self, design, lut):
-        report = evaluate_overscaling(
-            get_kernel("matmult").program(), design, lut, 1.0
-        )
+    def test_factor_one_is_error_free(self, session):
+        report = session.overscaling_reports(
+            get_kernel("matmult").program(), [1.0]
+        )[0]
         assert report.violation_cycles == 0
         assert not report.approx_results
 
-    def test_overscaling_produces_violations(self, design, lut):
-        report = evaluate_overscaling(
-            get_kernel("matmult").program(), design, lut, 0.85
-        )
+    def test_overscaling_produces_violations(self, session):
+        report = session.overscaling_reports(
+            get_kernel("matmult").program(), [0.85]
+        )[0]
         assert report.violation_cycles > 0
         assert report.violation_rate > 0
 
-    def test_violation_rate_monotone(self, design, lut):
+    def test_violation_rate_monotone(self, session):
         program = get_kernel("dotprod").program()
-        reports = overscaling_sweep(
-            program, design, lut, factors=[1.0, 0.95, 0.90, 0.85]
+        reports = session.overscaling_reports(
+            program, [1.0, 0.95, 0.90, 0.85]
         )
         rates = [report.violation_rate for report in reports]
         assert rates == sorted(rates)
         assert rates[0] == 0.0
 
-    def test_multiplier_among_first_victims(self, design, lut):
+    def test_multiplier_among_first_victims(self, session):
         """The mul class has the deepest data-dependent paths; moderate
         over-scaling must hit it (the paper's candidate for approximate
         computing)."""
-        report = evaluate_overscaling(
-            get_kernel("matmult").program(), design, lut, 0.90
-        )
+        report = session.overscaling_reports(
+            get_kernel("matmult").program(), [0.90]
+        )[0]
         assert any(
             "l.mul" in cls for cls in report.violations_by_class
         ), report.violations_by_class
 
-    def test_time_scales_with_factor(self, design, lut):
+    def test_time_scales_with_factor(self, session):
         program = get_kernel("dotprod").program()
-        full = evaluate_overscaling(program, design, lut, 1.0)
-        fast = evaluate_overscaling(program, design, lut, 0.90)
+        full = session.overscaling_reports(program, [1.0])[0]
+        fast = session.overscaling_reports(program, [0.90])[0]
         assert fast.total_time_ps == pytest.approx(
             full.total_time_ps * 0.90, rel=1e-9
         )
 
-    def test_invalid_factor_rejected(self, design, lut):
+    def test_invalid_factor_rejected(self, session):
         program = get_kernel("dotprod").program()
         with pytest.raises(ValueError):
-            evaluate_overscaling(program, design, lut, 0.0)
+            session.overscaling_reports(program, [0.0])
         with pytest.raises(ValueError):
-            evaluate_overscaling(program, design, lut, 1.2)
+            session.overscaling_reports(program, [1.2])
 
-    def test_summary_text(self, design, lut):
-        report = evaluate_overscaling(
-            get_kernel("dotprod").program(), design, lut, 0.9
-        )
+    def test_summary_text(self, session):
+        report = session.overscaling_reports(
+            get_kernel("dotprod").program(), [0.9]
+        )[0]
         assert "violating cycles" in report.summary()

@@ -1,15 +1,17 @@
-"""Scalar-vs-vectorized equivalence of the compiled-trace batch engine.
+"""Oracle-vs-vectorized equivalence of the compiled-trace batch engine.
 
 The batch engine must be a pure acceleration: for every policy and every
 workload kernel, ``periods_for(compiled_trace)`` must equal the per-record
 ``period_for(record)`` sequence *exactly* (same table lookups, same float
 operations), and the batch :class:`EvaluationResult` must be bit-identical
-to the scalar reference path — periods, aggregate stats, and violations.
+to the per-record reference in ``tests/oracle.py`` — periods, aggregate
+stats, and violations.
 """
 
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.clocking.generator import (
     MultiPLLClockGenerator,
     TunableRingOscillator,
@@ -22,14 +24,11 @@ from repro.clocking.policies import (
     TwoClassPolicy,
 )
 from repro.dta.compiled import compile_trace, get_compiled_trace
-from repro.flow.evaluate import (
-    SweepConfig,
-    evaluate_batch,
-    evaluate_program,
-    evaluate_program_scalar,
-)
+from repro.flow.evaluate import SweepConfig
 from repro.sim.pipeline import PipelineSimulator
 from repro.workloads import all_kernels, get_kernel
+
+import oracle
 
 ALL_KERNEL_NAMES = tuple(kernel.name for kernel in all_kernels())
 
@@ -82,75 +81,55 @@ class TestPeriodEquivalence:
 
 
 class TestResultEquivalence:
-    """Full EvaluationResult bit-identity of batch vs. scalar reference."""
+    """Full EvaluationResult bit-identity of batch vs. the oracle."""
 
     KERNELS = ("crc32", "matmult", "statemachine", "gcd")
 
-    def _assert_identical(self, scalar, batch):
-        assert scalar.program_name == batch.program_name
-        assert scalar.policy_name == batch.policy_name
-        assert scalar.num_cycles == batch.num_cycles
-        assert scalar.num_retired == batch.num_retired
-        assert scalar.total_time_ps == batch.total_time_ps
-        assert scalar.static_period_ps == batch.static_period_ps
-        assert scalar.min_period_ps == batch.min_period_ps
-        assert scalar.max_period_ps == batch.max_period_ps
-        assert scalar.switch_rate == batch.switch_rate
-        assert scalar.speedup_percent == batch.speedup_percent
-        assert scalar.average_period_ps == batch.average_period_ps
-        assert len(scalar.violations) == len(batch.violations)
-        for expected, actual in zip(scalar.violations, batch.violations):
-            assert expected.cycle == actual.cycle
-            assert expected.stage == actual.stage
-            assert expected.applied_period_ps == actual.applied_period_ps
-            assert expected.excited_delay_ps == actual.excited_delay_ps
-            assert expected.driver_class == actual.driver_class
-
     @pytest.mark.parametrize("name", KERNELS)
-    def test_instruction_policy(self, design, lut, name):
+    def test_instruction_policy(self, design, evaluate_one, lut, name):
         program = get_kernel(name).program()
         policy = InstructionLutPolicy(lut)
-        self._assert_identical(
-            evaluate_program_scalar(program, design, policy),
-            evaluate_program(program, design, policy),
+        oracle.assert_results_identical(
+            oracle.evaluate_program(program, design, policy),
+            evaluate_one(program, policy),
         )
 
-    def test_margin_and_ring_generator(self, design, lut):
+    def test_margin_and_ring_generator(self, design, evaluate_one, lut):
         program = get_kernel("crc32").program()
         policy = InstructionLutPolicy(lut)
         kwargs = dict(
             generator=TunableRingOscillator(), margin_percent=7.5,
         )
-        self._assert_identical(
-            evaluate_program_scalar(program, design, policy, **kwargs),
-            evaluate_program(program, design, policy, **kwargs),
+        oracle.assert_results_identical(
+            oracle.evaluate_program(program, design, policy, **kwargs),
+            evaluate_one(program, policy, **kwargs),
         )
 
-    def test_pll_generator(self, design, lut):
+    def test_pll_generator(self, design, evaluate_one, lut):
         program = get_kernel("fib").program()
         policy = InstructionLutPolicy(lut)
         kwargs = dict(generator=MultiPLLClockGenerator())
-        self._assert_identical(
-            evaluate_program_scalar(program, design, policy, **kwargs),
-            evaluate_program(program, design, policy, **kwargs),
+        oracle.assert_results_identical(
+            oracle.evaluate_program(program, design, policy, **kwargs),
+            evaluate_one(program, policy, **kwargs),
         )
 
-    def test_violations_identical_when_overscaled(self, design):
+    def test_violations_identical_when_overscaled(self, design, evaluate_one):
         """Violation records — cycles, stages, driver classes — must match
         when the clock is deliberately 20 % too fast."""
         program = get_kernel("matmult").program()
         policy = StaticClockPolicy(design.static_period_ps * 0.80)
-        scalar = evaluate_program_scalar(program, design, policy)
-        batch = evaluate_program(program, design, policy)
+        scalar = oracle.evaluate_program(program, design, policy)
+        batch = evaluate_one(program, policy)
         assert not scalar.is_safe
-        self._assert_identical(scalar, batch)
+        oracle.assert_results_identical(scalar, batch)
 
-    def test_genie_policy(self, design, lut):
+    def test_genie_policy(self, design, evaluate_one, lut):
         program = get_kernel("statemachine").program()
         policy = GeniePolicy(design.excitation)
-        self._assert_identical(
-            evaluate_program_scalar(program, design, policy),
-            evaluate_program(program, design, policy),
+        oracle.assert_results_identical(
+            oracle.evaluate_program(program, design, policy),
+            evaluate_one(program, policy),
         )
 
 
@@ -166,8 +145,7 @@ class TestBatchEngine:
                         margin_percent=10.0, check_safety=False,
                         label="lut+margin"),
         ]
-        with pytest.warns(DeprecationWarning):
-            grid = evaluate_batch(programs, design, configs)
+        grid = Session.for_design(design).evaluate_results(programs, configs)
         assert len(grid) == len(configs)
         for row in grid:
             assert [r.program_name for r in row] == ["fib", "crc16"]
@@ -177,20 +155,22 @@ class TestBatchEngine:
 
     def test_batch_matches_scalar_sweep(self, design, lut):
         programs = [get_kernel(n).program() for n in ("fib", "memcpy")]
-        config = SweepConfig(
-            policy=lambda: InstructionLutPolicy(lut), check_safety=True,
+        configs = [
+            SweepConfig(policy=lambda: InstructionLutPolicy(lut),
+                        check_safety=True),
+            SweepConfig(policy=lambda: TwoClassPolicy(lut),
+                        generator=TunableRingOscillator,
+                        margin_percent=5.0, check_safety=True),
+        ]
+        batch = Session.for_design(design).evaluate_results(
+            programs, configs
         )
-        with pytest.warns(DeprecationWarning):
-            batch_row = evaluate_batch(programs, design, [config])[0]
-        for program, batch in zip(programs, batch_row):
-            scalar = evaluate_program_scalar(
-                program, design, InstructionLutPolicy(lut)
-            )
-            assert scalar.total_time_ps == batch.total_time_ps
-            assert scalar.min_period_ps == batch.min_period_ps
-            assert len(scalar.violations) == len(batch.violations)
+        reference = oracle.evaluate_grid(programs, design, configs)
+        for batch_row, reference_row in zip(batch, reference):
+            for ours, expected in zip(batch_row, reference_row):
+                oracle.assert_results_identical(expected, ours)
 
-    def test_policy_without_periods_for_falls_back(self, design):
+    def test_policy_without_periods_for_falls_back(self, design, evaluate_one):
         """Policies that only implement the scalar protocol still work."""
 
         class OddPolicy:
@@ -204,30 +184,27 @@ class TestBatchEngine:
 
         program = get_kernel("fib").program()
         policy = OddPolicy(design.static_period_ps)
-        scalar = evaluate_program_scalar(
+        scalar = oracle.evaluate_program(
             program, design, policy, check_safety=False
         )
-        batch = evaluate_program(program, design, policy, check_safety=False)
+        batch = evaluate_one(program, policy, check_safety=False)
         assert scalar.total_time_ps == batch.total_time_ps
         assert scalar.switch_rate == batch.switch_rate
 
 
 class TestOverscalingEquivalence:
     """The over-scaling evaluation (approx/violations.py) runs on the
-    compiled trace; it must reproduce the scalar per-record reference
+    compiled trace; it must reproduce the per-record oracle
     bit-identically — counts, dict build order, and every synthesised
     approximate result."""
 
     @pytest.mark.parametrize("factor", (1.0, 0.94, 0.88))
     def test_overscaling_report_bit_identical(self, design, lut, factor):
-        from repro.approx.violations import (
-            evaluate_overscaling,
-            evaluate_overscaling_scalar,
-        )
-
         program = get_kernel("crc32").program()
-        fast = evaluate_overscaling(program, design, lut, factor)
-        slow = evaluate_overscaling_scalar(program, design, lut, factor)
+        fast = Session.for_design(design, lut=lut).overscaling_reports(
+            program, [factor]
+        )[0]
+        slow = oracle.evaluate_overscaling(program, design, lut, factor)
 
         assert fast.program_name == slow.program_name
         assert fast.num_cycles == slow.num_cycles
@@ -253,10 +230,10 @@ class TestOverscalingEquivalence:
     def test_overscaled_run_actually_violates(self, design, lut):
         """Sanity: the equivalence above is not vacuous — the overscaled
         factor really produces violations and corrupted EX results."""
-        from repro.approx.violations import evaluate_overscaling
-
         program = get_kernel("matmult").program()
-        report = evaluate_overscaling(program, design, lut, 0.88)
+        report = Session.for_design(design, lut=lut).overscaling_reports(
+            program, [0.88]
+        )[0]
         assert report.violation_cycles > 0
         assert report.approx_results
         assert report.violation_rate > 0
@@ -314,10 +291,10 @@ class TestCompiledTrace:
 
 
 class TestOnlineAdaptEquivalence:
-    """Scalar-vs-array equivalence of the drift-aware online adapter.
+    """Oracle-vs-array equivalence of the drift-aware online adapter.
 
     The vectorized ``adapt.online`` engine consumes compiled-trace arrays;
-    it must reproduce the per-record reference walk bit-for-bit — the full
+    it must reproduce the per-record oracle walk bit-for-bit — the full
     applied-period sequence (including every mid-trace LUT rescale the
     monitor performs), the aggregate time, the violation count and the
     update/drift bookkeeping.
@@ -329,15 +306,17 @@ class TestOnlineAdaptEquivalence:
 
         return EnvironmentModel()
 
-    def _compare(self, program, design, lut, environment, **kwargs):
-        from repro.adapt.online import evaluate_with_drift
-
-        reference = evaluate_with_drift(
-            program, design, lut, environment, engine="record", **kwargs
+    def _compare(self, program, design, lut, environment, scheme,
+                 update_interval=150, tracking_margin=0.025):
+        reference = oracle.evaluate_with_drift(
+            program, design, lut, environment, scheme=scheme,
+            update_interval=update_interval,
+            tracking_margin=tracking_margin,
         )
-        fast = evaluate_with_drift(
-            program, design, lut, environment, engine="array", **kwargs
-        )
+        fast = Session.for_design(design, lut=lut).adapt_results(
+            [program], environment, [scheme], update_interval,
+            tracking_margin,
+        )[0]
         assert fast.num_cycles == reference.num_cycles
         assert fast.total_time_ps == reference.total_time_ps
         assert fast.violations == reference.violations

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flow.characterize import characterize
+from repro.api import Session
 from repro.flow.experiment import Comparison, ExperimentReport
 from repro.timing.profiles import BUBBLE_CLASS
 from repro.workloads import get_kernel
@@ -26,27 +26,27 @@ class TestCharacterizationFlow:
             characterization.run_named("missing")
 
     def test_custom_program_set(self, design):
-        result = characterize(
-            design, programs=[get_kernel("fib").program()], keep_runs=False
+        result = Session.for_design(design).characterize(
+            [get_kernel("fib").program()]
         )
         assert result.num_runs == 0           # runs not kept
         assert result.lut.is_characterized("l.add(i)")
         # fib never multiplies: mul must fall back to static
         assert not result.lut.is_characterized("l.mul(i)")
 
-    def test_partial_characterization_is_safe_fallback(self, design):
+    def test_partial_characterization_is_safe_fallback(self, design,
+                                                       evaluate_one):
         from repro.clocking.policies import InstructionLutPolicy
-        from repro.flow.evaluate import evaluate_program
         from repro.sim.trace import Stage
 
-        partial = characterize(
-            design, programs=[get_kernel("fib").program()], keep_runs=False
+        partial = Session.for_design(design).characterize(
+            [get_kernel("fib").program()]
         )
         assert partial.lut.entry("l.mul(i)", Stage.EX) == \
             design.static_period_ps
         # evaluating a mul-heavy program with the partial LUT stays safe
-        result = evaluate_program(
-            get_kernel("dotprod").program(), design,
+        result = evaluate_one(
+            get_kernel("dotprod").program(),
             InstructionLutPolicy(partial.lut),
         )
         assert result.is_safe

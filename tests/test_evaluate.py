@@ -10,11 +10,11 @@ from repro.clocking.policies import (
     StaticClockPolicy,
     TwoClassPolicy,
 )
+from repro.api import Session
 from repro.flow.evaluate import (
+    SweepConfig,
     average_frequency_mhz,
     average_speedup_percent,
-    evaluate_program,
-    evaluate_suite,
 )
 from repro.flow.reporting import render_policy_comparison, render_suite_results
 from repro.workloads import get_kernel
@@ -27,46 +27,46 @@ class TestSafetyInvariant:
     claim): the predictive LUT period covers every excited path."""
 
     @pytest.mark.parametrize("name", EVAL_KERNELS)
-    def test_instruction_policy_is_safe(self, design, lut, name):
-        result = evaluate_program(
-            get_kernel(name).program(), design, InstructionLutPolicy(lut)
+    def test_instruction_policy_is_safe(self, evaluate_one, lut, name):
+        result = evaluate_one(
+            get_kernel(name).program(), InstructionLutPolicy(lut)
         )
         assert result.is_safe, result.violations[:3]
 
     @pytest.mark.parametrize("name", EVAL_KERNELS)
-    def test_ex_only_policy_is_safe(self, design, lut, name):
-        result = evaluate_program(
-            get_kernel(name).program(), design, ExOnlyLutPolicy(lut)
+    def test_ex_only_policy_is_safe(self, evaluate_one, lut, name):
+        result = evaluate_one(
+            get_kernel(name).program(), ExOnlyLutPolicy(lut)
         )
         assert result.is_safe
 
-    def test_two_class_policy_is_safe(self, design, lut):
-        result = evaluate_program(
-            get_kernel("matmult").program(), design, TwoClassPolicy(lut)
+    def test_two_class_policy_is_safe(self, evaluate_one, lut):
+        result = evaluate_one(
+            get_kernel("matmult").program(), TwoClassPolicy(lut)
         )
         assert result.is_safe
 
-    def test_static_policy_is_safe(self, design):
-        result = evaluate_program(
-            get_kernel("crc32").program(), design,
+    def test_static_policy_is_safe(self, design, evaluate_one):
+        result = evaluate_one(
+            get_kernel("crc32").program(),
             StaticClockPolicy(design.static_period_ps),
         )
         assert result.is_safe
         assert result.speedup_percent == pytest.approx(0.0, abs=1e-9)
 
-    def test_quantized_generator_is_safe(self, design, lut):
-        result = evaluate_program(
-            get_kernel("crc32").program(), design,
+    def test_quantized_generator_is_safe(self, evaluate_one, lut):
+        result = evaluate_one(
+            get_kernel("crc32").program(),
             InstructionLutPolicy(lut),
             generator=TunableRingOscillator(),
         )
         assert result.is_safe
 
-    def test_overscaled_static_is_unsafe(self, design):
+    def test_overscaled_static_is_unsafe(self, design, evaluate_one):
         """Sanity check of the checker itself: clocking the static design
         20 % too fast must produce violations."""
-        result = evaluate_program(
-            get_kernel("matmult").program(), design,
+        result = evaluate_one(
+            get_kernel("matmult").program(),
             StaticClockPolicy(design.static_period_ps * 0.80),
         )
         assert not result.is_safe
@@ -75,7 +75,7 @@ class TestSafetyInvariant:
 
 
 class TestPerformanceOrdering:
-    def test_policy_ordering(self, design, lut):
+    def test_policy_ordering(self, design, evaluate_one, lut):
         """genie >= instruction >= ex-only >= two-class >= static, in
         effective frequency."""
         program = get_kernel("statemachine").program()
@@ -87,19 +87,19 @@ class TestPerformanceOrdering:
             ("two-class", TwoClassPolicy(lut)),
             ("static", StaticClockPolicy(design.static_period_ps)),
         ]:
-            freq[name] = evaluate_program(
-                program, design, policy, check_safety=False
+            freq[name] = evaluate_one(
+                program, policy, check_safety=False
             ).effective_frequency_mhz
         assert freq["genie"] >= freq["instruction"] >= freq["ex-only"]
         assert freq["ex-only"] >= freq["two-class"] >= freq["static"]
 
-    def test_quantization_costs_speed(self, design, lut):
+    def test_quantization_costs_speed(self, evaluate_one, lut):
         program = get_kernel("crc32").program()
-        ideal = evaluate_program(
-            program, design, InstructionLutPolicy(lut), check_safety=False
+        ideal = evaluate_one(
+            program, InstructionLutPolicy(lut), check_safety=False
         )
-        quantized = evaluate_program(
-            program, design, InstructionLutPolicy(lut),
+        quantized = evaluate_one(
+            program, InstructionLutPolicy(lut),
             generator=TunableRingOscillator(step_ps=100.0),
             check_safety=False,
         )
@@ -108,13 +108,13 @@ class TestPerformanceOrdering:
             <= ideal.effective_frequency_mhz
         )
 
-    def test_margin_costs_speed(self, design, lut):
+    def test_margin_costs_speed(self, evaluate_one, lut):
         program = get_kernel("crc32").program()
-        base = evaluate_program(
-            program, design, InstructionLutPolicy(lut), check_safety=False
+        base = evaluate_one(
+            program, InstructionLutPolicy(lut), check_safety=False
         )
-        guarded = evaluate_program(
-            program, design, InstructionLutPolicy(lut),
+        guarded = evaluate_one(
+            program, InstructionLutPolicy(lut),
             margin_percent=10.0, check_safety=False,
         )
         assert guarded.average_period_ps == pytest.approx(
@@ -123,9 +123,9 @@ class TestPerformanceOrdering:
 
 
 class TestResultAccounting:
-    def test_time_is_sum_of_periods(self, design, lut):
-        result = evaluate_program(
-            get_kernel("fib").program(), design, InstructionLutPolicy(lut),
+    def test_time_is_sum_of_periods(self, evaluate_one, lut):
+        result = evaluate_one(
+            get_kernel("fib").program(), InstructionLutPolicy(lut),
             check_safety=False,
         )
         assert result.total_time_ps == pytest.approx(
@@ -134,9 +134,9 @@ class TestResultAccounting:
         assert result.min_period_ps <= result.average_period_ps
         assert result.average_period_ps <= result.max_period_ps
 
-    def test_speedup_definition(self, design, lut):
-        result = evaluate_program(
-            get_kernel("fib").program(), design, InstructionLutPolicy(lut),
+    def test_speedup_definition(self, design, evaluate_one, lut):
+        result = evaluate_one(
+            get_kernel("fib").program(), InstructionLutPolicy(lut),
             check_safety=False,
         )
         expected = (
@@ -144,19 +144,20 @@ class TestResultAccounting:
         ) * 100.0
         assert result.speedup_percent == pytest.approx(expected)
 
-    def test_summary_text(self, design, lut):
-        result = evaluate_program(
-            get_kernel("fib").program(), design, InstructionLutPolicy(lut),
+    def test_summary_text(self, evaluate_one, lut):
+        result = evaluate_one(
+            get_kernel("fib").program(), InstructionLutPolicy(lut),
             check_safety=False,
         )
         assert "fib" in result.summary()
 
     def test_suite_helpers(self, design, lut):
         programs = [get_kernel(n).program() for n in ("fib", "crc16")]
-        results = evaluate_suite(
-            programs, design, lambda: InstructionLutPolicy(lut),
-            check_safety=False,
-        )
+        config = SweepConfig(policy=lambda: InstructionLutPolicy(lut),
+                             check_safety=False)
+        results = Session.for_design(design).evaluate_results(
+            programs, [config]
+        )[0]
         assert len(results) == 2
         assert average_speedup_percent(results) > 0
         assert average_frequency_mhz(results) > 494.0
@@ -209,10 +210,11 @@ class TestResultAccounting:
 
     def test_reporting_renders(self, design, lut):
         programs = [get_kernel(n).program() for n in ("fib", "crc16")]
-        results = evaluate_suite(
-            programs, design, lambda: InstructionLutPolicy(lut),
-            check_safety=False,
-        )
+        config = SweepConfig(policy=lambda: InstructionLutPolicy(lut),
+                             check_safety=False)
+        results = Session.for_design(design).evaluate_results(
+            programs, [config]
+        )[0]
         table = render_suite_results(results, design.static_period_ps)
         assert "fib" in table and "Speedup" in table
         comparison = render_policy_comparison({"lut": results})

@@ -12,7 +12,6 @@ from repro.flow.figures import (
     write_csv,
 )
 from repro.clocking.policies import InstructionLutPolicy
-from repro.flow.evaluate import evaluate_suite
 from repro.sim.trace import Stage
 from repro.workloads import get_kernel
 
@@ -35,11 +34,11 @@ class TestSeries:
         assert header[0] == "delay_ps"
         assert len(header) == 7
 
-    def test_fig8(self, design, lut):
-        results = evaluate_suite(
-            [get_kernel("fib").program()], design,
-            lambda: InstructionLutPolicy(lut), check_safety=False,
-        )
+    def test_fig8(self, design, evaluate_one, lut):
+        results = [evaluate_one(
+            get_kernel("fib").program(), InstructionLutPolicy(lut),
+            check_safety=False,
+        )]
         header, rows = fig8_series(results, design.static_period_ps)
         assert rows[0][0] == "fib"
         assert rows[0][2] > rows[0][1]   # dynamic beats conventional
@@ -55,13 +54,14 @@ class TestWriting:
         assert parsed[0] == list(header)
         assert len(parsed) == len(rows) + 1
 
-    def test_export_all(self, tmp_path, characterization, design, lut):
+    def test_export_all(self, tmp_path, characterization, design,
+                        evaluate_one, lut):
         run = characterization.run_named("matmult")
         samples = class_stage_delays(run.dta, run.trace, "l.mul(i)")
-        results = evaluate_suite(
-            [get_kernel("fib").program()], design,
-            lambda: InstructionLutPolicy(lut), check_safety=False,
-        )
+        results = [evaluate_one(
+            get_kernel("fib").program(), InstructionLutPolicy(lut),
+            check_safety=False,
+        )]
         written = export_all(
             tmp_path / "figures", run.dta, samples, results,
             design.static_period_ps,

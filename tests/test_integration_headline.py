@@ -10,20 +10,29 @@ import numpy as np
 import pytest
 
 from repro import paperdata
+from repro.api import Session
 from repro.clocking.policies import GeniePolicy, InstructionLutPolicy
 from repro.flow.evaluate import (
+    SweepConfig,
     average_frequency_mhz,
     average_speedup_percent,
-    evaluate_suite,
 )
 from repro.power.vfs import scale_voltage_iso_throughput
 from repro.sim.trace import Stage
 from repro.workloads.suite import benchmark_suite
 
 
+def run_suite(programs, design, policy_factory, check_safety):
+    """One result per program, a fresh policy each."""
+    config = SweepConfig(policy=policy_factory, check_safety=check_safety)
+    return Session.for_design(design).evaluate_results(
+        programs, [config]
+    )[0]
+
+
 @pytest.fixture(scope="module")
 def suite_results(design, lut):
-    return evaluate_suite(
+    return run_suite(
         benchmark_suite(), design, lambda: InstructionLutPolicy(lut),
         check_safety=True,
     )
@@ -31,7 +40,7 @@ def suite_results(design, lut):
 
 @pytest.fixture(scope="module")
 def genie_results(design):
-    return evaluate_suite(
+    return run_suite(
         benchmark_suite(), design,
         lambda: GeniePolicy(design.excitation),
         check_safety=False,
@@ -181,12 +190,12 @@ class TestCriticalRangeStory:
         """The conventional design's timing wall erases most of the gain —
         the reason the paper optimises the implementation first."""
         programs = benchmark_suite()[:4]
-        optimized = evaluate_suite(
+        optimized = run_suite(
             programs, design,
             lambda: InstructionLutPolicy(characterization.lut),
             check_safety=False,
         )
-        conventional = evaluate_suite(
+        conventional = run_suite(
             programs, conventional_design,
             lambda: InstructionLutPolicy(conventional_characterization.lut),
             check_safety=False,

@@ -63,11 +63,12 @@ class TestSerialRun:
 
     def test_matches_in_process_evaluate_batch(self, seeded_store, design,
                                                lut):
-        """Runner rows are bit-identical to the plain evaluate_batch path
-        (same grid, no store, no orchestration)."""
+        """Runner rows are bit-identical to the plain in-process
+        ``Session.evaluate_results`` path (same grid, no store, no
+        orchestration)."""
+        from repro.api import Session
         from repro.core import DcaConfig, DynamicClockAdjustment
         from repro.flow.characterize import CharacterizationResult
-        from repro.flow.evaluate import evaluate_batch
         from repro.lab.runner import result_to_dict
 
         result = _run(seeded_store)
@@ -79,8 +80,9 @@ class TestSerialRun:
         specs = GRID.config_specs()
         configs = [spec.make(dca) for spec in specs]
         point = GRID.design_points()[0]
-        with pytest.warns(DeprecationWarning):
-            reference = evaluate_batch(GRID.programs(), design, configs)
+        reference = Session.for_design(design).evaluate_results(
+            GRID.programs(), configs
+        )
         expected = [
             result_to_dict(res, point, spec)
             for spec, row in zip(specs, reference)
@@ -290,10 +292,10 @@ class TestShardedCharacterization:
         assert parallel.rows == serial.rows
 
     def test_keep_runs_incompatible_with_sharding(self, design):
-        from repro.flow.characterize import characterize
+        from repro.api import Session
 
         with pytest.raises(ValueError, match="keep_runs"):
-            characterize(design, jobs=2, keep_runs=True)
+            Session.for_design(design, jobs=2).characterize(keep_runs=True)
 
 
 class TestStoreBudget:

@@ -125,21 +125,26 @@ class TestDeployment:
 
     def test_scalar_and_vector_paths_bit_identical(self, design, lut,
                                                    tmp_path):
+        """The learned policy's per-record ``period_for`` (the oracle
+        loop) and its vectorized ``periods_for`` (the Session) give
+        bit-identical results, violations included."""
+        import oracle
         from repro.api import Session
+        from repro.flow.evaluate import SweepConfig
+        from repro.workloads import get_kernel
 
         outcome = train_policy(GRID, CHEAP)
         path = tmp_path / "model.npz"
         outcome.model.save(path)
-        policies = [f"learned:{path}"]
-        scalar = Session.for_design(design, lut=lut, engine="scalar")
-        vector = Session.for_design(design, lut=lut, engine="vector")
-        frame_scalar = scalar.evaluate(["fib", "crc16"],
-                                       policies=policies,
-                                       check_safety=True)
-        frame_vector = vector.evaluate(["fib", "crc16"],
-                                       policies=policies,
-                                       check_safety=True)
-        assert frame_scalar == frame_vector
+        spec = f"learned:{path}"
+        session = Session.for_design(design, lut=lut)
+        frame = session.evaluate(["fib", "crc16"], policies=[spec],
+                                 check_safety=True)
+        programs = [get_kernel(n).program() for n in ("fib", "crc16")]
+        config = SweepConfig(policy=lambda: session.dca.make_policy(spec))
+        reference = oracle.evaluate_grid(programs, design, [config])[0]
+        for expected, row in zip(reference, frame.iter_rows()):
+            oracle.assert_results_identical(expected, row)
 
     def test_policy_prediction_matches_model(self, design, outcome):
         from repro.dta.compiled import get_compiled_trace

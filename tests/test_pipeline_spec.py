@@ -1,6 +1,6 @@
 """Parameterized microarchitectures: the PipelineSpec layer.
 
-Three contracts are enforced here:
+Four contracts are enforced here:
 
 - **The default spec is the identity.**  Simulating, compiling and
   keying with :data:`~repro.sim.spec.DEFAULT_SPEC` is bit-identical to
@@ -13,6 +13,9 @@ Three contracts are enforced here:
   presets it cannot represent (``nofwd6``, ``slowmem6``).
 - **Specs key artifacts.**  Two specs over the same program produce two
   distinct store artifacts; corrupting one never touches the other.
+- **Over-scaling is spec-aware.**  Violations are labelled in the
+  canonical stage vocabulary, EX is the spec's EX column, and a warm
+  store reproduces the in-memory frame on every preset.
 """
 
 import numpy as np
@@ -495,24 +498,47 @@ class TestScenarioGridSpecs:
 
 
 class TestSessionSpecGate:
-    def test_scalar_engine_rejects_non_default_spec(self):
-        from repro.api import Session
-
-        with pytest.raises(ValueError, match="scalar engine"):
-            Session(engine="scalar", pipeline_spec="deep7")
-
-    def test_scalar_engine_accepts_default(self):
-        from repro.api import Session
-
-        session = Session(engine="scalar")
-        assert session.pipeline_spec.is_default
-
     def test_design_point_carries_spec(self):
         from repro.api import Session
 
         session = Session(pipeline_spec="shallow5")
         assert session.design_point.endswith("/shallow5")
         assert session.design.pipeline_spec.name == "shallow5"
+
+
+class TestOverscalingSpecs:
+    """The over-scaling scan labels columns by their canonical stage
+    group, finds EX at the spec's EX column, and re-simulates a
+    store-rehydrated trace under the design's own spec — so a warm store
+    gives the same frame as an in-memory run on every preset."""
+
+    @pytest.mark.parametrize("preset", sorted(PIPELINE_VARIANTS))
+    def test_in_memory_and_warm_store_agree(self, preset, tmp_path):
+        from repro.api import Session
+        from repro.dta.compiled import clear_compiled_cache
+        from repro.lab.store import ArtifactStore
+
+        spec = get_pipeline_spec(preset)
+        labels = {spec.stage_label(c).name for c in range(spec.num_stages)}
+        in_memory = Session(pipeline_spec=preset)
+        clear_compiled_cache()
+        expected = in_memory.overscaling(["crc32"], factors=[0.88])
+
+        store = ArtifactStore(tmp_path / "store")
+        clear_compiled_cache()
+        Session(pipeline_spec=preset, lut=in_memory.lut,
+                store=store).overscaling(["crc32"], factors=[0.88])
+        clear_compiled_cache()
+        store.stats.reset()
+        warm = Session(pipeline_spec=preset, lut=in_memory.lut,
+                       store=store).overscaling(["crc32"], factors=[0.88])
+        assert store.stats.get("trace", "hits") == 1   # rehydrated
+        assert warm == expected
+
+        row = expected.row(0)
+        assert set(row["violations_by_stage"]) <= labels
+        assert row["violations_by_stage"]["EX"] > 0
+        assert row["num_approx_results"] > 0
 
 
 class TestModelSpecValidation:

@@ -123,13 +123,12 @@ class TestVoltageScaling:
 
 
 class TestEnergy:
-    def test_program_energy(self, design, lut):
+    def test_program_energy(self, evaluate_one, lut):
         from repro.clocking.policies import InstructionLutPolicy
-        from repro.flow.evaluate import evaluate_program
         from repro.workloads import get_kernel
 
-        result = evaluate_program(
-            get_kernel("fib").program(), design,
+        result = evaluate_one(
+            get_kernel("fib").program(),
             InstructionLutPolicy(lut), check_safety=False,
         )
         energy = program_energy_pj(result, 0.70)

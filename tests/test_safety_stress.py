@@ -14,7 +14,6 @@ from repro.clocking.generator import (
     TunableRingOscillator,
 )
 from repro.clocking.policies import ExOnlyLutPolicy, InstructionLutPolicy
-from repro.flow.evaluate import evaluate_program
 from repro.workloads.randomgen import generate_characterization_program
 
 #: Fresh seeds, disjoint from the characterisation suite's (1, 2).
@@ -22,11 +21,11 @@ STRESS_SEEDS = (11, 12, 13, 14, 15)
 
 
 @pytest.mark.parametrize("seed", STRESS_SEEDS)
-def test_random_program_safety(design, lut, seed):
+def test_random_program_safety(evaluate_one, lut, seed):
     program = generate_characterization_program(
         seed=seed, length=300, repeats=1
     )
-    result = evaluate_program(program, design, InstructionLutPolicy(lut))
+    result = evaluate_one(program, InstructionLutPolicy(lut))
     assert result.is_safe, (
         f"seed {seed}: {len(result.violations)} violations, first: "
         f"{result.violations[0] if result.violations else None}"
@@ -35,11 +34,11 @@ def test_random_program_safety(design, lut, seed):
 
 
 @pytest.mark.parametrize("seed", STRESS_SEEDS[:2])
-def test_random_program_safety_ex_only(design, lut, seed):
+def test_random_program_safety_ex_only(evaluate_one, lut, seed):
     program = generate_characterization_program(
         seed=seed, length=300, repeats=1
     )
-    result = evaluate_program(program, design, ExOnlyLutPolicy(lut))
+    result = evaluate_one(program, ExOnlyLutPolicy(lut))
     assert result.is_safe
 
 
@@ -48,18 +47,18 @@ def test_random_program_safety_ex_only(design, lut, seed):
     lambda: TunableRingOscillator(step_ps=100.0),
     lambda: MultiPLLClockGenerator(),
 ], ids=["ring25", "ring100", "pll"])
-def test_random_program_safety_quantized(design, lut, generator_factory):
+def test_random_program_safety_quantized(evaluate_one, lut, generator_factory):
     program = generate_characterization_program(
         seed=21, length=300, repeats=1
     )
-    result = evaluate_program(
-        program, design, InstructionLutPolicy(lut),
+    result = evaluate_one(
+        program, InstructionLutPolicy(lut),
         generator=generator_factory(),
     )
     assert result.is_safe
 
 
-def test_worst_pattern_storm(design, lut):
+def test_worst_pattern_storm(design, evaluate_one, lut):
     """A program that is nothing but worst-case idioms back to back."""
     from repro.asm import assemble
 
@@ -86,7 +85,7 @@ def test_worst_pattern_storm(design, lut):
         + ["    l.nop 0x1", "    l.nop", "    l.nop"]
     )
     program = assemble(source, name="worst-pattern-storm")
-    result = evaluate_program(program, design, InstructionLutPolicy(lut))
+    result = evaluate_one(program, InstructionLutPolicy(lut))
     assert result.is_safe
     # every EX delay is at its class maximum here, so the measured average
     # period must be close to the mix's LUT average — still well below
