@@ -27,7 +27,10 @@ from repro.dta.compiled import (  # noqa: E402
     set_trace_store,
 )
 from repro.flow.characterize import CharacterizationResult  # noqa: E402
-from repro.flow.evaluate import SweepConfig  # noqa: E402
+from repro.lab.scenario import (  # noqa: E402
+    ConfigSpec,
+    materialize_configs,
+)
 from repro.obs.host import host_metadata  # noqa: E402
 from repro.utils.tables import format_table  # noqa: E402
 from repro.workloads.suite import benchmark_suite  # noqa: E402
@@ -43,21 +46,22 @@ POLICY_NAMES = ("instruction", "ex-only", "two-class", "genie")
 
 
 def _sweep_configs(design, lut):
-    """One config per policy × margin, via the canonical policy registry
-    (``DynamicClockAdjustment.make_policy``) rather than a local copy."""
+    """One config per policy × margin, materialised the way ``Session``
+    and the sweep runner do (one shared factory per policy name, so the
+    batch gathers each policy once per program) from the canonical policy
+    registry (``DynamicClockAdjustment.make_policy``)."""
     dca = DynamicClockAdjustment(
         config=DcaConfig(variant=design.variant),
         characterization=CharacterizationResult(design=design, lut=lut),
     )
-    return [
-        SweepConfig(
-            policy=(lambda name=name: dca.make_policy(name)),
-            margin_percent=margin, check_safety=False,
-            label=f"{name}/margin={margin:g}%",
-        )
-        for name in POLICY_NAMES
-        for margin in MARGINS
-    ]
+    return materialize_configs(
+        [
+            ConfigSpec(policy=name, margin_percent=margin)
+            for name in POLICY_NAMES
+            for margin in MARGINS
+        ],
+        dca,
+    )
 
 
 def _load_oracle():

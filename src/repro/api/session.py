@@ -34,7 +34,7 @@ from repro.api.frame import (
 from repro.obs import trace as obs_trace
 from repro.obs.trace import span as obs_span
 from repro.dta.extraction import DEFAULT_MIN_OCCURRENCES
-from repro.flow.evaluate import DEFAULT_MAX_CYCLES, SweepConfig
+from repro.flow.evaluate import DEFAULT_MAX_CYCLES
 from repro.sim.spec import DEFAULT_SPEC, get_pipeline_spec
 from repro.timing.profiles import DesignVariant
 
@@ -412,24 +412,13 @@ class Session:
         ]
 
     def _materialize(self, specs):
-        """ConfigSpecs → concrete SweepConfigs bound to this session."""
-        from repro.lab.scenario import ConfigSpec
+        """ConfigSpecs → concrete SweepConfigs bound to this session (one
+        shared factory per policy name); the design is characterised
+        only when some row is a ConfigSpec."""
+        from repro.lab.scenario import ConfigSpec, materialize_configs
 
-        dca = None
-        configs = []
-        for spec in specs:
-            if isinstance(spec, SweepConfig):
-                configs.append(spec)
-            elif isinstance(spec, ConfigSpec):
-                if dca is None:
-                    dca = self.dca
-                configs.append(spec.make(dca))
-            else:
-                raise TypeError(
-                    f"config must be SweepConfig or ConfigSpec, "
-                    f"got {type(spec).__name__}"
-                )
-        return configs
+        needs_dca = any(isinstance(spec, ConfigSpec) for spec in specs)
+        return materialize_configs(specs, self.dca if needs_dca else None)
 
     def evaluate_results(self, programs, configs):
         """Evaluation as the ``[config][program]`` grid of

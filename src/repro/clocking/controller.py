@@ -8,11 +8,21 @@ maximum, and retunes the clock generator.
 Statistics are computed from the full period sequence
 (:meth:`ControllerStats.from_periods`) in both the scalar and the batch
 path, so the two evaluation engines report bit-identical aggregates.
+
+The array path splits a decision into the policy's *base* period vector
+(:class:`PolicyGather`, one gather per trace) and the per-configuration
+margin and generator applied on top of it, so configurations that share
+a policy share its gather.  Every period is checked finite and positive
+before it is granted: a NaN would otherwise compare false against every
+excited delay and report a fail-open "safe" run.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.clocking.generator import check_period, check_periods
 
 
 @dataclass
@@ -64,6 +74,38 @@ class ControllerStats:
         return self.cycles == 0
 
 
+class PolicyGather:
+    """A policy's base period vector over one trace, gathered once.
+
+    The base is what the policy requests before any margin or generator
+    (``periods_for``, or ``period_for`` per record for scalar-only
+    policies), checked finite and positive.  It is memoised for the last
+    trace seen; the memo holds that trace, so an identity check can never
+    match a different trace that reused a freed one's id.  Every
+    controller handed the same gather reads the same vector, which is how
+    a batch evaluation gathers each (policy, trace) pair once across all
+    of its margins and generators.
+    """
+
+    def __init__(self, policy):
+        self.policy = policy
+        self._trace = None
+        self._base = None
+
+    def periods_for(self, compiled_trace):
+        if compiled_trace is not self._trace:
+            if hasattr(self.policy, "periods_for"):
+                base = self.policy.periods_for(compiled_trace)
+            else:
+                base = [
+                    self.policy.period_for(record)
+                    for record in compiled_trace.trace.records
+                ]
+            self._base = check_periods(base)
+            self._trace = compiled_trace
+        return self._base
+
+
 class ClockAdjustmentController:
     """Per-cycle period decision = quantize(policy period × (1 + margin)).
 
@@ -71,7 +113,8 @@ class ClockAdjustmentController:
     ----------
     policy:
         A prediction policy (``period_for(record)``, and optionally the
-        vectorized ``periods_for(compiled_trace)``).
+        vectorized ``periods_for(compiled_trace)``), or a
+        :class:`PolicyGather` shared with other controllers.
     generator:
         Clock-generator model; ``None`` means ideal (continuous).
     margin_percent:
@@ -82,18 +125,29 @@ class ClockAdjustmentController:
     def __init__(self, policy, generator=None, margin_percent=0.0):
         if margin_percent < 0:
             raise ValueError("margin cannot be negative")
-        self.policy = policy
+        if not math.isfinite(margin_percent):
+            raise ValueError(f"margin must be finite, got {margin_percent}")
+        if not isinstance(policy, PolicyGather):
+            policy = PolicyGather(policy)
+        self.gather = policy
+        self.policy = policy.policy
         self.generator = generator
         self.margin = 1.0 + margin_percent / 100.0
-        self._periods = []
+        #: Applied periods in decision order: arrays from
+        #: :meth:`periods_for`, lists of scalar :meth:`period_for` runs.
+        self._chunks = []
         self._stats = None
 
     def period_for(self, record):
         """Decide the clock period for one cycle and record it."""
         period = self.policy.period_for(record) * self.margin
-        if self.generator is not None:
+        if self.generator is None:
+            check_period(period)
+        else:
             period = self.generator.quantize_up(period)
-        self._periods.append(period)
+        if not self._chunks or not isinstance(self._chunks[-1], list):
+            self._chunks.append([])
+        self._chunks[-1].append(period)
         self._stats = None
         return period
 
@@ -101,19 +155,13 @@ class ClockAdjustmentController:
         """Decide the periods of a whole compiled trace at once.
 
         Applies margin scaling and generator quantisation element-wise
-        (same operations as :meth:`period_for`) and records the sequence
-        for :attr:`stats`.
+        (same operations as :meth:`period_for`) on the gathered base
+        vector and records the sequence for :attr:`stats`.  The base is
+        already checked, and a finite margin of at least 1 keeps it
+        finite and positive, so without a generator no second check is
+        needed.
         """
-        if hasattr(self.policy, "periods_for"):
-            periods = np.asarray(
-                self.policy.periods_for(compiled_trace), dtype=float
-            )
-        else:
-            periods = np.array([
-                self.policy.period_for(record)
-                for record in compiled_trace.trace.records
-            ], dtype=float)
-        periods = periods * self.margin
+        periods = self.gather.periods_for(compiled_trace) * self.margin
         if self.generator is not None:
             if hasattr(self.generator, "quantize_up_array"):
                 periods = self.generator.quantize_up_array(periods)
@@ -122,16 +170,20 @@ class ClockAdjustmentController:
                     self.generator.quantize_up(period)
                     for period in periods.tolist()
                 ])
-        self._periods.extend(periods.tolist())
+        self._chunks.append(periods)
         self._stats = None
         return periods
 
     @property
     def stats(self):
         if self._stats is None:
-            self._stats = ControllerStats.from_periods(self._periods)
+            periods = (
+                np.concatenate(self._chunks, dtype=float)
+                if self._chunks else ()
+            )
+            self._stats = ControllerStats.from_periods(periods)
         return self._stats
 
     def reset(self):
-        self._periods = []
+        self._chunks = []
         self._stats = None

@@ -13,6 +13,9 @@ Each generator grants periods one at a time (``quantize_up``, the hardware
 view) or for a whole trace at once (``quantize_up_array``, used by the
 batch evaluation engine).  The array path performs the same float
 operations per element, so grants are bit-identical between the two.
+Both paths reject a non-finite or non-positive request with
+:class:`ClockGeneratorError`: a NaN compares false against every bound,
+so it would otherwise pass through as a "safe" period.
 """
 
 import math
@@ -24,11 +27,26 @@ class ClockGeneratorError(ValueError):
     """Requested period cannot be granted safely."""
 
 
-def _check_positive(periods_ps):
+def check_period(period_ps):
+    """``period_ps`` if it is finite and positive, else
+    :class:`ClockGeneratorError`."""
+    if not 0 < period_ps < math.inf:
+        raise ClockGeneratorError(f"invalid period {period_ps}")
+    return period_ps
+
+
+def check_periods(periods_ps):
+    """``periods_ps`` as a float array if every period is finite and
+    positive, else :class:`ClockGeneratorError` (``min`` propagates NaN,
+    so one reduction per bound covers all three failure modes)."""
     periods_ps = np.asarray(periods_ps, dtype=float)
-    if periods_ps.size and float(periods_ps.min()) <= 0:
-        bad = float(periods_ps.min())
-        raise ClockGeneratorError(f"invalid period {bad}")
+    if periods_ps.size:
+        low = float(periods_ps.min())
+        high = float(periods_ps.max())
+        if not (low > 0 and high < math.inf):
+            # a NaN or non-positive minimum, else an infinite maximum
+            bad = high if low > 0 else low
+            raise ClockGeneratorError(f"invalid period {bad}")
     return periods_ps
 
 
@@ -38,12 +56,10 @@ class IdealClockGenerator:
     name = "ideal"
 
     def quantize_up(self, period_ps):
-        if period_ps <= 0:
-            raise ClockGeneratorError(f"invalid period {period_ps}")
-        return period_ps
+        return check_period(period_ps)
 
     def quantize_up_array(self, periods_ps):
-        return _check_positive(periods_ps)
+        return check_periods(periods_ps)
 
     def available_periods(self):
         return None   # continuum
@@ -67,8 +83,7 @@ class TunableRingOscillator:
         self.max_period_ps = max_period_ps
 
     def quantize_up(self, period_ps):
-        if period_ps <= 0:
-            raise ClockGeneratorError(f"invalid period {period_ps}")
+        check_period(period_ps)
         clamped = max(period_ps, self.min_period_ps)
         steps = math.ceil(
             (clamped - self.min_period_ps) / self.step_ps - 1e-9
@@ -82,7 +97,7 @@ class TunableRingOscillator:
         return granted
 
     def quantize_up_array(self, periods_ps):
-        periods_ps = _check_positive(periods_ps)
+        periods_ps = check_periods(periods_ps)
         clamped = np.maximum(periods_ps, self.min_period_ps)
         steps = np.ceil(
             (clamped - self.min_period_ps) / self.step_ps - 1e-9
@@ -129,8 +144,7 @@ class MultiPLLClockGenerator:
         self._grant_thresholds = self._period_grid + 1e-9
 
     def quantize_up(self, period_ps):
-        if period_ps <= 0:
-            raise ClockGeneratorError(f"invalid period {period_ps}")
+        check_period(period_ps)
         for period in self._periods:
             if period + 1e-9 >= period_ps:
                 return period
@@ -140,7 +154,7 @@ class MultiPLLClockGenerator:
         )
 
     def quantize_up_array(self, periods_ps):
-        periods_ps = _check_positive(periods_ps)
+        periods_ps = check_periods(periods_ps)
         indices = np.searchsorted(
             self._grant_thresholds, periods_ps, side="left"
         )

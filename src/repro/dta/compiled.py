@@ -47,10 +47,10 @@ def worst_per_cycle(stage_matrix):
     delay matrix.
 
     This is the genie-oracle reduction (paper Eq. 2 with perfect
-    knowledge); it is shared by the DTA analyzer (which builds its matrix
-    from recovered event-log delays) and by :class:`CompiledTrace` (whose
-    matrix comes from the excitation model) so that both compute the bound
-    in exactly one place.
+    knowledge) of the DTA analyzers, which build their matrix from
+    recovered event-log delays and report the limiting stage too.
+    :meth:`CompiledTrace.cycle_max_delays` needs only the bound and takes
+    the same row-wise max without the argmax.
     """
     return stage_matrix.max(axis=1), stage_matrix.argmax(axis=1)
 
@@ -94,6 +94,7 @@ class CompiledTrace:
     #: mapping of every matrix follow it).
     spec: object = None
     _delays: np.ndarray = field(default=None, repr=False)
+    _cycle_max: np.ndarray = field(default=None, repr=False)
 
     @property
     def num_classes(self):
@@ -181,8 +182,17 @@ class CompiledTrace:
         return delays
 
     def cycle_max_delays(self):
-        """Per-cycle minimum safe period (the genie-oracle bound)."""
-        return worst_per_cycle(self.delays)[0]
+        """Per-cycle minimum safe period (the genie-oracle bound).
+
+        Computed once per trace and shared read-only: the genie policy
+        returns it as its period vector and every safety check prefilters
+        on it, for every configuration and every stream window.
+        """
+        if self._cycle_max is None:
+            cycle_max = self.delays.max(axis=1)
+            cycle_max.flags.writeable = False
+            self._cycle_max = cycle_max
+        return self._cycle_max
 
     def class_table(self, entry):
         """``(num_classes, num_stages)`` table of ``entry(cls, stage)``.

@@ -9,10 +9,18 @@ errors).
 
 The engine is built around the compiled-trace artifact
 (:mod:`repro.dta.compiled`): the pipeline is simulated once per
-(program, design) and frozen into NumPy matrices, then every
-(policy, margin, generator) configuration is evaluated as a handful of
-array operations — policy gather, margin multiply, generator quantisation,
-and a single array comparison for the safety check.
+(program, design) and frozen into NumPy matrices.  A batch then does
+each piece of work at the level it depends on:
+
+- per (policy source, program): the policy is built once and its base
+  period vector gathered once (:class:`~repro.clocking.controller.
+  PolicyGather`), shared by every configuration naming that source;
+- per program: the per-cycle genie bound ``cycle_max_delays``, computed
+  once and cached on the trace;
+- per (config, program): margin multiply, generator quantisation, the
+  period statistics, and a 1-D safety prefilter against that bound —
+  only cycles that fail it are expanded into per-stage
+  :class:`TimingViolation` records.
 :class:`repro.api.Session` is the entry point (``Session.evaluate`` for
 the columnar ``ResultFrame``, ``Session.evaluate_results`` for the
 ``[config][program]`` grid of :class:`EvaluationResult` objects).  The
@@ -25,7 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.clocking.controller import ClockAdjustmentController
+from repro.clocking.controller import (
+    ClockAdjustmentController,
+    PolicyGather,
+)
 from repro.dta.compiled import get_compiled_trace
 from repro.obs.trace import span as obs_span
 from repro.sim.trace import Stage
@@ -116,7 +127,12 @@ class SweepConfig:
 
     ``policy`` and ``generator`` may be instances or zero-argument
     factories; factories are called once per program so that stateful
-    policies start fresh on every program.
+    policies start fresh on every program.  Within one batch, configs
+    that hold the *same* ``policy`` object share it: the factory is
+    called once per program for all of them, and the policy's period
+    vector is gathered once per program and reused under each config's
+    margin and generator (:func:`repro.lab.scenario.materialize_configs`
+    builds configs that share one factory per policy name).
     """
 
     policy: object
@@ -132,34 +148,54 @@ class SweepConfig:
         return self.generator() if callable(self.generator) else self.generator
 
 
+def scan_violations(trace, periods, first_cycle=0):
+    """Every (cycle, stage) whose excited delay exceeds the applied
+    period, as :class:`TimingViolation` records in row-major order.
+
+    ``trace`` is a compiled trace or a stream window; ``first_cycle``
+    offsets the reported cycle numbers (a window's start).  The
+    comparison first runs on the 1-D per-cycle bound
+    (``cycle_max_delays``, cached per trace): a cycle violates in some
+    stage exactly when its worst stage does, so only the failing cycles
+    are expanded into the per-stage delay matrix.
+    """
+    limit = periods + VIOLATION_TOLERANCE_PS
+    cycles = np.flatnonzero(trace.cycle_max_delays() > limit)
+    if not cycles.size:
+        return []
+    delays = trace.delays[cycles]
+    spec = trace.pipeline_spec
+    violations = []
+    for row, stage in np.argwhere(delays > limit[cycles, None]).tolist():
+        cycle = int(cycles[row])
+        violations.append(
+            TimingViolation(
+                cycle=first_cycle + cycle,
+                stage=spec.stage_label(stage),
+                applied_period_ps=float(periods[cycle]),
+                excited_delay_ps=float(delays[row, stage]),
+                driver_class=trace.class_name_at(cycle, stage),
+            )
+        )
+    return violations
+
+
 def evaluate_compiled(compiled, design, policy, generator=None,
                       margin_percent=0.0, check_safety=True):
-    """Evaluate one compiled trace under one configuration (array path)."""
+    """Evaluate one compiled trace under one configuration (array path).
+
+    ``policy`` may be a :class:`~repro.clocking.controller.PolicyGather`
+    shared with other configurations of the same batch, which then
+    reuse its gathered period vector.
+    """
     controller = ClockAdjustmentController(
         policy, generator=generator, margin_percent=margin_percent
     )
     periods = controller.periods_for(compiled)
-
-    violations = []
-    if check_safety:
-        delays = compiled.delays
-        spec = compiled.pipeline_spec
-        mask = delays > periods[:, None] + VIOLATION_TOLERANCE_PS
-        if mask.any():
-            for cycle, stage in np.argwhere(mask):
-                cycle = int(cycle)
-                stage = int(stage)
-                violations.append(
-                    TimingViolation(
-                        cycle=cycle,
-                        stage=spec.stage_label(stage),
-                        applied_period_ps=float(periods[cycle]),
-                        excited_delay_ps=float(delays[cycle, stage]),
-                        driver_class=compiled.class_name_at(cycle, stage),
-                    )
-                )
+    violations = scan_violations(compiled, periods) if check_safety else []
 
     stats = controller.stats
+    policy = controller.policy
     return EvaluationResult(
         program_name=compiled.program_name,
         policy_name=getattr(policy, "name", type(policy).__name__),
@@ -176,11 +212,12 @@ def evaluate_compiled(compiled, design, policy, generator=None,
 
 def _evaluate_batch(programs, design, configs,
                     max_cycles=DEFAULT_MAX_CYCLES):
-    """The batch engine: trace once, vectorize everywhere.
+    """The batch engine: trace once, gather once, vectorize everywhere.
 
     Each program is simulated and compiled at most once (and reused from
-    the module-level cache across calls); each
-    :class:`SweepConfig` then costs only a few array operations per
+    the module-level cache across calls).  Each policy source is built
+    and gathered once per program; each :class:`SweepConfig` then costs
+    only its margin, quantisation, statistics and safety prefilter per
     program.  Returns the ``[config][program]`` result grid.
 
     This is the engine :class:`repro.api.Session` runs on.
@@ -193,15 +230,26 @@ def _evaluate_batch(programs, design, configs,
             get_compiled_trace(program, design, max_cycles=max_cycles)
             for program in programs
         ]
+        # (id(source), position) -> (source, PolicyGather); the entry
+        # holds the source, so no other object can take its id while
+        # this memo lives
+        gathers = {}
         results = []
         for index, config in enumerate(configs):
             row = []
             with obs_span("evaluate.config",
                           label=config.label or f"config-{index}"):
-                for trace in compiled:
+                for position, trace in enumerate(compiled):
+                    key = (id(config.policy), position)
+                    entry = gathers.get(key)
+                    if entry is None:
+                        entry = gathers[key] = (
+                            config.policy,
+                            PolicyGather(config.make_policy()),
+                        )
                     row.append(
                         evaluate_compiled(
-                            trace, design, config.make_policy(),
+                            trace, design, entry[1],
                             generator=config.make_generator(),
                             margin_percent=config.margin_percent,
                             check_safety=config.check_safety,

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from repro.api.frame import EVALUATION_SCHEMA, ResultFrame
 from repro.lab.jobqueue import ShardPool
-from repro.lab.scenario import ScenarioGrid
+from repro.lab.scenario import ScenarioGrid, materialize_configs
 from repro.lab.store import ArtifactStore, StoreStats
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -156,7 +156,7 @@ def _context_for(design_point):
         characterization=CharacterizationResult(design=design, lut=lut),
     )
     specs = _WORKER["grid"].config_specs()
-    configs = [spec.make(dca) for spec in specs]
+    configs = materialize_configs(specs, dca)
     context = (design, specs, configs)
     _WORKER["contexts"][design_point] = context
     return context

@@ -24,6 +24,7 @@ Example grid (JSON)::
     }
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -111,11 +112,16 @@ class ConfigSpec:
             label += f"/margin={self.margin_percent:g}%"
         return label
 
-    def make(self, dca):
+    def make(self, dca, policy=None):
         """Materialise the spec into a ``SweepConfig`` bound to one
-        characterised design (``DynamicClockAdjustment``)."""
+        characterised design (``DynamicClockAdjustment``).  ``policy`` is
+        the policy factory to bind, by default a new one of this spec's
+        policy; :func:`materialize_configs` passes one shared factory per
+        policy name."""
+        if policy is None:
+            policy = functools.partial(dca.make_policy, self.policy)
         return SweepConfig(
-            policy=(lambda name=self.policy: dca.make_policy(name)),
+            policy=policy,
             generator=dca.make_generator(self.generator),
             margin_percent=self.margin_percent,
             check_safety=self.check_safety,
@@ -129,6 +135,33 @@ class ConfigSpec:
             "margin_percent": self.margin_percent,
             "check_safety": self.check_safety,
         }
+
+
+def materialize_configs(specs, dca):
+    """Configuration rows → ``SweepConfig``s bound to ``dca``.
+
+    :class:`ConfigSpec` rows are materialised so that every spec naming
+    the same policy shares one factory: a batch evaluation then builds
+    and gathers that policy once per program and applies each margin and
+    generator to the shared period vector.  ``SweepConfig`` rows pass
+    through unchanged (``dca`` may be ``None`` when there is no
+    ``ConfigSpec``).
+    """
+    factories = {}
+    configs = []
+    for spec in specs:
+        if isinstance(spec, SweepConfig):
+            configs.append(spec)
+        elif isinstance(spec, ConfigSpec):
+            config = spec.make(dca, factories.get(spec.policy))
+            factories.setdefault(spec.policy, config.policy)
+            configs.append(config)
+        else:
+            raise TypeError(
+                f"config must be SweepConfig or ConfigSpec, "
+                f"got {type(spec).__name__}"
+            )
+    return configs
 
 
 @dataclass

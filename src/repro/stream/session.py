@@ -49,7 +49,7 @@ from repro.dta.compiled import (
 from repro.flow.evaluate import (
     VIOLATION_TOLERANCE_PS,
     EvaluationResult,
-    TimingViolation,
+    scan_violations,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
@@ -339,9 +339,9 @@ class StreamingSession:
                     zip(concrete, controllers)):
                 periods = controller.periods_for(window)
                 if config.check_safety:
-                    self._collect_violations(
-                        window, periods, violations[ci]
-                    )
+                    violations[ci].extend(scan_violations(
+                        window, periods, window.start_cycle
+                    ))
                 rolling[ci].update(periods)
             if callback is not None:
                 frame = self._rolling_frame(
@@ -378,22 +378,6 @@ class StreamingSession:
                           index=window.index, cycles=window.num_cycles):
                 self._observe_window(window)
                 yield window
-
-    @staticmethod
-    def _collect_violations(window, periods, into):
-        delays = window.delays
-        mask = delays > periods[:, None] + VIOLATION_TOLERANCE_PS
-        if mask.any():
-            for cycle, stage in np.argwhere(mask):
-                cycle = int(cycle)
-                stage = int(stage)
-                into.append(TimingViolation(
-                    cycle=window.start_cycle + cycle,
-                    stage=window.pipeline_spec.stage_label(stage),
-                    applied_period_ps=float(periods[cycle]),
-                    excited_delay_ps=float(delays[cycle, stage]),
-                    driver_class=window.class_name_at(cycle, stage),
-                ))
 
     def _evaluation_row(self, result, spec, config):
         session = self.session

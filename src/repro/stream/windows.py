@@ -19,8 +19,6 @@ cross-cycle state (``learned:`` recent-window counts) streams through
 
 import numpy as np
 
-from repro.dta.compiled import worst_per_cycle
-
 
 class TraceWindow:
     """One contiguous cycle slice of a compiled trace (array views).
@@ -86,8 +84,11 @@ class TraceWindow:
         return self.parent.delays[self.start_cycle:self.stop_cycle]
 
     def cycle_max_delays(self):
-        """Per-cycle minimum safe period (the genie-oracle bound)."""
-        return worst_per_cycle(self.delays)[0]
+        """This window's slice of the parent's per-cycle minimum safe
+        period (the genie-oracle bound, computed once per trace)."""
+        return self.parent.cycle_max_delays()[
+            self.start_cycle:self.stop_cycle
+        ]
 
     def class_table(self, entry):
         """``(num_classes, num_stages)`` table of ``entry(cls, stage)``

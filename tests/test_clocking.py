@@ -171,3 +171,72 @@ class TestController:
         controller.period_for(_trace_records()[0])
         controller.reset()
         assert controller.stats.cycles == 0
+
+
+class TestNonFinitePeriods:
+    """Fail closed: a NaN or infinite period is rejected, never granted.
+
+    NaN compares false against every bound, so before the explicit check
+    a NaN LUT entry produced ``total_time_ps = nan`` with no violations
+    and ``is_safe == True`` on the array path.  Every generator (and the
+    generator-less controller) must refuse it with ``ClockGeneratorError``
+    on both the per-record and the whole-trace path.
+    """
+
+    GENERATORS = {
+        "none": lambda: None,
+        "ideal": IdealClockGenerator,
+        "ring": TunableRingOscillator,
+        "pll": MultiPLLClockGenerator,
+    }
+
+    @pytest.fixture(scope="class")
+    def nan_lut(self, lut):
+        import copy
+
+        from repro.sim.trace import Stage
+
+        broken = copy.deepcopy(lut)
+        assert broken.is_characterized("l.add(i)")
+        broken.entries["l.add(i)"] = {stage: float("nan") for stage in Stage}
+        return broken
+
+    @pytest.mark.parametrize("path", ["scalar", "array"])
+    @pytest.mark.parametrize("generator", sorted(GENERATORS))
+    def test_nan_lut_entry_is_rejected(self, design, nan_lut, generator,
+                                       path):
+        from repro.api import Session
+        from repro.flow.evaluate import SweepConfig
+
+        program = get_kernel("crc32").program()
+        make_generator = self.GENERATORS[generator]
+        with pytest.raises(ClockGeneratorError, match="invalid period"):
+            if path == "scalar":
+                controller = ClockAdjustmentController(
+                    InstructionLutPolicy(nan_lut),
+                    generator=make_generator(),
+                )
+                for record in PipelineSimulator(program).run().records:
+                    controller.period_for(record)
+            else:
+                Session.for_design(design, lut=nan_lut).evaluate_results(
+                    [program],
+                    [SweepConfig(policy=InstructionLutPolicy(nan_lut),
+                                 generator=make_generator(),
+                                 check_safety=True)],
+                )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), 0.0, -5.0])
+    @pytest.mark.parametrize("generator", ["ideal", "ring", "pll"])
+    def test_generators_reject_invalid_requests(self, generator, bad):
+        instance = self.GENERATORS[generator]()
+        with pytest.raises(ClockGeneratorError, match="invalid period"):
+            instance.quantize_up(bad)
+        with pytest.raises(ClockGeneratorError, match="invalid period"):
+            instance.quantize_up_array([1500.0, bad, 1500.0])
+
+    def test_non_finite_margin_is_rejected(self, lut):
+        with pytest.raises(ValueError, match="finite"):
+            ClockAdjustmentController(InstructionLutPolicy(lut),
+                                      margin_percent=float("nan"))
