@@ -15,7 +15,7 @@ __version__ = "1.0.0"
 
 from repro.asm import Program, ProgramBuilder, assemble, disassemble
 from repro.isa import Instruction, decode, encode
-from repro.sim import FunctionalSimulator, PipelineSimulator
+from repro.sim import FunctionalSimulator, simulate
 
 __all__ = [
     "__version__",
@@ -27,5 +27,5 @@ __all__ = [
     "encode",
     "decode",
     "FunctionalSimulator",
-    "PipelineSimulator",
+    "simulate",
 ]

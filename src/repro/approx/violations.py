@@ -28,7 +28,7 @@ from repro.approx.errors import (
 )
 from repro.clocking.policies import InstructionLutPolicy
 from repro.dta.compiled import get_compiled_trace
-from repro.sim.pipeline import PipelineSimulator
+from repro.sim import vector
 
 
 @dataclass
@@ -131,9 +131,9 @@ def _evaluate_overscaling_impl(program, design, lut, overscale_factor,
     # that (rare) case
     records = compiled.trace.records if compiled.trace is not None else None
     if records is None and mask[:, ex_column].any():
-        records = PipelineSimulator(program, spec=spec).run(
-            max_cycles=max_cycles
-        ).records
+        records = vector.simulate(
+            program, max_cycles=max_cycles, spec=spec
+        ).trace.records
     # argwhere walks row-major — the same (cycle, column) order as the
     # per-record loop, so the per-stage/per-class dicts build identically
     for cycle, column in np.argwhere(mask):

@@ -108,8 +108,7 @@ from repro.ml.model import (
     is_learned_spec,
     validate_policy_specs,
 )
-from repro.sim.iss import FunctionalSimulator
-from repro.sim.pipeline import PipelineSimulator
+from repro.sim import vector
 from repro.sim.spec import PIPELINE_VARIANTS, get_pipeline_spec
 from repro.timing.design import build_design
 from repro.timing.profiles import DesignVariant
@@ -211,26 +210,19 @@ def cmd_asm(args):
 
 
 def cmd_run(args):
-    """Run a program on the ISS and the cycle-accurate pipeline and
-    cross-check their architectural state (exit 1 on divergence)."""
+    """Run a program on the cycle-accurate pipeline of the selected
+    spec; print its instruction and cycle counts, CPI and registers."""
     program = _load_program(args.program)
-    iss = FunctionalSimulator(program)
-    iss.run()
-    pipe = PipelineSimulator(
-        program, spec=get_pipeline_spec(getattr(args, "pipeline_spec",
-                                                None))
-    )
-    pipe.run()
-    if iss.state.regs != pipe.state.regs:
-        print("ERROR: ISS and pipeline disagree", file=sys.stderr)
-        return 1
-    print(f"{program.name}: {iss.state.instret} instructions, "
-          f"{pipe.trace.num_cycles} cycles (CPI {pipe.trace.cpi:.3f})")
-    print(f"r11 = {iss.state.regs[11]} ({iss.state.regs[11]:#010x})")
+    run = vector.simulate(program, spec=args.pipeline_spec)
+    regs = run.state.regs
+    print(f"{program.name}: {run.num_retired} instructions, "
+          f"{run.num_cycles} cycles "
+          f"(CPI {run.num_cycles / run.num_retired:.3f})")
+    print(f"r11 = {regs[11]} ({regs[11]:#010x})")
     if args.regs:
         for index in range(0, 32, 4):
             print("  " + "  ".join(
-                f"r{r:<2d}={iss.state.regs[r]:#010x}"
+                f"r{r:<2d}={regs[r]:#010x}"
                 for r in range(index, index + 4)
             ))
     return 0
@@ -951,8 +943,8 @@ def build_parser():
     sub.add_argument("program", help="kernel name or assembly file")
     sub.set_defaults(func=cmd_asm)
 
-    sub = subparsers.add_parser("run", help="run a program functionally "
-                                            "and cycle-accurately")
+    sub = subparsers.add_parser("run", help="run a program on the "
+                                            "cycle-accurate pipeline")
     sub.add_argument("program")
     sub.add_argument("--regs", action="store_true",
                      help="dump the full register file")

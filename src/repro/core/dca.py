@@ -3,14 +3,14 @@
 Typical use::
 
     from repro.core import DynamicClockAdjustment
-    from repro.workloads import get_kernel
 
     dca = DynamicClockAdjustment()          # build + characterise @ 0.70 V
-    result = dca.evaluate(get_kernel("crc32").program())
-    print(result.summary())                 # speedup over static clocking
+    frame = dca.session.evaluate(["crc32"], policies=[dca.config.policy])
+    print(frame.row(0)["speedup_percent"])  # speedup over static clocking
 
 The instance owns the design (timing model + netlist), the characterised
-delay LUT and the policy/generator configuration.
+delay LUT and the policy/generator factories; evaluation runs through
+its :attr:`~DynamicClockAdjustment.session`.
 """
 
 from repro.clocking.generator import (
@@ -28,7 +28,6 @@ from repro.clocking.policies import (
 )
 from repro.core.config import DcaConfig
 from repro.flow.characterize import _characterize_impl
-from repro.flow.evaluate import SweepConfig
 from repro.timing.design import build_design
 from repro.utils.units import ps_to_mhz
 
@@ -125,71 +124,6 @@ class DynamicClockAdjustment:
     def static_frequency_mhz(self):
         """Conventional (STA-limited) clock frequency."""
         return ps_to_mhz(self.design.static_period_ps)
-
-    def evaluate(self, program, policy=None, generator=None,
-                 margin_percent=None, check_safety=None):
-        """Evaluate one program; returns an EvaluationResult."""
-        config = SweepConfig(
-            policy=self.make_policy(policy),
-            generator=self.make_generator(generator),
-            margin_percent=(
-                self.config.margin_percent
-                if margin_percent is None else margin_percent
-            ),
-            check_safety=(
-                self.config.check_safety
-                if check_safety is None else check_safety
-            ),
-        )
-        return self.session.evaluate_results([program], [config])[0][0]
-
-    def evaluate_suite(self, programs, policy=None, generator=None,
-                       check_safety=None):
-        """Evaluate a list of programs under one policy."""
-        config = SweepConfig(
-            policy=lambda: self.make_policy(policy),
-            generator=self.make_generator(generator),
-            margin_percent=self.config.margin_percent,
-            check_safety=(
-                self.config.check_safety
-                if check_safety is None else check_safety
-            ),
-        )
-        return self.session.evaluate_results(list(programs), [config])[0]
-
-    def evaluate_sweep(self, programs, policies=None, generators=None,
-                       margins=None, check_safety=None):
-        """Sweep programs × policies × generators × margins through the
-        batch engine (traces are simulated and compiled once per program).
-
-        Returns ``(configs, results)`` where ``results[i][j]`` is the
-        :class:`~repro.flow.evaluate.EvaluationResult` of ``configs[i]``
-        on ``programs[j]``.
-        """
-        policies = list(policies or [self.config.policy])
-        generators = list(generators or [self.config.generator])
-        margins = list(margins if margins is not None
-                       else [self.config.margin_percent])
-        check_safety = (
-            self.config.check_safety if check_safety is None else check_safety
-        )
-        configs = [
-            SweepConfig(
-                policy=(lambda name=policy: self.make_policy(name)),
-                generator=self.make_generator(generator),
-                margin_percent=margin,
-                check_safety=check_safety,
-                label=(
-                    f"{policy}/{generator}"
-                    + (f"/margin={margin:g}%" if margin else "")
-                ),
-            )
-            for policy in policies
-            for generator in generators
-            for margin in margins
-        ]
-        results = self.session.evaluate_results(list(programs), configs)
-        return configs, results
 
     def lut_table(self, classes=None):
         """Table II-style rendering of the characterised LUT."""

@@ -518,14 +518,10 @@ def get_compiled_trace(program, design, max_cycles=4_000_000):
     Simulation runs at most once per (program, design operating point,
     cycle limit); every configuration of a sweep shares the result.
 
-    Simulation uses the two-phase vector engine
-    (:mod:`repro.sim.vector`); programs it cannot reconstruct exactly
-    (self-modifying fetch streams) fall back to the scalar
-    :class:`~repro.sim.pipeline.PipelineSimulator` — both produce
-    bit-identical compiled traces.
+    Simulation runs on the two-phase vector engine
+    (:mod:`repro.sim.vector`).
     """
     from repro.sim import vector
-    from repro.sim.pipeline import PipelineSimulator
 
     global _simulations
 
@@ -542,13 +538,7 @@ def get_compiled_trace(program, design, max_cycles=4_000_000):
         with obs_span("dta.compile", program=program.name):
             run = vector.simulate(program, max_cycles=max_cycles, spec=spec)
             _simulations += 1
-            if run is None:
-                trace = PipelineSimulator(program, spec=spec).run(
-                    max_cycles=max_cycles
-                )
-                compiled = compile_trace(trace, design.excitation, spec=spec)
-            else:
-                compiled = compile_vector_run(run, design.excitation)
+            compiled = compile_vector_run(run, design.excitation)
         if _store is not None:
             _store.save_compiled_trace(compiled, program, design, max_cycles)
     _insert_cached(key, compiled)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dta.events import EndpointEvent, EventLog
-from repro.sim.pipeline import PipelineSimulator
+from repro.sim import vector
 from repro.sim.trace import Stage
 from repro.utils.rounding import round3_array
 
@@ -89,8 +89,8 @@ class GateLevelSimulator:
                 "event-log characterisation supports the default pipeline "
                 f"spec only; spec {spec.name!r} must use run_dta()"
             )
-        simulator = PipelineSimulator(self.program)
-        trace = simulator.run(max_cycles=self.max_cycles)
+        trace = vector.simulate(self.program,
+                                max_cycles=self.max_cycles).trace
 
         log = EventLog(sim_period_ps=self.sim_period_ps)
         endpoints_by_stage = {}
@@ -150,24 +150,12 @@ class GateLevelSimulator:
         Returns ``(dta_result, compiled_trace)``.
         """
         from repro.dta.analyzer import DtaResult
-        from repro.dta.compiled import (
-            compile_trace,
-            compile_vector_run,
-            worst_per_cycle,
-        )
-        from repro.sim import vector
+        from repro.dta.compiled import compile_vector_run, worst_per_cycle
 
         spec = self.design.pipeline_spec
         run = vector.simulate(self.program, max_cycles=self.max_cycles,
                               spec=spec)
-        if run is None:   # spec or program needs the scalar reference
-            trace = PipelineSimulator(self.program, spec=spec).run(
-                max_cycles=self.max_cycles
-            )
-            compiled = compile_trace(trace, self.design.excitation,
-                                     spec=spec)
-        else:
-            compiled = compile_vector_run(run, self.design.excitation)
+        compiled = compile_vector_run(run, self.design.excitation)
 
         recovered = recovered_stage_delays(
             compiled.delays, self.design, self.sim_period_ps

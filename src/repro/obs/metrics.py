@@ -3,15 +3,14 @@
 One flat, thread-safe ``name -> number`` map per process.  It unifies
 the engine's historically scattered counters — per-store
 :class:`~repro.lab.store.StoreStats` objects, the compiled-trace
-engine's ``simulation_count`` proof counter, the vector engine's
-fallback tally, and the predecode module stats — behind a
-single namespace:
+engine's ``simulation_count`` proof counter and the predecode module
+stats — behind a single namespace:
 
 ``store.<kind>.<event>``
     Mirrored from every ``StoreStats.record`` call in the process
     (all store objects feed the same registry).
-``sim.simulations``, ``sim.vector.fallbacks``
-    Mirrored from :mod:`repro.dta.compiled` / :mod:`repro.sim.vector`.
+``sim.simulations``
+    Mirrored from :mod:`repro.dta.compiled`.
 ``sim.predecode.*``
     *Gathered live* from that module's own stats dict (it stays the
     owner; the registry view sums registry entries with module
@@ -66,7 +65,7 @@ def gather():
     out = snapshot()
     # imported lazily: the engine modules import this module's inc()
     from repro.dta import compiled
-    from repro.sim import predecode, vector
+    from repro.sim import predecode
 
     def _add(name, value):
         if value:
@@ -74,7 +73,6 @@ def gather():
 
     for key, value in predecode.stats().items():
         _add(f"sim.predecode.{key}", value)
-    _add("sim.vector.fallbacks", vector.fallback_count())
     _add("sim.simulations", compiled.simulation_count())
     return out
 

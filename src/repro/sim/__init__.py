@@ -10,23 +10,24 @@ Two execution models are provided:
 
 - :class:`~repro.sim.iss.FunctionalSimulator` — a fast architectural ISS used
   as the golden reference;
-- :class:`~repro.sim.pipeline.PipelineSimulator` — the cycle-accurate 6-stage
-  model whose per-cycle stage occupancy (which instruction is in flight in
-  each stage, ``I_s[t]`` in the paper) feeds the dynamic timing analysis and
-  the clock-adjustment controller.
+- :func:`~repro.sim.vector.simulate` — the cycle-accurate pipeline of any
+  :class:`~repro.sim.spec.PipelineSpec`, whose per-cycle stage occupancy
+  (which instruction is in flight in each stage, ``I_s[t]`` in the paper)
+  feeds the dynamic timing analysis and the clock-adjustment controller;
+  ``.trace`` materialises the per-cycle records.
 """
 
 from repro.sim.iss import FunctionalSimulator, SimulationError
 from repro.sim.memory import Memory
-from repro.sim.pipeline import PipelineSimulator
 from repro.sim.state import ArchState
 from repro.sim.trace import CycleRecord, PIPELINE_STAGES, PipelineTrace, Stage
+from repro.sim.vector import simulate
 
 __all__ = [
     "ArchState",
     "Memory",
     "FunctionalSimulator",
-    "PipelineSimulator",
+    "simulate",
     "SimulationError",
     "PipelineTrace",
     "CycleRecord",

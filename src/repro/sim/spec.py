@@ -1,9 +1,7 @@
 """Declarative pipeline specifications: the microarchitecture as a parameter.
 
-Both engines in :mod:`repro.sim` — the scalar reference
-(:class:`~repro.sim.pipeline.PipelineSimulator`) and the two-phase vector
-reconstruction (:mod:`repro.sim.vector`) — historically modelled one fixed
-machine: the customised six-stage mor1kx of the paper.  A
+The pipeline engine (:mod:`repro.sim.vector`) historically modelled
+one fixed machine: the customised six-stage mor1kx of the paper.  A
 :class:`PipelineSpec` turns that machine into *data*: stage count and
 naming, forwarding on/off, mul/div EX latencies, the load-use penalty,
 and the (currently single) hazard and branch policies.  Named presets
@@ -24,7 +22,7 @@ Design rules
   *when* each group is exercised, never *how fast* it is.
 - **Specs change cycle timing only.**  Architectural semantics (the ISS,
   retirement order, memory and register state) are spec-invariant, which
-  is what lets the vector engine reuse one architectural pass across
+  is what lets the pipeline engine reuse one architectural pass across
   every spec.
 - **The default spec is the identity.**  :data:`DEFAULT_SPEC` reproduces
   today's machine bit-identically, and artifact keys / operating points
@@ -41,21 +39,27 @@ Structural constraints (validated at construction):
 - front stages draw from the ``ADR``/``FE``/``DC`` groups, back stages
   from ``CTRL``/``WB``.
 
-Hazard semantics per spec (the scalar engine is the reference):
+Hazard semantics per spec (every valid spec runs on
+:func:`repro.sim.vector.simulate`; the cycle-stepping reference in
+``tests/oracle.py`` pins them):
 
-- *forwarding on* (default): results forward EX→EX; the only interlock
-  is load-use — a consumer directly behind a load stalls
-  ``load_use_penalty`` cycles.  The vector engine implements the
-  one-cycle case (``load_use_penalty == 1``), which is every bundled
-  preset with forwarding; other values run on the scalar reference.
-- *forwarding off*: a consumer stalls at the last front stage while any
-  in-flight producer of one of its source registers occupies a stage in
-  ``[EX, WB)`` — the register file is write-through (a value is readable
-  the cycle its producer sits in the final stage).  Only register
-  operands interlock; the flag/carry path keeps its EX-resolved timing.
-  Non-forwarding specs always run on the scalar reference engine
-  (:attr:`PipelineSpec.fast_path` is False and ``vector.simulate``
-  defers).
+- a consumer waits at the last front stage while the *youngest*
+  in-flight writer of one of its source registers (r0 excluded) sits in
+  the spec's hazard window, counted from EX; a younger writer of the
+  same register decides over an older one, drained (post-halt)
+  writers still interlock, and nothing interlocks while a multi-cycle
+  op holds EX.  A writer leaves the window ``window`` cycles after its
+  last EX cycle, so the consumer enters EX at
+  ``max(previous exit, writer's last EX cycle + window + 1)``;
+- *forwarding on* (default): results forward EX→EX and only a load
+  writer stalls — the window is ``load_use_penalty`` stages (capped at
+  the back stages), so a consumer directly behind a load stalls
+  ``load_use_penalty`` cycles;
+- *forwarding off*: any writer stalls until it reaches write-back — the
+  window is ``[EX, WB)`` and the register file is write-through (a
+  value is readable the cycle its producer sits in the final stage).
+  Only register operands interlock; the flag/carry path keeps its
+  EX-resolved timing;
 - taken control transfers redirect from EX and squash the
   ``num_front - 2`` wrong-path words behind the delay slot
   (``branch_policy == "delay-slot"``, the only supported policy).
@@ -211,14 +215,6 @@ class PipelineSpec:
         return tuple(s.name for s in self.stages)
 
     @property
-    def fast_path(self):
-        """Whether the vector engine implements this spec's hazards
-        (the cumsum reconstruction covers forwarding machines with a
-        one-cycle load-use penalty; everything else runs on the scalar
-        reference)."""
-        return self.forwarding and self.load_use_penalty == 1
-
-    @property
     def is_default(self):
         return self.digest == DEFAULT_SPEC.digest
 
@@ -302,7 +298,7 @@ DEFAULT_SPEC = PipelineSpec()
 PIPELINE_VARIANTS = {
     "baseline6": DEFAULT_SPEC,
     # forwarding disabled: every RAW dependence interlocks until the
-    # producer reaches write-back (scalar reference engine only)
+    # producer reaches write-back
     "nofwd6": PipelineSpec(name="nofwd6", forwarding=False),
     # five stages: the instruction SRAM read folds into the decode stage
     "shallow5": PipelineSpec(
@@ -324,7 +320,7 @@ PIPELINE_VARIANTS = {
     ),
     # iterative four-cycle multiplier in an otherwise-baseline machine
     "slowmul6": PipelineSpec(name="slowmul6", mul_latency=4),
-    # two-cycle load-use penalty (scalar reference engine only)
+    # two-cycle load-use penalty
     "slowmem6": PipelineSpec(name="slowmem6", load_use_penalty=2),
 }
 

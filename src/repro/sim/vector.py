@@ -1,11 +1,14 @@
-"""Two-phase vectorized pipeline simulation.
+"""Two-phase vectorized pipeline simulation: the one pipeline engine.
 
-The scalar :class:`~repro.sim.pipeline.PipelineSimulator` walks the machine
-cycle by cycle, building six :class:`~repro.sim.trace.StageView` objects per
-clock — faithful, but the dominant per-unit cost of a cold sweep.  This
-module produces the *same trace* (bit-identical records, retired stream and
-architectural state — enforced by ``tests/test_sim_equivalence.py``) in two
-phases:
+The machine is the in-order core described by a
+:class:`~repro.sim.spec.PipelineSpec` (stage geometry, forwarding,
+load-use penalty, mul/div EX latencies).  Walking it cycle by cycle —
+building one :class:`~repro.sim.trace.StageView` per stage per clock —
+is faithful but slow; this module produces the same trace (records,
+retired stream and architectural state, held bit-identical to the
+cycle-stepping reference in ``tests/oracle.py`` by
+``tests/test_sim_equivalence.py`` and ``tests/test_pipeline_spec.py``)
+in two phases:
 
 1. **ISS pass** — one architectural run of the
    :class:`~repro.sim.iss.FunctionalSimulator` with an observer collecting
@@ -16,19 +19,21 @@ phases:
 2. **Array pass** — the cycle-accurate structure is reconstructed with
    NumPy.  The pipeline is rigid (the whole front end stalls as a unit, EX
    consumes one slot per advance), so the *fetch stream* — retired
-   instructions, one squashed wrong-path word per taken transfer, and the
-   short post-halt drain — fully determines every cycle.  EX entry cycles
-   follow the recurrence ``e[f] = e[f-1] + L[f-1] + lu[f]`` (divider
-   occupancy ``L``, load-use bubbles ``lu``), which is one ``cumsum``; the
-   per-cycle stage occupancy, stall/redirect flags and held markers are
-   then scatter/gather operations.
+   instructions, the squashed wrong-path words behind every taken
+   transfer, and the short post-halt drain — fully determines every
+   cycle.  EX entry cycles follow the recurrence
+   ``e[f] = max(e[f-1] + L[f-1], r[f])``: EX residency ``L`` (mul/div
+   latencies per the spec) and the interlock release ``r`` — the cycle
+   the youngest in-flight writer of each source register leaves the
+   spec's hazard window (:func:`_interlock_bubbles`).  The per-cycle
+   stage occupancy, stall/redirect flags and held markers are then
+   scatter/gather operations.
 
 The reconstruction is exact only when fetched words are immutable over the
-run.  A program that stores into any fetched address (self-modifying code,
-wrong-path fetches into freshly written data) falls back to the scalar
-engine, as does any ISS error — :func:`simulate` returns ``None`` and the
-caller runs :class:`PipelineSimulator`, which remains the retained
-reference semantics.
+run, so a program that stores into a fetched address (self-modifying
+code, wrong-path fetches into freshly written data) raises
+:class:`~repro.sim.iss.SimulationError` naming the address; ISS errors
+propagate unchanged.
 
 Consumers that only need arrays (the compiled-trace engine, the
 characterisation flow) read the cycle/slot arrays directly and never pay
@@ -45,13 +50,11 @@ from repro.obs.trace import span as obs_span
 from repro.sim import predecode
 from repro.sim.iss import HALT_NOP_CODE, FunctionalSimulator, SimulationError
 from repro.sim.predecode import IssData
-from repro.sim.pipeline import DEFAULT_DIV_LATENCY, DEFAULT_MAX_CYCLES
 from repro.sim.spec import get_pipeline_spec
 from repro.sim.trace import (
     BUBBLE_VIEW,
     CycleRecord,
     PipelineTrace,
-    Stage,
     StageView,
 )
 
@@ -62,29 +65,8 @@ _STORE_CODE = KIND_CODE[InstructionKind.STORE]
 
 _WORD_MASK = 0xFFFFFFFF
 
-#: Number of pipeline stages.
-_NUM_STAGES = len(Stage)
-
-
-class _Fallback(Exception):
-    """Internal signal: this program needs the scalar engine."""
-
-
-_fallbacks = {"count": 0, "reason": ""}
-
-
-def fallback_count():
-    """Programs routed to the scalar engine since the last reset."""
-    return _fallbacks["count"]
-
-
-def last_fallback_reason():
-    return _fallbacks["reason"]
-
-
-def reset_fallback_count():
-    _fallbacks["count"] = 0
-    _fallbacks["reason"] = ""
+#: Hard cap on simulated cycles.
+DEFAULT_MAX_CYCLES = 50_000_000
 
 
 class VectorPipelineRun:
@@ -96,7 +78,7 @@ class VectorPipelineRun:
       fetch order — ``seq`` numbers in the trace are exactly these indices;
     - *cycle arrays* (length ``num_cycles``) describe per-clock state;
       occupant arrays hold fetch-stream indices (``-1`` for bubbles that
-      never had a fetch identity, e.g. startup and load-use bubbles).
+      never had a fetch identity, e.g. startup and interlock bubbles).
 
     ``slot_squashed`` slots (wrong-path words killed by a taken transfer)
     carry their fetched identity — they are visible in the front columns
@@ -113,7 +95,6 @@ class VectorPipelineRun:
         self.state = state
         self.memory = memory
         self.retired = retired
-        self.halted = True
         self.num_cycles = 0
         self.num_retired = len(retired)
         self._trace = None
@@ -256,30 +237,25 @@ class VectorPipelineRun:
 
 def simulate(program, div_latency=None, max_cycles=DEFAULT_MAX_CYCLES,
              spec=None):
-    """Vectorized pipeline run, or ``None`` when the program needs the
-    scalar engine (self-modifying fetch stream, ISS error, or a pipeline
-    spec outside the cumsum fast path — the caller falls back to
-    :class:`~repro.sim.pipeline.PipelineSimulator`).
+    """Pipeline run of ``program`` on ``spec`` (a
+    :class:`~repro.sim.spec.PipelineSpec`, preset name or ``None`` for the
+    default machine); ``div_latency`` overrides the spec's divider.
 
-    Raises :class:`SimulationError` exactly where the scalar engine would
-    (undecodable pre-halt wrong-path word, cycle budget exceeded).
+    Raises :class:`SimulationError` for an undecodable pre-halt
+    wrong-path word, an exceeded cycle budget or a store into a fetched
+    word; ISS errors propagate unchanged.
     """
     spec = get_pipeline_spec(spec)
     if div_latency is None:
         div_latency = spec.div_latency
     if div_latency < 1:
         raise ValueError("div_latency must be at least 1 cycle")
-    try:
-        if not spec.fast_path:
-            raise _Fallback(
-                f"spec {spec.name!r} hazards need the scalar engine"
-            )
-        with obs_span("sim.vector", program=program.name):
-            return _simulate(program, div_latency, max_cycles, spec)
-    except _Fallback as fallback:
-        _fallbacks["count"] += 1
-        _fallbacks["reason"] = str(fallback)
-        return None
+    with obs_span("sim.vector", program=program.name):
+        data = predecode.collect(program, max_cycles)
+        if data is None:
+            with obs_span("iss.object", program=program.name):
+                data = _collect_iss(program, max_cycles)
+        return reconstruct(program, div_latency, max_cycles, data, spec)
 
 
 # -- phase 1: the ISS pass ----------------------------------------------------
@@ -295,7 +271,7 @@ def _collect_iss(program, max_cycles):
 
     The step cap equals the cycle budget: the pipeline retires at most one
     instruction per cycle, so an ISS overrunning ``max_cycles`` steps
-    implies the scalar engine would overrun ``max_cycles`` cycles too.
+    implies the pipeline would overrun ``max_cycles`` cycles too.
     """
     pcs, instrs, a_vals, b_vals = [], [], [], []
     takens, targets, metas = [], [], []
@@ -349,16 +325,12 @@ def _collect_iss(program, max_cycles):
     while not simulator.halted:
         if steps >= max_cycles:
             # the pipeline retires at most one instruction per cycle, so
-            # the scalar engine provably exceeds the budget too — same
-            # error, no fallback run needed
+            # the pipeline provably exceeds the budget too
             raise SimulationError(
                 f"exceeded {max_cycles} cycles without halting "
                 f"(pc={simulator.state.pc:#010x})"
             )
-        try:
-            simulator.step()
-        except Exception as error:   # scalar engine reproduces the error
-            raise _Fallback(f"ISS error: {error}") from error
+        simulator.step()
         steps += 1
     meta_matrix = np.array(metas, dtype=np.int64)       # (N, 6)
     return IssData(
@@ -383,20 +355,9 @@ def _collect_iss(program, max_cycles):
 # -- phase 2: array reconstruction -------------------------------------------
 
 
-def _simulate(program, div_latency, max_cycles, spec):
-    data = predecode.collect(program, max_cycles)
-    if data is None:
-        with obs_span("iss.object", program=program.name):
-            data = _collect_iss(program, max_cycles)
-    return reconstruct(program, div_latency, max_cycles, data, spec)
-
-
 def reconstruct(program, div_latency, max_cycles, data, spec):
-    """Array pass: the pipeline run of an ISS pass's :class:`IssData`.
-
-    Raises :class:`_Fallback` when the run needs the scalar engine;
-    :func:`simulate` owns the argument checks and fallback bookkeeping.
-    """
+    """Array pass: the pipeline run of an ISS pass's :class:`IssData`
+    (:func:`simulate` owns the argument checks)."""
     instrs = data.instrs
     targets = data.targets
     store_words = data.store_words
@@ -462,10 +423,9 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
     slot_instr[stream_pos] = np.array(instrs, dtype=object)
 
     # victims: fetched (and decoded) wrong-path words.  The guard below
-    # ensures fetched words are immutable, so the initial image is what the
-    # scalar engine decoded.  Decode failures reproduce the scalar rules:
-    # past the first fetched halt word they are bubbles, before it they
-    # are fatal.
+    # ensures fetched words are immutable, so the initial image is what
+    # the fetch stage decoded.  Decode failures: past the first fetched
+    # halt word they are bubbles, before it they are fatal.
     fetched = set(np.unique(retired_pc).tolist())
     decode_cache = {}
     halt_fetch_pos = halt_pos   # may move earlier: wrong-path halt words
@@ -492,30 +452,17 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
                 halt_fetch_pos = min(halt_fetch_pos, position)
 
     # EX occupancy and entry cycles over the main stream:
-    #   L   — EX residency (div/mul latencies per the spec, 1 otherwise)
-    #   lu  — one-cycle load-use bubble in front of the consumer
+    #   L — EX residency (div/mul latencies per the spec, 1 otherwise)
+    #   b — interlock bubbles in front of the slot
     live = slot_is_instr & ~slot_squashed
     lat = np.ones(num_main, dtype=np.int64)
     lat[live & (slot_kind == _DIV_CODE)] = div_latency
     if mul_latency != 1:
         lat[live & (slot_kind == _MUL_CODE)] = mul_latency
-    lu = np.zeros(num_main, dtype=bool)
-    if num_main > 1:
-        producer_load = live[:-1] & (slot_kind[:-1] == _LOAD_CODE)
-        producer_dest = slot_dest[:-1]
-        consumer_reads = (
-            (slot_src[1:] >> np.maximum(producer_dest, 0)) & 1
-        ).astype(bool)
-        lu[1:] = (
-            live[1:] & producer_load & (producer_dest > 0) & consumer_reads
-        )
-    lu_int = lu.astype(np.int64)
-
-    entry = np.empty(num_main, dtype=np.int64)
-    entry[0] = num_front
-    if num_main > 1:
-        entry[1:] = num_front + np.cumsum(lat[:-1])
-    entry += np.cumsum(lu_int)
+    window, loads_only = _hazard_window(spec)
+    bubbles = _interlock_bubbles(live, slot_kind, slot_dest, slot_src, lat,
+                                 window, loads_only)
+    entry = num_front + np.cumsum(lat) - lat + np.cumsum(bubbles)
 
     num_cycles = int(entry[halt_pos]) + num_back + 1
     if num_cycles > max_cycles:
@@ -527,18 +474,21 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
     # -- post-halt drain: fetching continues sequentially (no redirects
     # execute past the halt) until the trace ends.  A handful of slots —
     # generated scalar-wise, including their stall contributions.
-    main_stalls = int(np.sum(lat - 1) + np.sum(lu_int))
+    tail = range(max(num_main - window, 0), num_main)
     drain = _generate_drain(
         program, decode_cache, fetched,
         continuation=_drain_continuation(
             stream_pos, squash, num_main, taken_idx, targets, retired_pc
         ),
         start_index=num_main,
-        prev_live=bool(live[-1]),
-        prev_kind=int(slot_kind[-1]),
-        prev_dest=int(slot_dest[-1]),
-        entry_next=int(entry[-1] + lat[-1]),
-        stall_total=main_stalls,
+        history=[
+            (bool(live[k]), int(slot_kind[k]), int(slot_dest[k]),
+             int(entry[k] + lat[k]))
+            for k in tail
+        ],
+        window=window,
+        loads_only=loads_only,
+        stall_total=int(np.sum(lat - 1) + np.sum(bubbles)),
         num_cycles=num_cycles,
         div_latency=div_latency,
         mul_latency=mul_latency,
@@ -546,9 +496,13 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
     )
 
     # stores into fetched words would make the reconstruction diverge from
-    # fetch-time decoding — the scalar engine owns those programs
-    if store_words and not store_words.isdisjoint(fetched):
-        raise _Fallback("store into fetched address range")
+    # fetch-time decoding: fail closed
+    overlap = store_words & fetched
+    if overlap:
+        raise SimulationError(
+            f"store into fetched word {min(overlap):#010x}: "
+            "self-modifying fetch streams are not supported"
+        )
 
     if drain.count:
         slot_pc = np.concatenate([slot_pc, drain.pc])
@@ -569,39 +523,38 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
         slot_instr = np.concatenate([slot_instr, drain.instr])
         entry = np.concatenate([entry, drain.entry])
         lat = np.concatenate([lat, drain.lat])
-        lu_int = np.concatenate([lu_int, drain.lu])
+        bubbles = np.concatenate([bubbles, drain.bubbles])
 
     num_slots = len(slot_pc)
 
-    # -- EX timeline: one startup bubble per front stage, then per slot an
-    # optional load-use bubble followed by its (clipped) EX residency
+    # -- EX timeline: one startup bubble per front stage, then per slot
+    # its interlock bubbles followed by its (clipped) EX residency
     residency = np.clip(
         np.minimum(lat, num_cycles - entry), 0, None
     )
-    lu_counts = np.where(entry - 1 < num_cycles, lu_int, 0)
     segment_occ = np.empty(2 * num_slots, dtype=np.int64)
     segment_occ[0::2] = -1
     segment_occ[1::2] = np.arange(num_slots)
     segment_cnt = np.empty(2 * num_slots, dtype=np.int64)
-    segment_cnt[0::2] = lu_counts
+    segment_cnt[0::2] = bubbles
     segment_cnt[1::2] = residency
-    segment_lu = np.zeros(2 * num_slots, dtype=bool)
-    segment_lu[0::2] = True
+    segment_interlock = np.zeros(2 * num_slots, dtype=bool)
+    segment_interlock[0::2] = True
 
-    timeline_occ = np.repeat(segment_occ, segment_cnt)
-    timeline_lu = np.repeat(segment_lu, segment_cnt)
     body = num_cycles - num_front
+    timeline_occ = np.repeat(segment_occ, segment_cnt)[:body]
+    timeline_interlock = np.repeat(segment_interlock, segment_cnt)[:body]
     if len(timeline_occ) < body:
-        raise _Fallback("EX timeline underrun")   # engine bug guard
+        raise RuntimeError("EX timeline underrun")   # engine bug guard
     ex_occ = np.concatenate(
-        [np.full(num_front, -1, dtype=np.int64), timeline_occ[:body]]
+        [np.full(num_front, -1, dtype=np.int64), timeline_occ]
     )
-    ex_is_lu = np.concatenate(
-        [np.zeros(num_front, dtype=bool), timeline_lu[:body]]
+    ex_interlock = np.concatenate(
+        [np.zeros(num_front, dtype=bool), timeline_interlock]
     )
     previous_occ = np.concatenate([[np.int64(-1)], ex_occ[:-1]])
     ex_held = (ex_occ == previous_occ) & (ex_occ >= 0)
-    stall = ex_held | ex_is_lu
+    stall = ex_held | ex_interlock
 
     redirect = np.zeros(num_cycles, dtype=bool)
     # victims stay visible in the front columns until their branch
@@ -623,7 +576,7 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
     fetch_count = np.cumsum(~stall)
     front_idx = [fetch_count - 1 - column for column in range(num_front)]
     if int(front_idx[0][-1]) != num_slots - 1:
-        raise _Fallback("fetch accounting mismatch")   # engine bug guard
+        raise RuntimeError("fetch accounting mismatch")   # engine bug guard
 
     run = VectorPipelineRun(
         program=program,
@@ -654,13 +607,6 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
     run.ex_held = ex_held
     run.front_idx = front_idx
     run.back_occ = back_occ
-    # canonical aliases of the default six-stage layout (also valid for
-    # any spec with >= 3 front / 2 back stages)
-    run.adr_idx = front_idx[0]
-    run.fe_idx = front_idx[1]
-    run.dc_idx = front_idx[2] if num_front > 2 else None
-    run.ctrl_occ = back_occ[0]
-    run.wb_occ = back_occ[1]
     return run
 
 
@@ -684,10 +630,9 @@ def _intern_class(instruction, class_names):
 def _decode_fetch(program, address, decode_cache, halt_in_flight):
     """Fetch-time decode of a wrong-path/drain word from the initial image.
 
-    Mirrors ``PipelineSimulator._decode_at``: program text wins, other
-    words decode from memory (which the store-overlap guard pins to the
-    initial image); failures are bubbles once a halt word has been
-    fetched, fatal before that.
+    Program text wins, other words decode from memory (which the
+    store-overlap guard pins to the initial image); failures are bubbles
+    once a halt word has been fetched, fatal before that.
     """
     if address in decode_cache:
         return decode_cache[address]
@@ -720,11 +665,108 @@ def _drain_continuation(stream_pos, squash, num_main, taken_idx, targets,
     return int(retired_pc[-1]) + 4
 
 
+def _hazard_window(spec):
+    """``(window, loads_only)`` of the spec's front-end interlock.
+
+    A consumer waiting at the last front stage stalls while the youngest
+    in-flight writer of one of its source registers sits in the first
+    ``window`` stages from EX on, so the writer releases it ``window``
+    cycles after its last EX cycle.  With forwarding only loads stall,
+    for ``load_use_penalty`` stages (at most the back stages); without
+    it every writer stalls until it reaches write-back.
+    """
+    if spec.forwarding:
+        return min(spec.load_use_penalty, spec.num_back), True
+    return spec.num_back, False
+
+
+def _interlock_bubbles(live, kind, dest, src, lat, window, loads_only):
+    """Interlock bubbles ``b[c]`` in front of every main-stream slot.
+
+    Slot ``c`` enters EX at ``e[c] = max(e[c-1] + L[c-1], r[c])`` with
+    ``r[c] = e[p] + L[p] + window`` over the youngest live writer ``p``
+    of each source register (r0 excluded) that stalls consumers; a
+    younger non-stalling writer of the same register decides instead.
+    EX is serial, so a writer more than ``window`` slots back has left
+    the window before ``c`` could enter: only consumers with a writer
+    within ``window`` slots can stall.  ``b[c] = e[c] - (e[c-1] +
+    L[c-1])`` then depends only on the residencies and bubbles of the
+    slots between ``p`` and ``c`` — candidates with no other candidate
+    in between are settled in bulk, the rest in one pass in slot order.
+    """
+    count = len(live)
+    bubbles = np.zeros(count, dtype=np.int64)
+    writer = live & (dest > 0)
+    stalls = writer & (kind == _LOAD_CODE) if loads_only else writer
+    before = np.concatenate([[0], np.cumsum(lat)])   # sum of lat[:k]
+    consumers, producers, needs = [], [], []
+    for distance in range(1, min(window, count - 1) + 1):
+        producer_dest = dest[:count - distance]
+        hit = (
+            live[distance:] & stalls[:count - distance]
+            & ((src[distance:] >> np.maximum(producer_dest, 0)) & 1)
+            .astype(bool)
+        )
+        for between in range(1, distance):
+            hit &= ~(
+                writer[distance - between:count - between]
+                & (dest[distance - between:count - between]
+                   == producer_dest)
+            )
+        consumer = np.nonzero(hit)[0] + distance
+        # bubbles still needed when the slots in between stalled nothing
+        need = window - (before[consumer] - before[consumer - distance + 1])
+        keep = need > 0
+        consumers.append(consumer[keep])
+        producers.append(consumer[keep] - distance)
+        needs.append(need[keep])
+    if not consumers:
+        return bubbles
+    consumer = np.concatenate(consumers)
+    producer = np.concatenate(producers)
+    need = np.concatenate(needs)
+    candidates = np.unique(consumer)
+    chained = (
+        np.searchsorted(candidates, consumer, "left")
+        > np.searchsorted(candidates, producer, "right")
+    )
+    np.maximum.at(bubbles, consumer[~chained], need[~chained])
+    if chained.any():
+        settled = dict(zip(candidates.tolist(),
+                           bubbles[candidates].tolist()))
+        order = np.argsort(consumer[chained], kind="stable")
+        for c, p, wait in zip(consumer[chained][order].tolist(),
+                              producer[chained][order].tolist(),
+                              need[chained][order].tolist()):
+            for k in range(p + 1, c):
+                wait -= settled.get(k, 0)
+            if wait > settled[c]:
+                settled[c] = wait
+                bubbles[c] = wait
+    return bubbles
+
+
+def _release_cycle(sources, history, window, loads_only):
+    """Scalar twin of :func:`_interlock_bubbles` for one drain consumer:
+    the first cycle its source registers allow it into EX.  ``history``
+    holds ``(live, kind, dest, leave)`` of the preceding slots, oldest
+    first, ``leave`` being the cycle after the slot's last EX cycle."""
+    release = 0
+    decided = set()
+    for live, kind, dest, leave in reversed(history):
+        if not live or dest <= 0 or dest in decided:
+            continue
+        if dest in sources and (not loads_only or kind == _LOAD_CODE):
+            release = max(release, leave + window)
+        decided.add(dest)
+    return release
+
+
 class _Drain:
     def __init__(self):
         self.pc, self.cls, self.kind = [], [], []
         self.is_instr, self.instr = [], []
-        self.entry, self.lat, self.lu = [], [], []
+        self.entry, self.lat, self.bubbles = [], [], []
         self.count = 0
 
     def finalize(self):
@@ -735,39 +777,44 @@ class _Drain:
         self.instr = np.array(self.instr, dtype=object)
         self.entry = np.array(self.entry, dtype=np.int64)
         self.lat = np.array(self.lat, dtype=np.int64)
-        self.lu = np.array(self.lu, dtype=np.int64)
+        self.bubbles = np.array(self.bubbles, dtype=np.int64)
         return self
 
 
 def _generate_drain(program, decode_cache, fetched, continuation,
-                    start_index, prev_live, prev_kind, prev_dest,
-                    entry_next, stall_total, num_cycles, div_latency,
-                    mul_latency, class_names):
+                    start_index, history, window, loads_only, stall_total,
+                    num_cycles, div_latency, mul_latency, class_names):
     """Scalar tail: the few post-halt slots still fetched before the trace
     ends.  One slot is fetched per non-stall cycle, so slot ``k`` exists
     iff ``num_cycles - stall_total >= k + 1``; each appended slot may add
-    its own stalls (drain multi-cycle EX ops never finish and stall to
-    the end)."""
+    its own stalls (drained instructions still interlock, and drain
+    multi-cycle EX ops never finish and stall to the end).  ``history``
+    is the main stream's last ``window`` slots (see
+    :func:`_release_cycle`)."""
     drain = _Drain()
     address = continuation
     index = start_index
+    entry_next = history[-1][3]
     while num_cycles - stall_total >= index + 1:
         instruction = _decode_fetch(
             program, address, decode_cache, halt_in_flight=True
         )
         fetched.add(address)
         live = instruction is not None
+        kind = KIND_CODE[instruction.kind] if live else -1
         is_multi = live and (
-            (instruction.kind == InstructionKind.DIV and div_latency > 1)
-            or (instruction.kind == InstructionKind.MUL and mul_latency > 1)
+            (kind == _DIV_CODE and div_latency > 1)
+            or (kind == _MUL_CODE and mul_latency > 1)
         )
-        is_lu = False
-        if live and prev_live and prev_kind == _LOAD_CODE and prev_dest > 0:
-            if prev_dest in instruction.source_registers():
-                is_lu = True
-        entry_here = entry_next + (1 if is_lu else 0)
-        if is_lu and entry_here - 1 <= num_cycles - 1:
-            stall_total += 1
+        entry_here = entry_next
+        if live:
+            entry_here = max(entry_here, _release_cycle(
+                instruction.source_registers(), history, window, loads_only
+            ))
+        bubbles = entry_here - entry_next
+        # interlock bubbles occupy cycles entry_here - bubbles .. - 1
+        stall_total += min(bubbles,
+                           max(num_cycles - entry_here + bubbles, 0))
         if is_multi:
             # a draining multi-cycle op is never processed, so it stays
             # "busy" (ex_remaining == -1) and stalls the machine to the end
@@ -783,20 +830,17 @@ def _generate_drain(program, decode_cache, fetched, continuation,
         drain.cls.append(
             _intern_class(instruction, class_names) if live else -1
         )
-        drain.kind.append(
-            KIND_CODE[instruction.kind] if live else -1
-        )
+        drain.kind.append(kind)
         drain.entry.append(entry_here)
         drain.lat.append(lat_here)
-        drain.lu.append(1 if is_lu else 0)
+        drain.bubbles.append(bubbles)
         drain.count += 1
 
-        prev_live = live
-        prev_kind = KIND_CODE[instruction.kind] if live else -1
-        prev_dest = (
-            -1 if not live or instruction.destination_register() is None
-            else instruction.destination_register()
-        )
+        dest = instruction.destination_register() if live else None
+        history = (history + [
+            (live, kind, -1 if dest is None else dest,
+             entry_here + lat_here)
+        ])[-window:]
         entry_next = entry_here + lat_here
         address += 4
         index += 1

@@ -5,14 +5,17 @@ policy gather, one broadcast, one array comparison per configuration) and
 characterise through the vectorized DTA replay.  The paper's claim is a
 safety claim — the instruction-keyed period must cover every excited path
 in every cycle (Sec. III-B) — so the differential tests hold those engines
-bit-identical to the straightforward formulation kept here: one pipeline
-record at a time, one excitation replay per stage, one materialised event
-log per characterisation program.
+bit-identical to the straightforward formulation kept here: one clock
+step of the pipeline at a time, one pipeline record at a time, one
+excitation replay per stage, one materialised event log per
+characterisation program.
 
 Nothing in ``src/`` imports this module; it is the only home of these
 loops.  Tests import it as ``oracle`` (``tests/`` is on ``sys.path`` under
 pytest); scripts outside ``tests/`` load it by file path.
 
+- :class:`PipelineSimulator` — the cycle-stepping pipeline, one clock
+  at a time (the reference for ``repro.sim.vector``);
 - :func:`evaluate_program` — one program under one clock policy;
 - :func:`evaluate_grid` — the ``[config][program]`` grid of
   :func:`evaluate_program` results, the shape of
@@ -24,6 +27,7 @@ pytest); scripts outside ``tests/`` load it by file path.
 """
 
 from collections.abc import Mapping
+from dataclasses import dataclass
 
 from repro.adapt.online import (
     AdaptiveEvaluationResult,
@@ -49,9 +53,411 @@ from repro.flow.evaluate import (
     EvaluationResult,
     TimingViolation,
 )
-from repro.sim.pipeline import PipelineSimulator
-from repro.sim.trace import Stage
+from repro.isa.encoding import EncodingError, decode
+from repro.isa.opcodes import InstructionKind
+from repro.isa.registers import REG_LINK
+from repro.isa.semantics import compute, load_extract
+from repro.sim import vector
+from repro.sim.iss import HALT_NOP_CODE, SimulationError
+from repro.sim.memory import Memory
+from repro.sim.spec import get_pipeline_spec
+from repro.sim.state import ArchState
+from repro.sim.trace import (
+    BUBBLE_VIEW,
+    CycleRecord,
+    PipelineTrace,
+    Stage,
+    StageView,
+)
 from repro.workloads.suite import characterization_suite
+
+
+# -- the cycle-stepping pipeline ---------------------------------------------
+
+
+@dataclass
+class _Slot:
+    """One pipeline-register slot (mutable working state)."""
+
+    instruction: object = None   # Instruction or None for a bubble
+    pc: int = None
+    seq: int = None
+    a: int = None                # EX operand values
+    b: int = None
+    result: object = None        # ComputeResult, filled in EX
+    ex_remaining: int = -1       # -1 -> multi-cycle EX op not started
+    held: bool = False
+
+    @property
+    def is_bubble(self):
+        return self.instruction is None
+
+    def view(self):
+        if self.instruction is None:
+            return BUBBLE_VIEW
+        return StageView(
+            mnemonic=self.instruction.mnemonic,
+            timing_class=self.instruction.timing_class,
+            pc=self.pc,
+            seq=self.seq,
+            held=self.held,
+        )
+
+
+def _bubble():
+    return _Slot()
+
+
+class PipelineSimulator:
+    """The cycle-stepping reference pipeline: one :meth:`step` per clock,
+    producing a :class:`PipelineTrace` record by record.
+
+    This is the reference semantics of every
+    :class:`~repro.sim.spec.PipelineSpec` (stage geometry, forwarding,
+    load-use penalty, mul/div latencies, delay-slot squash, post-halt
+    drain); :func:`repro.sim.vector.simulate` reconstructs the same trace
+    from one ISS pass and is held bit-identical to this class.
+
+    Parameters
+    ----------
+    program:
+        Assembled :class:`~repro.asm.program.Program`.
+    div_latency:
+        EX occupancy of serial divides, in cycles (>= 1); defaults to the
+        spec's divider latency.
+    memory:
+        Optional pre-initialised memory (defaults to the program image).
+    spec:
+        :class:`~repro.sim.spec.PipelineSpec`, preset name, or ``None``
+        for the default six-stage machine.
+    """
+
+    def __init__(self, program, div_latency=None, memory=None, spec=None):
+        spec = get_pipeline_spec(spec)
+        if div_latency is None:
+            div_latency = spec.div_latency
+        if div_latency < 1:
+            raise ValueError("div_latency must be at least 1 cycle")
+        self.program = program
+        self.spec = spec
+        self.memory = memory if memory is not None else Memory("mem")
+        if memory is None:
+            program.load_into(self.memory)
+        self.state = ArchState(entry=program.entry)
+        self.div_latency = div_latency
+        self.halted = False
+        self.cycle = 0
+        self.trace = PipelineTrace(program_name=program.name)
+
+        self._fetch_pc = program.entry
+        self._num_stages = spec.num_stages
+        self._ex = spec.ex_index          # EX column == first back boundary
+        self._nf = spec.num_front
+        self._forwarding = spec.forwarding
+        self._load_use_penalty = spec.load_use_penalty
+        self._mul_latency = spec.mul_latency
+        self._slots = [_bubble() for _ in range(self._num_stages)]
+        self._seq = 0
+        self._halt_in_flight = False
+        self._draining = False        # halt has executed; EX is inert
+        self._decode_cache = {}
+        self._in_delay_slot = False   # next EX instruction is a delay slot
+
+    # ------------------------------------------------------------------ fetch
+
+    def _decode_at(self, address, word):
+        cached = self._decode_cache.get(address)
+        if cached is not None:
+            return cached
+        if address in self.program.instructions:
+            instruction = self.program.instructions[address]
+        else:
+            instruction = decode(word)   # may raise EncodingError
+        self._decode_cache[address] = instruction
+        return instruction
+
+    def _fetch_slot(self):
+        """Create the ADR-stage slot for the current fetch address."""
+        address = self._fetch_pc
+        if address % 4:
+            raise SimulationError(f"misaligned fetch at {address:#010x}")
+        word = self.memory.load_word(address)
+        slot = _Slot(pc=address, seq=self._seq)
+        self._seq += 1
+        try:
+            slot.instruction = self._decode_at(address, word)
+        except EncodingError as err:
+            if not self._halt_in_flight:
+                raise SimulationError(
+                    f"cannot decode fetched word {word:#010x} at "
+                    f"{address:#010x}: {err}"
+                ) from err
+            # Wrong-path fetch beyond the halt: treat as a bubble.
+            slot.instruction = None
+        else:
+            if (
+                slot.instruction.mnemonic == "l.nop"
+                and slot.instruction.imm == HALT_NOP_CODE
+            ):
+                self._halt_in_flight = True
+        self._fetch_pc = address + 4
+        return slot
+
+    # ------------------------------------------------------------------ step
+
+    def _ex_latency(self, instruction):
+        """EX residency of one instruction under this spec."""
+        kind = instruction.kind
+        if kind == InstructionKind.DIV:
+            return self.div_latency
+        if kind == InstructionKind.MUL:
+            return self._mul_latency
+        return 1
+
+    def step(self):
+        """Advance the pipeline by one clock cycle; returns the CycleRecord."""
+        if self.halted:
+            raise SimulationError("pipeline is halted")
+        slots = self._slots
+        ex = self._ex
+        last = self._num_stages - 1
+        for slot in slots:
+            slot.held = False
+
+        # -- stall conditions, evaluated on the current (pre-advance) state
+        ex_slot = slots[ex]
+        ex_busy = (
+            ex_slot.instruction is not None
+            and ex_slot.ex_remaining != 0
+            and self._ex_latency(ex_slot.instruction) > 1
+        )
+        interlock = not ex_busy and self._hazard_interlock()
+        front_stall = ex_busy or interlock
+
+        # -- advance pipeline registers (oldest first)
+        for index in range(last, ex + 1, -1):
+            slots[index] = slots[index - 1]
+        if ex_busy:
+            slots[ex + 1] = _bubble()
+            slots[ex].held = True
+        else:
+            slots[ex + 1] = slots[ex]
+            if interlock:
+                slots[ex] = _bubble()
+            else:
+                for index in range(ex, 0, -1):
+                    slots[index] = slots[index - 1]
+                slots[0] = None   # filled after EX processing
+        if front_stall:
+            for index in range(self._nf):
+                slots[index].held = True
+
+        # -- stage actions, oldest to youngest
+        self._process_ctrl(slots[ex + 1])
+        redirect = self._process_ex(slots[ex])
+
+        # -- fill the address stage (sees this cycle's redirect)
+        if slots[0] is None:
+            slots[0] = self._fetch_slot()
+
+        # -- record the cycle
+        ex_now = slots[ex]
+        record = CycleRecord(
+            cycle=self.cycle,
+            slots=tuple(slot.view() for slot in slots),
+            ex_operands=(
+                (ex_now.a, ex_now.b) if ex_now.instruction is not None
+                else None
+            ),
+            redirect=redirect,
+            stall=front_stall,
+        )
+        self.trace.append(record)
+        self.cycle += 1
+
+        # -- retire the writeback-stage instruction at the end of its cycle
+        self._retire(slots[last])
+        slots[last] = _bubble()
+        return record
+
+    def _hazard_interlock(self):
+        """Front-end interlock, evaluated on the pre-advance state.
+
+        Forwarding machines stall only on load-use: walking the producer
+        window youngest-first (EX onward, ``load_use_penalty`` stages
+        deep), the first in-flight producer of one of the consumer's
+        source registers decides — a load stalls the consumer, anything
+        younger than the load has already forwarded past it.
+
+        Non-forwarding machines stall while *any* producer of a consumer
+        source occupies EX..the stage before write-back (write-through
+        register file: a value is readable the cycle its producer sits in
+        the final stage).  Squashed and drained slots are bubbles /
+        inert instructions respectively, but drained producers still
+        interlock — the hazard logic keys on stage contents, not on
+        architectural liveness.
+        """
+        consumer = self._slots[self._nf - 1].instruction
+        if consumer is None:
+            return False
+        sources = consumer.source_registers()
+        if not sources:
+            return False
+        ex = self._ex
+        if self._forwarding:
+            decided = set()
+            for index in range(ex, min(ex + self._load_use_penalty,
+                                       self._num_stages - 1)):
+                producer = self._slots[index].instruction
+                if producer is None:
+                    continue
+                dest = producer.destination_register()
+                if dest is None or dest == 0 or dest in decided:
+                    continue
+                if dest in sources and (
+                    producer.kind == InstructionKind.LOAD
+                ):
+                    return True
+                decided.add(dest)
+            return False
+        for index in range(ex, self._num_stages - 1):
+            producer = self._slots[index].instruction
+            if producer is None:
+                continue
+            dest = producer.destination_register()
+            if dest is not None and dest != 0 and dest in sources:
+                return True
+        return False
+
+    def _process_ex(self, slot):
+        """Execute-stage actions; returns True if fetch was redirected."""
+        instruction = slot.instruction
+        if instruction is None:
+            return False
+        if self._draining:
+            # instructions younger than the halt never commit; they drain
+            # through the back of the pipeline without architectural effect
+            return False
+        state = self.state
+
+        if self._ex_latency(instruction) > 1:
+            if slot.ex_remaining < 0:
+                # first EX cycle of a multi-cycle op: read operands, start
+                # counting down
+                slot.a = state.read_reg(instruction.ra)
+                rb_value = state.read_reg(instruction.rb)
+                slot.result = compute(
+                    instruction, slot.a, rb_value, state.flag, state.carry,
+                    slot.pc,
+                )
+                if instruction.spec.reads_rb:
+                    slot.b = rb_value
+                else:
+                    slot.b = instruction.imm & 0xFFFFFFFF
+                slot.ex_remaining = self._ex_latency(instruction) - 1
+            else:
+                slot.ex_remaining -= 1
+            if slot.ex_remaining == 0:
+                # multi-cycle EX ops (mul/div) write only rd
+                state.write_reg(instruction.rd, slot.result.value)
+            self._consume_delay_slot_marker(instruction, slot)
+            return False
+
+        slot.a = state.read_reg(instruction.ra)
+        rb_value = state.read_reg(instruction.rb)
+        result = compute(
+            instruction, slot.a, rb_value, state.flag, state.carry, slot.pc
+        )
+        slot.result = result
+        # the recorded b operand is the *effective* datapath input: the
+        # operand mux selects the immediate for immediate forms, and that
+        # is what drives the excitation model
+        if instruction.spec.reads_rb:
+            slot.b = rb_value
+        else:
+            slot.b = instruction.imm & 0xFFFFFFFF
+
+        if (
+            instruction.mnemonic == "l.nop"
+            and instruction.imm == HALT_NOP_CODE
+        ):
+            self._draining = True
+        if (
+            result.value is not None
+            and instruction.kind != InstructionKind.LOAD
+        ):
+            state.write_reg(instruction.rd, result.value)
+        if result.link_value is not None:
+            state.write_reg(REG_LINK, result.link_value)
+        if result.flag is not None:
+            state.flag = result.flag
+        if result.carry is not None:
+            state.carry = result.carry
+
+        if instruction.is_control:
+            if self._in_delay_slot:
+                raise SimulationError(
+                    f"control transfer in delay slot at {slot.pc:#010x}"
+                )
+            if result.branch_taken:
+                # Redirect: the target address is presented to the
+                # instruction memory within this cycle; squash the
+                # wrong-path words behind the delay slot (every front
+                # slot between ADR and the consumer).  The delay slot
+                # itself proceeds.
+                self._fetch_pc = result.branch_target
+                for index in range(1, self._nf - 1):
+                    self._slots[index] = _bubble()
+                self._in_delay_slot = True
+                return True
+            return False
+        self._consume_delay_slot_marker(instruction, slot)
+        return False
+
+    def _consume_delay_slot_marker(self, instruction, slot):
+        if self._in_delay_slot and slot.ex_remaining <= 0:
+            self._in_delay_slot = False
+
+    def _process_ctrl(self, slot):
+        instruction = slot.instruction
+        if instruction is None or slot.result is None:
+            return
+        result = slot.result
+        if instruction.kind == InstructionKind.LOAD:
+            raw = self.memory.load(result.mem_addr, result.mem_size)
+            self.state.write_reg(
+                instruction.rd, load_extract(instruction.mnemonic, raw)
+            )
+        elif instruction.kind == InstructionKind.STORE:
+            self.memory.store(result.mem_addr, result.store_value,
+                              result.mem_size)
+
+    def _retire(self, slot):
+        if slot.instruction is None:
+            return
+        self.trace.retired.append((slot.pc, slot.instruction))
+        self.state.instret += 1
+        if (
+            slot.instruction.mnemonic == "l.nop"
+            and slot.instruction.imm == HALT_NOP_CODE
+        ):
+            self.halted = True
+
+    # ------------------------------------------------------------------ run
+
+    def run(self, max_cycles=vector.DEFAULT_MAX_CYCLES):
+        """Run to the halt instruction; returns the trace."""
+        while not self.halted:
+            if self.cycle >= max_cycles:
+                raise SimulationError(
+                    f"exceeded {max_cycles} cycles without halting "
+                    f"(pc={self._fetch_pc:#010x})"
+                )
+            self.step()
+        return self.trace
+
+
+# -- record-path evaluation ------------------------------------------------------
 
 
 def evaluate_program(program, design, policy, generator=None,

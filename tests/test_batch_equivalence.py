@@ -25,7 +25,6 @@ from repro.clocking.policies import (
 )
 from repro.dta.compiled import compile_trace, get_compiled_trace
 from repro.flow.evaluate import SweepConfig
-from repro.sim.pipeline import PipelineSimulator
 from repro.workloads import all_kernels, get_kernel
 
 import oracle
@@ -244,7 +243,7 @@ class TestCompiledTrace:
         from repro.dta.extraction import attribute_cycle
         from repro.sim.trace import Stage
 
-        trace = PipelineSimulator(get_kernel("fib").program()).run()
+        trace = oracle.PipelineSimulator(get_kernel("fib").program()).run()
         compiled = compile_trace(trace, design.excitation)
         for record in trace.records[:50]:
             classes = attribute_cycle(record)
@@ -259,7 +258,7 @@ class TestCompiledTrace:
     def test_delays_match_excitation(self, design):
         from repro.sim.trace import Stage
 
-        trace = PipelineSimulator(get_kernel("fib").program()).run()
+        trace = oracle.PipelineSimulator(get_kernel("fib").program()).run()
         compiled = compile_trace(trace, design.excitation)
         delays = compiled.delays
         for record in trace.records[:50]:
@@ -282,7 +281,7 @@ class TestCompiledTrace:
         delay matrix and the DTA analyzer (satellite: dedup oracle)."""
         from repro.dta.compiled import worst_per_cycle
 
-        trace = PipelineSimulator(get_kernel("fib").program()).run()
+        trace = oracle.PipelineSimulator(get_kernel("fib").program()).run()
         compiled = compile_trace(trace, design.excitation)
         cycle_max, limiting = worst_per_cycle(compiled.delays)
         assert cycle_max.shape == (trace.num_cycles,)

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.workloads import get_kernel
+
+from oracle import PipelineSimulator
 
 
 class TestParser:
@@ -57,6 +60,16 @@ class TestCommands:
         assert main(["run", "fib", "--regs"]) == 0
         out = capsys.readouterr().out
         assert "CPI" in out and "r11" in out
+
+    def test_run_reports_the_oracle_cycle_count(self, capsys):
+        reference = PipelineSimulator(
+            get_kernel("fib").program(), spec="nofwd6"
+        ).run()
+        assert main(["run", "fib", "--pipeline-spec", "nofwd6"]) == 0
+        out = capsys.readouterr().out
+        assert (f"{reference.num_retired} instructions, "
+                f"{reference.num_cycles} cycles "
+                f"(CPI {reference.cpi:.3f})") in out
 
     def test_sta(self, capsys):
         assert main(["sta"]) == 0

@@ -18,8 +18,9 @@ from repro.clocking.policies import (
     StaticClockPolicy,
     TwoClassPolicy,
 )
-from repro.sim.pipeline import PipelineSimulator
 from repro.workloads import get_kernel
+
+from oracle import PipelineSimulator
 
 periods = st.floats(min_value=620.0, max_value=2300.0)
 

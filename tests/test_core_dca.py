@@ -34,16 +34,19 @@ class TestDca:
         assert dca.static_frequency_mhz == pytest.approx(493.6, abs=0.1)
 
     def test_evaluate_default_policy(self, dca):
-        result = dca.evaluate(get_kernel("fib").program())
-        assert result.policy_name == "instruction-lut"
-        assert result.speedup_percent > 25.0
-        assert result.is_safe
+        row = dca.session.evaluate(
+            [get_kernel("fib").program()], policies=[dca.config.policy]
+        ).row(0)
+        assert row["policy"] == "instruction"
+        assert row["speedup_percent"] > 25.0
+        assert row["num_violations"] == 0
 
     def test_policy_override(self, dca):
-        result = dca.evaluate(
-            get_kernel("fib").program(), policy="static", check_safety=False
-        )
-        assert result.speedup_percent == pytest.approx(0.0, abs=1e-9)
+        row = dca.session.evaluate(
+            [get_kernel("fib").program()], policies=["static"],
+            check_safety=False,
+        ).row(0)
+        assert row["speedup_percent"] == pytest.approx(0.0, abs=1e-9)
 
     def test_all_policies_constructible(self, dca):
         for name in DcaConfig.POLICIES:
@@ -59,16 +62,18 @@ class TestDca:
 
     def test_suite_evaluation(self, dca):
         programs = [get_kernel(n).program() for n in ("fib", "crc16")]
-        results = dca.evaluate_suite(programs, check_safety=False)
-        assert [r.program_name for r in results] == ["fib", "crc16"]
+        frame = dca.session.evaluate(programs, check_safety=False)
+        assert [row["program"] for row in frame.iter_rows()] == [
+            "fib", "crc16",
+        ]
 
     def test_lut_table_rendering(self, dca):
         text = dca.lut_table(classes=["l.mul(i)"])
         assert "1899" in text
 
     def test_ring_generator_quantizes(self, dca):
-        result = dca.evaluate(
-            get_kernel("fib").program(), generator="ring",
+        row = dca.session.evaluate(
+            [get_kernel("fib").program()], generators=["ring"],
             check_safety=False,
-        )
-        assert result.min_period_ps % 50.0 == pytest.approx(0.0, abs=1e-6)
+        ).row(0)
+        assert row["min_period_ps"] % 50.0 == pytest.approx(0.0, abs=1e-6)

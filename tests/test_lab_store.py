@@ -21,8 +21,9 @@ from repro.dta.compiled import (
     simulation_count,
 )
 from repro.lab.store import ArtifactStore, SCHEMA_VERSION
-from repro.sim.pipeline import PipelineSimulator
 from repro.workloads import get_kernel
+
+from oracle import PipelineSimulator
 
 MAX_CYCLES = 4_000_000
 

@@ -16,10 +16,11 @@ from repro.ml.features import (
     group_ids,
     rolling_prev_count,
 )
-from repro.sim.pipeline import PipelineSimulator
 from repro.sim.trace import Stage
 from repro.timing.profiles import BUBBLE_CLASS
 from repro.workloads import get_kernel
+
+from oracle import PipelineSimulator
 
 
 @pytest.fixture(scope="module")

