@@ -64,9 +64,8 @@ class Program:
             raise KeyError(f"undefined symbol {name!r} in {self.name}") from None
 
     def load_into(self, memory):
-        """Copy the image into a simulator memory model."""
-        for address, word in self.words.items():
-            memory.store(address, word, 4)
+        """Copy the image into a simulator memory model (one bulk fill)."""
+        memory.store_words(self.words)
 
     def dump(self, limit=None):
         """Human-readable listing (address, word, disassembly)."""

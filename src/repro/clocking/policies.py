@@ -96,15 +96,19 @@ class ExOnlyLutPolicy:
             self.floor_ps,
         )
 
+    def _ex_entry(self, cls):
+        return self.lut.entry(cls, Stage.EX)
+
+    def _adr_entry(self, cls):
+        return self.lut.entry(cls, Stage.ADR)
+
     def periods_for(self, compiled_trace):
         ex = getattr(compiled_trace, "ex_column", int(Stage.EX))
         ex_ids = compiled_trace.class_ids[:, ex]
-        ex_table = compiled_trace.class_column(
-            lambda cls: self.lut.entry(cls, Stage.EX)
-        )
-        adr_table = compiled_trace.class_column(
-            lambda cls: self.lut.entry(cls, Stage.ADR)
-        )
+        # bound methods compare equal per policy, so a window pass's
+        # shared class tables serve every window of the trace
+        ex_table = compiled_trace.class_column(self._ex_entry)
+        adr_table = compiled_trace.class_column(self._adr_entry)
         return np.maximum(
             np.maximum(ex_table[ex_ids], adr_table[ex_ids]), self.floor_ps
         )

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs.trace import span as obs_span
-from repro.sim import predecode
 from repro.sim.spec import DEFAULT_SPEC, get_pipeline_spec
 from repro.sim.trace import Stage
 from repro.timing.profiles import BUBBLE_CLASS
@@ -93,6 +92,10 @@ class CompiledTrace:
     #: under (``None`` means the default spec; column count and group
     #: mapping of every matrix follow it).
     spec: object = None
+    #: The shared :class:`~repro.sim.predecode.DecodedImage` the trace
+    #: was simulated from (``None`` unless vector-compiled); the
+    #: streaming engine evicts it together with the trace.
+    image: object = field(default=None, repr=False)
     _delays: np.ndarray = field(default=None, repr=False)
     _cycle_max: np.ndarray = field(default=None, repr=False)
 
@@ -361,9 +364,12 @@ def compile_vector_run(run, excitation):
     held[:, 0] = held[:, ex_index]
 
     # intern in first-encounter order over the row-major class matrix —
-    # exactly the order compile_trace's per-record walk produces
-    unique, first_seen = np.unique(codes.ravel(), return_index=True)
-    order = np.argsort(first_seen)
+    # exactly the order compile_trace's per-record walk produces (one
+    # equality scan per distinct code, a few dozen at most, instead of
+    # sorting every cell)
+    flat = codes.ravel()
+    unique = np.flatnonzero(np.bincount(flat, minlength=bubble_code + 1))
+    order = np.argsort([int((flat == code).argmax()) for code in unique])
     remap = np.empty(bubble_code + 1, dtype=np.int32)
     remap[unique[order]] = np.arange(len(order), dtype=np.int32)
     class_ids = remap[codes]
@@ -385,8 +391,8 @@ def compile_vector_run(run, excitation):
         """
         # criticality is architectural (operands + worst patterns), so it
         # is invariant across operating points and sweeps of the same
-        # program — memoised on the shared decode image
-        image = predecode.image_for(run.program)
+        # program — memoised on the shared decode image the run used
+        image = run.image
         crit_key = (
             None if pspec.is_default else pspec.digest,
             run.div_latency, run.num_cycles, len(active),
@@ -396,12 +402,8 @@ def compile_vector_run(run, excitation):
         crit = image.crit_cache.get(crit_key)
         if crit is None:
             slots = run.ex_occ[active]
-            instructions = run.slot_instr
-            mnemonics = [
-                instructions[slot].mnemonic for slot in slots.tolist()
-            ]
             crit = ex_criticality_array(
-                mnemonics,
+                run.slot_mnem[slots],
                 run.slot_kind[slots],
                 run.slot_a[slots],
                 run.slot_b[slots],
@@ -437,6 +439,7 @@ def compile_vector_run(run, excitation):
         operating_point=_operating_point(excitation, pspec),
         spec=None if pspec.is_default else pspec,
         ex_replay=ex_replay,
+        image=run.image,
     )
 
 

@@ -279,6 +279,12 @@ SPECS = {spec.mnemonic: spec for spec in _SPEC_LIST}
 #: vectorized simulation/excitation paths to put kinds into NumPy arrays.
 KIND_CODE = {kind: index for index, kind in enumerate(InstructionKind)}
 
+#: Stable small-integer id per mnemonic (:data:`SPECS` order), the
+#: mnemonic column of the decoded images and the vectorized EX replay;
+#: ``MNEMONICS[MNEMONIC_ID[m]] == m``.
+MNEMONICS = tuple(SPECS)
+MNEMONIC_ID = {mnemonic: index for index, mnemonic in enumerate(MNEMONICS)}
+
 if len(SPECS) != len(_SPEC_LIST):
     raise AssertionError("duplicate mnemonic in instruction spec table")
 

@@ -386,8 +386,9 @@ class SweepRunner:
     #
     # With a store, completed unit rows are checkpointed as individual
     # store results and the manifest holds only unit ids — rewriting it
-    # after each unit stays O(units), not O(units x rows).  Without a
-    # store the rows are inlined (no-store runs are small/ephemeral).
+    # once per completed batch stays O(units), not O(units x rows).
+    # Without a store the rows are inlined (no-store runs are
+    # small/ephemeral).
 
     _STORE_REF = "$store"
 
@@ -418,12 +419,18 @@ class SweepRunner:
                 completed[unit_id] = value
         return completed
 
-    def _checkpoint_unit(self, completed, unit_id, rows):
-        completed[unit_id] = rows
+    def _checkpoint_units(self, completed, unit_rows):
+        """Record one completed batch of ``(unit_id, rows)``: each unit's
+        rows as its own store result, then the manifest once.  A batch
+        finishes as a whole (one ``_run_units`` call), so a per-batch
+        manifest resumes exactly the units a per-unit one would."""
+        for unit_id, rows in unit_rows:
+            completed[unit_id] = rows
+            if self.manifest_path is not None and self.store is not None:
+                self.store.save_result(self._unit_result_name(unit_id), rows)
         if self.manifest_path is None:
             return
         if self.store is not None:
-            self.store.save_result(self._unit_result_name(unit_id), rows)
             payload_completed = dict.fromkeys(completed, self._STORE_REF)
         else:
             payload_completed = completed
@@ -595,8 +602,12 @@ class SweepRunner:
                     _run_units(point, [workload for _, workload in group])
                 )
                 outcomes.append((unit_stats, unit_simulations, obs))
-                for (unit_id, _), rows in zip(group, rows_per_unit):
-                    self._checkpoint_unit(completed, unit_id, rows)
+                unit_rows = [
+                    (unit_id, rows)
+                    for (unit_id, _), rows in zip(group, rows_per_unit)
+                ]
+                self._checkpoint_units(completed, unit_rows)
+                for unit_id, _ in unit_rows:
                     if progress:
                         progress(f"  done {unit_id}")
                     if unit_done:
@@ -625,8 +636,8 @@ class SweepRunner:
         for unit_rows, unit_stats, unit_simulations, obs in pool.run(
                 _run_units_task, tasks):
             outcomes.append((unit_stats, unit_simulations, obs))
-            for unit_id, rows in unit_rows:
-                self._checkpoint_unit(completed, unit_id, rows)
+            self._checkpoint_units(completed, unit_rows)
+            for unit_id, _ in unit_rows:
                 if progress:
                     progress(f"  done {unit_id}")
                 if unit_done:

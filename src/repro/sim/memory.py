@@ -4,12 +4,23 @@ The customised core uses fast single-cycle SRAM macros for both instruction
 and data memory (paper §III-A).  Functionally this is a flat, big-endian,
 byte-addressable store; timing is handled by the timing model, which treats
 the SRAM macros as path endpoints like any flip-flop.
+
+Aligned accesses never straddle a 4 KiB page, so they read and write one
+page slice through ``int.from_bytes``/``to_bytes``; unaligned accesses
+keep the per-byte loop, which handles page-straddling words.  A program
+image is loaded in bulk (:meth:`Memory.store_words`), one NumPy page fill
+per touched page rather than one store per word.
 """
 
-from repro.utils.bitops import mask
+import numpy as np
+
+from repro.utils.bitops import WORD_MASK
 
 _PAGE_BITS = 12
 _PAGE_SIZE = 1 << _PAGE_BITS
+_PAGE_MASK = _PAGE_SIZE - 1
+_ADDRESS_LIMIT = 1 << 32
+_SIZE_MASK = {1: 0xFF, 2: 0xFFFF, 4: WORD_MASK}
 
 
 class MemoryError_(ValueError):
@@ -34,28 +45,73 @@ class Memory:
     def load(self, address, size):
         """Read ``size`` bytes (1, 2 or 4) big-endian; unwritten bytes are 0."""
         self._check(address, size)
+        if not address & (size - 1):
+            page = self._pages.get(address >> _PAGE_BITS)
+            if page is None:
+                return 0
+            offset = address & _PAGE_MASK
+            return int.from_bytes(page[offset:offset + size], "big")
         value = 0
         for offset in range(size):
             byte_addr = address + offset
             page = self._pages.get(byte_addr >> _PAGE_BITS)
-            byte = page[byte_addr & (_PAGE_SIZE - 1)] if page else 0
+            byte = page[byte_addr & _PAGE_MASK] if page else 0
             value = (value << 8) | byte
         return value
 
     def store(self, address, value, size):
         """Write the low ``size`` bytes of ``value`` big-endian."""
         self._check(address, size)
-        value &= mask(8 * size)
+        value &= _SIZE_MASK[size]
+        if not address & (size - 1):
+            offset = address & _PAGE_MASK
+            self._page(address)[offset:offset + size] = value.to_bytes(
+                size, "big"
+            )
+            return
         for offset in range(size):
             byte = (value >> (8 * (size - 1 - offset))) & 0xFF
             byte_addr = address + offset
-            self._page(byte_addr)[byte_addr & (_PAGE_SIZE - 1)] = byte
+            self._page(byte_addr)[byte_addr & _PAGE_MASK] = byte
+
+    def store_words(self, words):
+        """Bulk :meth:`store` of a ``{address: word}`` mapping (4-byte,
+        big-endian), with the same resulting pages as one ``store`` per
+        item in mapping order.
+
+        Word-aligned images fill each touched page in one NumPy
+        assignment; an image with any unaligned address (words may then
+        overlap, and the later one wins) takes the per-word path.
+        """
+        if not words:
+            return
+        self._check(min(words), 4)
+        self._check(max(words), 4)
+        addresses = np.fromiter(words, dtype=np.int64, count=len(words))
+        if (addresses & 3).any():
+            for address, word in words.items():
+                self.store(address, word, 4)
+            return
+        values = list(words.values())
+        if min(values) < 0 or max(values) > WORD_MASK:
+            values = [value & WORD_MASK for value in values]
+        page_ids = addresses >> _PAGE_BITS
+        touched, slot = np.unique(page_ids, return_inverse=True)
+        block = np.zeros((len(touched), _PAGE_SIZE), dtype=np.uint8)
+        indices = touched.tolist()
+        for row, index in enumerate(indices):
+            page = self._pages.get(index)
+            if page is not None:
+                block[row] = np.frombuffer(page, dtype=np.uint8)
+        block.view(">u4")[slot, (addresses & _PAGE_MASK) >> 2] = values
+        for row, index in enumerate(indices):
+            self._pages[index] = bytearray(block[row].tobytes())
 
     @staticmethod
     def _check(address, size):
         if size not in (1, 2, 4):
             raise MemoryError_(f"unsupported access size {size}")
-        if address < 0 or address + size > (1 << 32):
+        if address < 0 or address + size > _ADDRESS_LIMIT:
             raise MemoryError_(f"address out of range: {address:#x}")
 
     def load_word(self, address):

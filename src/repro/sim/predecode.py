@@ -14,9 +14,19 @@ This module removes it from the hot path:
   shift amounts) and — because the fetch address is known at decode time —
   precomputed branch targets and link values.  Metadata needed by the
   vectorized pipeline reconstruction (timing-class id, kind code, hazard
-  ports) is stored as NumPy columns, gathered per run by fancy indexing.
-  Images live in a per-program-content LRU shared by every simulator
-  instance, replacing the per-instance decode caches.
+  ports) and by the EX replay (mnemonic id) is stored as NumPy columns,
+  gathered per run by fancy indexing.  Images live in a
+  per-program-content LRU shared by every simulator instance, replacing
+  the per-instance decode caches.
+
+- The decode is **table-driven**, because an unseen program pays it on
+  every run: one row per :data:`SPECS` mnemonic (op id, immediate rule,
+  class, kind, port and control flags) is built at import, a program's
+  ``(mnemonic, rd, ra, rb, imm)`` fields are gathered in one pass, every
+  column is array arithmetic over them, and the slot tuples are zipped
+  from the columns.  The image's memory snapshot is one bulk page fill
+  (:meth:`~repro.sim.memory.Memory.store_words`).  The per-instruction
+  reference encoder lives in the test oracle (``tests/oracle.py``).
 
 - :func:`collect` is a dispatch-table step loop over the image: plain int
   compares on the dispatch id, list-indexed register file, no ``isa``
@@ -32,15 +42,22 @@ This module removes it from the hot path:
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
-from repro.isa.opcodes import SPECS, InstructionKind, KIND_CODE
+from repro.isa.opcodes import (
+    KIND_CODE,
+    MNEMONIC_ID,
+    MNEMONICS,
+    SPECS,
+    InstructionKind,
+)
 from repro.isa.registers import REG_LINK
 from repro.obs.trace import span as obs_span
 from repro.sim.memory import Memory
 from repro.sim.state import ArchState
-from repro.utils.bitops import sign_extend, to_signed32
 
 _MASK = 0xFFFFFFFF
 _HALT_NOP_CODE = 0x1          # matches repro.sim.iss.HALT_NOP_CODE
@@ -99,11 +116,24 @@ OP_BNF = 44
 OP_NOP = 45
 OP_HALT = 46
 
+# -- immediate rules ----------------------------------------------------------
+# ``aux`` of a slot: 0, imm & 0xFFFFFFFF, imm & 0xFFFF, sign-extended imm16,
+# shift amount, movhi's high half, a per-mnemonic constant (set-flag
+# condition), the raw immediate (memory offset), or the pc-relative target.
+(_AUX_ZERO, _AUX_WORD, _AUX_LOW16, _AUX_SEXT16, _AUX_SHAMT, _AUX_HIGH16,
+ _AUX_CONST, _AUX_IMM, _AUX_TARGET) = range(9)
+# ``aux2``: 0, the signed or unsigned compare operand, or the link value.
+_AUX2_ZERO, _AUX2_SIGNED, _AUX2_UNSIGNED, _AUX2_LINK = range(4)
+
 _SF_CONDS = {"eq": 0, "ne": 1, "gt": 2, "ge": 3, "lt": 4, "le": 5}
 
 _ALU_OPS = {
     "l.add": OP_ADD, "l.addc": OP_ADDC, "l.sub": OP_SUB, "l.and": OP_AND,
     "l.or": OP_OR, "l.xor": OP_XOR, "l.cmov": OP_CMOV,
+}
+_ALU_IMM_OPS = {
+    "l.addi": (OP_ADDI, _AUX_WORD), "l.andi": (OP_ANDI, _AUX_LOW16),
+    "l.ori": (OP_ORI, _AUX_LOW16), "l.xori": (OP_XORI, _AUX_SEXT16),
 }
 _SHIFT_OPS = {
     "l.sll": OP_SLL, "l.slli": OP_SLLI, "l.srl": OP_SRL, "l.srli": OP_SRLI,
@@ -120,57 +150,40 @@ _LOAD_OPS = {
 _STORE_OPS = {"l.sw": OP_SW, "l.sb": OP_SB, "l.sh": OP_SH}
 
 
-def _encode_slot(pc, instruction, spec):
-    """Canonical micro-op ``(op, rd, ra, rb, aux, aux2, bmask, is_ctrl)``.
-
-    ``aux``/``aux2`` hold pre-substituted operands (effective immediates,
-    branch targets, link values).  ``bmask`` is the static EX-datapath ``b``
-    operand (``imm & 0xFFFFFFFF``) for immediate forms and ``None`` when the
-    operand comes from ``rB`` at run time.  Returns ``None`` for mnemonics
-    the table does not cover (their fetches defer to the object ISS).
-    """
-    mnemonic = instruction.mnemonic
+def _dispatch_row(spec):
+    """``(op, aux rule, aux constant, aux2 rule)`` of one mnemonic, or
+    ``None`` when the dispatch table does not cover it (its fetches defer
+    to the object ISS).  ``l.nop`` decodes as :data:`OP_NOP`; the image
+    build turns the halt immediate into :data:`OP_HALT`."""
+    mnemonic = spec.mnemonic
     kind = spec.kind
-    rd, ra, rb, imm = instruction.rd, instruction.ra, instruction.rb, \
-        instruction.imm
-    aux = 0
-    aux2 = 0
     if kind == InstructionKind.NOP:
-        op = OP_HALT if imm == _HALT_NOP_CODE else OP_NOP
-    elif kind == InstructionKind.ALU:
-        if mnemonic == "l.addi":
-            op, aux = OP_ADDI, imm & _MASK
-        elif mnemonic == "l.andi":
-            op, aux = OP_ANDI, imm & 0xFFFF
-        elif mnemonic == "l.ori":
-            op, aux = OP_ORI, imm & 0xFFFF
-        elif mnemonic == "l.xori":
-            op, aux = OP_XORI, sign_extend(imm, 16) & _MASK
-        else:
-            op = _ALU_OPS.get(mnemonic)
-            if op is None:
-                return None
-    elif kind == InstructionKind.SHIFT:
+        return OP_NOP, _AUX_ZERO, 0, _AUX2_ZERO
+    if kind == InstructionKind.ALU:
+        if mnemonic in _ALU_IMM_OPS:
+            op, rule = _ALU_IMM_OPS[mnemonic]
+            return op, rule, 0, _AUX2_ZERO
+        op = _ALU_OPS.get(mnemonic)
+        return None if op is None else (op, _AUX_ZERO, 0, _AUX2_ZERO)
+    if kind == InstructionKind.SHIFT:
         op = _SHIFT_OPS.get(mnemonic)
         if op is None:
             return None
-        if mnemonic.endswith("i"):
-            aux = imm & 0x1F
-    elif kind == InstructionKind.MUL:
+        rule = _AUX_SHAMT if mnemonic.endswith("i") else _AUX_ZERO
+        return op, rule, 0, _AUX2_ZERO
+    if kind == InstructionKind.MUL:
         if mnemonic == "l.muli":
-            op, aux = OP_MULI, imm & _MASK
-        else:
-            op = OP_MUL
-    elif kind == InstructionKind.DIV:
+            return OP_MULI, _AUX_WORD, 0, _AUX2_ZERO
+        return OP_MUL, _AUX_ZERO, 0, _AUX2_ZERO
+    if kind == InstructionKind.DIV:
         op = OP_DIV if mnemonic == "l.div" else OP_DIVU
-    elif kind == InstructionKind.MOVE:
+        return op, _AUX_ZERO, 0, _AUX2_ZERO
+    if kind == InstructionKind.MOVE:
         if mnemonic == "l.movhi":
-            op, aux = OP_MOVHI, ((imm & 0xFFFF) << 16) & _MASK
-        else:
-            op = _MOVE_OPS.get(mnemonic)
-            if op is None:
-                return None
-    elif kind == InstructionKind.SETFLAG:
+            return OP_MOVHI, _AUX_HIGH16, 0, _AUX2_ZERO
+        op = _MOVE_OPS.get(mnemonic)
+        return None if op is None else (op, _AUX_ZERO, 0, _AUX2_ZERO)
+    if kind == InstructionKind.SETFLAG:
         base = mnemonic.replace("l.sf", "")
         immediate = spec.fmt.name == "SETFLAG_IMM"
         if immediate and base.endswith("i"):
@@ -181,100 +194,183 @@ def _encode_slot(pc, instruction, spec):
             return None
         aux = cond | (8 if signed else 0)
         if immediate:
-            op = OP_SFI
-            aux2 = to_signed32(imm) if signed else imm & _MASK
-        else:
-            op = OP_SF
-    elif kind == InstructionKind.LOAD:
+            return (OP_SFI, _AUX_CONST, aux,
+                    _AUX2_SIGNED if signed else _AUX2_UNSIGNED)
+        return OP_SF, _AUX_CONST, aux, _AUX2_ZERO
+    if kind == InstructionKind.LOAD:
         op = _LOAD_OPS.get(mnemonic)
-        if op is None:
-            return None
-        aux = imm
-    elif kind == InstructionKind.STORE:
+        return None if op is None else (op, _AUX_IMM, 0, _AUX2_ZERO)
+    if kind == InstructionKind.STORE:
         op = _STORE_OPS.get(mnemonic)
-        if op is None:
-            return None
-        aux = imm
-    elif kind == InstructionKind.JUMP:
+        return None if op is None else (op, _AUX_IMM, 0, _AUX2_ZERO)
+    if kind == InstructionKind.JUMP:
         op = OP_JAL if mnemonic == "l.jal" else OP_J
-        aux = (pc + (imm << 2)) & _MASK
-        aux2 = (pc + 8) & _MASK
-    elif kind == InstructionKind.JUMP_REG:
+        return op, _AUX_TARGET, 0, _AUX2_LINK
+    if kind == InstructionKind.JUMP_REG:
         op = OP_JALR if mnemonic == "l.jalr" else OP_JR
-        aux2 = (pc + 8) & _MASK
-    elif kind == InstructionKind.BRANCH:
+        return op, _AUX_ZERO, 0, _AUX2_LINK
+    if kind == InstructionKind.BRANCH:
         op = OP_BF if mnemonic == "l.bf" else OP_BNF
-        aux = (pc + (imm << 2)) & _MASK
-    else:
-        return None
-    bmask = None if spec.reads_rb else imm & _MASK
-    return (op, rd, ra, rb, aux, aux2, bmask, spec.is_control)
+        return op, _AUX_TARGET, 0, _AUX2_ZERO
+    return None
+
+
+#: Timing classes in :data:`SPECS` order (the table's class ids).
+_CLASSES = tuple(dict.fromkeys(spec.timing_class for spec in SPECS.values()))
+
+
+def _build_table():
+    """Per-mnemonic decode rows, one column array per field, indexed by
+    :data:`~repro.isa.opcodes.MNEMONIC_ID`.  The extra last row (index
+    ``-1``) describes a mnemonic outside :data:`SPECS`."""
+    rows = []
+    for mnemonic in MNEMONICS:
+        spec = SPECS[mnemonic]
+        dispatch = _dispatch_row(spec) or (-1, _AUX_ZERO, 0, _AUX2_ZERO)
+        rows.append(dispatch + (
+            _CLASSES.index(spec.timing_class), KIND_CODE[spec.kind],
+            spec.writes_rd, spec.reads_ra, spec.reads_rb, spec.is_control,
+        ))
+    rows.append((-1, _AUX_ZERO, 0, _AUX2_ZERO, -1, -1,
+                 False, False, False, False))
+    columns = list(zip(*rows))
+    table = {
+        name: np.array(columns[index], dtype=np.int64)
+        for index, name in enumerate(
+            ("op", "aux_rule", "aux_const", "aux2_rule", "cls", "kind"))
+    }
+    for index, name in enumerate(
+            ("writes_rd", "reads_ra", "reads_rb", "is_ctrl"), start=6):
+        table[name] = np.array(columns[index], dtype=bool)
+    return table
+
+
+_TABLE = _build_table()
+
+#: Instruction fields the decode gathers, in one pass over the text.
+_FIELDS = attrgetter("mnemonic", "rd", "ra", "rb", "imm")
+
+#: dtype of the mnemonic-id columns (:data:`MNEMONIC_ID` values, ``-1``
+#: for none): they ride along with every retired instruction and slot.
+MNEMONIC_DTYPE = np.int16
+
+#: Immediates within this magnitude decode in int64 (``pc + (imm << 2)``
+#: cannot overflow); anything larger decodes as Python ints.
+_INT64_IMM_LIMIT = 1 << 40
 
 
 class DecodedImage:
     """Struct-of-arrays decode of one program's text section.
 
-    ``slots`` holds one micro-op tuple per text word (``None`` when the
-    mnemonic is outside the dispatch table); ``lookup`` maps ``pc >> 2`` to
-    the slot index (``-1`` for data words).  The NumPy metadata columns are
-    indexed by slot and gathered per run; timing classes are interned in
-    decode (address) order — consumers that need a canonical order re-intern
+    ``slots`` holds one micro-op tuple ``(op, rd, ra, rb, aux, aux2,
+    bmask, is_ctrl)`` per text word (``None`` when the mnemonic is outside
+    the dispatch table): ``aux``/``aux2`` hold pre-substituted operands
+    (effective immediates, branch targets, link values) and ``bmask`` is
+    the static EX-datapath ``b`` operand (``imm & 0xFFFFFFFF``) for
+    immediate forms, ``None`` when the operand comes from ``rB`` at run
+    time.  ``lookup`` maps ``pc >> 2`` to the slot index (``-1`` for data
+    words).  The NumPy metadata columns are indexed by slot and gathered
+    per run; timing classes are interned in decode (address) order —
+    consumers that need a canonical order re-intern
     (``compile_vector_run`` does so in first-encounter row-major order).
+
+    The decode is table-driven: every column is a gather from the
+    per-mnemonic rows of :data:`SPECS` plus array arithmetic on the
+    immediates, and the slot tuples are zipped from those columns.
+    ``key`` is the image's entry in the shared cache (``None`` for an
+    image built outside it).
     """
 
     __slots__ = (
-        "addrs", "instrs", "slots", "lookup", "sparse", "fast_ok",
+        "key", "addrs", "instrs", "slots", "lookup", "sparse", "fast_ok",
         "class_names", "np_pc", "np_cls", "np_kind", "np_dest", "np_src",
-        "memory_proto", "iss_results", "crit_cache",
+        "np_mnem", "memory_proto", "iss_results", "crit_cache",
     )
 
-    def __init__(self, program):
-        addrs = sorted(program.instructions)
+    def __init__(self, program, key=None):
+        self.key = key
+        instructions = program.instructions
+        addrs = sorted(instructions)
         self.addrs = addrs
-        self.instrs = [program.instructions[address] for address in addrs]
+        self.instrs = instrs = list(map(instructions.__getitem__, addrs))
         count = len(addrs)
-        class_names = []
-        intern = {}
-        slots = []
-        np_cls = np.full(count, -1, dtype=np.int64)
-        np_kind = np.full(count, -1, dtype=np.int64)
-        np_dest = np.full(count, -1, dtype=np.int64)
-        np_src = np.zeros(count, dtype=np.int64)
-        for index, (address, instruction) in enumerate(
-            zip(addrs, self.instrs)
-        ):
-            spec = SPECS.get(instruction.mnemonic)
-            if spec is None:
-                slots.append(None)
-                continue
-            cls = spec.timing_class
-            cls_id = intern.get(cls)
-            if cls_id is None:
-                cls_id = intern[cls] = len(class_names)
-                class_names.append(cls)
-            np_cls[index] = cls_id
-            np_kind[index] = KIND_CODE[spec.kind]
-            if spec.writes_rd:
-                np_dest[index] = instruction.rd
-            source_mask = 0
-            if spec.reads_ra:
-                source_mask |= 1 << instruction.ra
-            if spec.reads_rb:
-                source_mask |= 1 << instruction.rb
-            np_src[index] = source_mask
-            slots.append(_encode_slot(address, instruction, spec))
+        if count:
+            mnemonics, rd, ra, rb, imms = zip(*map(_FIELDS, instrs))
+        else:
+            mnemonics = rd = ra = rb = imms = ()
+        mnem = np.fromiter(
+            map(MNEMONIC_ID.get, mnemonics, repeat(-1)),
+            dtype=MNEMONIC_DTYPE, count=count,
+        )
+        pc = np.array(addrs, dtype=np.int64)
+        wide = count and (min(imms) <= -_INT64_IMM_LIMIT
+                          or max(imms) >= _INT64_IMM_LIMIT)
+        imm = np.array(imms, dtype=object if wide else np.int64)
+        table = _TABLE
+
+        op = table["op"][mnem]
+        op[(op == OP_NOP) & (imm == _HALT_NOP_CODE)] = OP_HALT
+        word = imm & _MASK
+        aux_rule = table["aux_rule"][mnem]
+        aux = np.select(
+            [aux_rule == _AUX_WORD, aux_rule == _AUX_LOW16,
+             aux_rule == _AUX_SEXT16, aux_rule == _AUX_SHAMT,
+             aux_rule == _AUX_HIGH16, aux_rule == _AUX_CONST,
+             aux_rule == _AUX_IMM, aux_rule == _AUX_TARGET],
+            [word, imm & 0xFFFF,
+             (((imm & 0xFFFF) ^ 0x8000) - 0x8000) & _MASK, imm & 0x1F,
+             (imm & 0xFFFF) << 16, table["aux_const"][mnem],
+             imm, (pc + (imm << 2)) & _MASK],
+            0,
+        )
+        aux2_rule = table["aux2_rule"][mnem]
+        aux2 = np.select(
+            [aux2_rule == _AUX2_SIGNED, aux2_rule == _AUX2_UNSIGNED,
+             aux2_rule == _AUX2_LINK],
+            [(word ^ 0x80000000) - 0x80000000, word, (pc + 8) & _MASK],
+            0,
+        )
+        reads_rb = table["reads_rb"][mnem]
+        bmask = word.astype(object)
+        bmask[reads_rb] = None
+        slots = list(zip(
+            op.tolist(), rd, ra, rb, aux.tolist(), aux2.tolist(),
+            bmask.tolist(), table["is_ctrl"][mnem].tolist(),
+        ))
+        for index in np.flatnonzero(op < 0).tolist():
+            slots[index] = None
         self.slots = slots
-        self.class_names = class_names
-        self.np_pc = np.array(addrs, dtype=np.int64)
-        self.np_cls = np_cls
-        self.np_kind = np_kind
-        self.np_dest = np_dest
-        self.np_src = np_src
+
+        # timing classes, interned in address order
+        cls = table["cls"][mnem]
+        known = cls >= 0
+        unique, first = np.unique(cls[known], return_index=True)
+        unique = unique[np.argsort(first)]
+        remap = np.full(len(_CLASSES) + 1, -1, dtype=np.int64)
+        remap[unique] = np.arange(len(unique))
+        self.class_names = [_CLASSES[index] for index in unique.tolist()]
+        self.np_pc = pc
+        self.np_cls = remap[cls]
+        self.np_kind = table["kind"][mnem]
+        self.np_dest = np.where(
+            table["writes_rd"][mnem], np.array(rd, dtype=np.int64), -1
+        )
+        self.np_src = (
+            np.where(table["reads_ra"][mnem],
+                     np.left_shift(1, np.array(ra, dtype=np.int64)), 0)
+            | np.where(reads_rb,
+                       np.left_shift(1, np.array(rb, dtype=np.int64)), 0)
+        )
+        self.np_mnem = mnem
+
         if count and 0 <= addrs[0] and (addrs[-1] >> 2) < _MAX_DENSE_WORDS:
-            lookup = [-1] * ((addrs[-1] >> 2) + 1)
-            for index, address in enumerate(addrs):
-                lookup[address >> 2] = index
-            self.lookup = lookup
+            # the highest address of each word wins, as in address order
+            words = pc >> 2
+            last = np.ones(count, dtype=bool)
+            last[:-1] = words[1:] != words[:-1]
+            lookup = np.full((addrs[-1] >> 2) + 1, -1, dtype=np.int64)
+            lookup[words[last]] = np.flatnonzero(last)
+            self.lookup = lookup.tolist()
             self.sparse = None
             self.fast_ok = True
         else:
@@ -319,8 +415,10 @@ class IssData:
     kind: np.ndarray         # int64, KIND_CODE values
     dest: np.ndarray         # int64, written register or -1
     src: np.ndarray          # int64, source-register bit mask
+    mnem: np.ndarray         # MNEMONIC_DTYPE, MNEMONIC_ID values
     store_words: set
     class_names: list
+    image: DecodedImage      # the image the pass fetched from (clones)
 
 
 # -- the shared per-content image LRU ----------------------------------------
@@ -344,7 +442,7 @@ _stats = {
 _DEFERRED = object()
 
 
-def _clone_data(data, program):
+def _clone_data(data, program, image):
     """Fresh :class:`IssData` view of a cached architectural result.
 
     The ISS pass is a pure function of ``(program content, max_cycles)``,
@@ -352,7 +450,9 @@ def _clone_data(data, program):
     the parts the downstream pipeline mutates or keeps (final memory,
     architectural state, the intern list the reconstruction appends to).
     The immutable columns — retired arrays, instruction list, store set —
-    are shared read-only.
+    are shared read-only.  Each clone points at ``image``; the cached copy
+    does not, so an image and its results form no reference cycle and
+    are freed as soon as the cache lets go of them.
     """
     state = ArchState(entry=program.entry)
     state.regs = list(data.state.regs)
@@ -374,8 +474,10 @@ def _clone_data(data, program):
         kind=data.kind,
         dest=data.dest,
         src=data.src,
+        mnem=data.mnem,
         store_words=data.store_words,
         class_names=list(data.class_names),
+        image=image,
     )
 
 
@@ -399,12 +501,17 @@ def is_image_cached(program):
     return _image_key(program) in _images
 
 
-def discard_image(program):
-    """Evict one decoded image (no-op when absent); returns whether an
-    entry was dropped.  The streaming engine uses this to keep unbounded
-    program streams at O(1) memory — a decoded image pins every
-    instruction object plus the ISS result arrays for the program."""
-    return _images.pop(_image_key(program), None) is not None
+def discard_image(image):
+    """Evict one decoded image (no-op when it is no longer cached);
+    returns whether an entry was dropped.  The streaming engine uses this
+    to keep unbounded program streams at O(1) memory — a decoded image
+    pins every instruction object plus the ISS result arrays for the
+    program.  The image carries its cache key, so eviction does not
+    re-derive it from the program."""
+    if _images.get(image.key) is not image:
+        return False
+    del _images[image.key]
+    return True
 
 
 def _image_key(program):
@@ -426,7 +533,7 @@ def image_for(program):
         return image
     start = time.perf_counter()
     with obs_span("iss.decode", program=program.name):
-        image = DecodedImage(program)
+        image = DecodedImage(program, key)
     _stats["decode_seconds"] += time.perf_counter() - start
     _stats["images_built"] += 1
     _images[key] = image
@@ -463,14 +570,14 @@ def collect(program, max_cycles):
             _stats["deferred_runs"] += 1
             return None
         _stats["fast_runs"] += 1
-        return _clone_data(cached, program)
+        return _clone_data(cached, program, image)
     with obs_span("iss.collect", program=program.name):
         data = _collect_impl(image, program, max_cycles)
     if data is None:
         image.iss_results[max_cycles] = _DEFERRED
         return None
     image.iss_results[max_cycles] = data
-    return _clone_data(data, program)
+    return _clone_data(data, program, image)
 
 
 def _collect_impl(image, program, max_cycles):
@@ -830,6 +937,8 @@ def _package(image, program, memory, regs, flag, carry, pc,
         kind=image.np_kind[index],
         dest=image.np_dest[index],
         src=image.np_src[index],
+        mnem=image.np_mnem[index],
         store_words=store_words,
         class_names=list(image.class_names),
+        image=None,
     )

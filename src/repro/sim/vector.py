@@ -45,7 +45,7 @@ callers.
 import numpy as np
 
 from repro.isa.encoding import EncodingError, decode
-from repro.isa.opcodes import KIND_CODE, InstructionKind
+from repro.isa.opcodes import KIND_CODE, MNEMONIC_ID, InstructionKind
 from repro.obs.trace import span as obs_span
 from repro.sim import predecode
 from repro.sim.iss import HALT_NOP_CODE, FunctionalSimulator, SimulationError
@@ -300,6 +300,7 @@ def _collect_iss(program, max_cycles):
                 source_mask,
                 spec.reads_rb,
                 instruction.imm & _WORD_MASK,
+                MNEMONIC_ID[instruction.mnemonic],
             )
             meta_cache[instruction] = meta
         return meta
@@ -332,7 +333,7 @@ def _collect_iss(program, max_cycles):
             )
         simulator.step()
         steps += 1
-    meta_matrix = np.array(metas, dtype=np.int64)       # (N, 6)
+    meta_matrix = np.array(metas, dtype=np.int64)       # (N, 7)
     return IssData(
         state=simulator.state,
         memory=simulator.memory,
@@ -347,8 +348,10 @@ def _collect_iss(program, max_cycles):
         kind=meta_matrix[:, 1],
         dest=meta_matrix[:, 2],
         src=meta_matrix[:, 3],
+        mnem=meta_matrix[:, 6].astype(predecode.MNEMONIC_DTYPE),
         store_words=store_words,
         class_names=class_names,
+        image=simulator._image,
     )
 
 
@@ -409,6 +412,7 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
     slot_squashed = np.zeros(num_main, dtype=bool)
     slot_has_ops = np.zeros(num_main, dtype=bool)
     slot_instr = np.empty(num_main, dtype=object)
+    slot_mnem = np.full(num_main, -1, dtype=predecode.MNEMONIC_DTYPE)
 
     slot_pc[stream_pos] = retired_pc
     slot_cls[stream_pos] = retired_cls
@@ -421,6 +425,7 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
     slot_is_instr[stream_pos] = True
     slot_has_ops[stream_pos] = True
     slot_instr[stream_pos] = np.array(instrs, dtype=object)
+    slot_mnem[stream_pos] = data.mnem
 
     # victims: fetched (and decoded) wrong-path words.  The guard below
     # ensures fetched words are immutable, so the initial image is what
@@ -448,6 +453,7 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
                 slot_cls[position] = _intern_class(
                     instruction, class_names
                 )
+                slot_mnem[position] = MNEMONIC_ID[instruction.mnemonic]
             if _is_halt(instruction):
                 halt_fetch_pos = min(halt_fetch_pos, position)
 
@@ -521,6 +527,7 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
             [slot_has_ops, np.zeros(drain.count, bool)]
         )
         slot_instr = np.concatenate([slot_instr, drain.instr])
+        slot_mnem = np.concatenate([slot_mnem, drain.mnem])
         entry = np.concatenate([entry, drain.entry])
         lat = np.concatenate([lat, drain.lat])
         bubbles = np.concatenate([bubbles, drain.bubbles])
@@ -586,11 +593,13 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
         retired=data.retired,
         spec=spec,
     )
+    run.image = data.image
     run.num_cycles = num_cycles
     run.num_slots = num_slots
     run.class_names = list(class_names)
     run.slot_pc = slot_pc
     run.slot_instr = slot_instr
+    run.slot_mnem = slot_mnem
     run.slot_class = slot_cls
     run.slot_kind = slot_kind
     run.slot_a = slot_a
@@ -764,7 +773,7 @@ def _release_cycle(sources, history, window, loads_only):
 
 class _Drain:
     def __init__(self):
-        self.pc, self.cls, self.kind = [], [], []
+        self.pc, self.cls, self.kind, self.mnem = [], [], [], []
         self.is_instr, self.instr = [], []
         self.entry, self.lat, self.bubbles = [], [], []
         self.count = 0
@@ -773,6 +782,7 @@ class _Drain:
         self.pc = np.array(self.pc, dtype=np.int64)
         self.cls = np.array(self.cls, dtype=np.int64)
         self.kind = np.array(self.kind, dtype=np.int64)
+        self.mnem = np.array(self.mnem, dtype=predecode.MNEMONIC_DTYPE)
         self.is_instr = np.array(self.is_instr, dtype=bool)
         self.instr = np.array(self.instr, dtype=object)
         self.entry = np.array(self.entry, dtype=np.int64)
@@ -831,6 +841,7 @@ def _generate_drain(program, decode_cache, fetched, continuation,
             _intern_class(instruction, class_names) if live else -1
         )
         drain.kind.append(kind)
+        drain.mnem.append(MNEMONIC_ID[instruction.mnemonic] if live else -1)
         drain.entry.append(entry_here)
         drain.lat.append(lat_here)
         drain.bubbles.append(bubbles)

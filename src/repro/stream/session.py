@@ -242,17 +242,23 @@ class StreamingSession:
         session = self.session
         max_cycles = session.max_cycles
         already = is_trace_cached(program, session.design, max_cycles)
-        owned_image = not predecode.is_image_cached(program)
+        images_built = predecode.stats()["images_built"]
         compiled = get_compiled_trace(
             program, session.design, max_cycles=max_cycles
         )
         if not already:
+            # an image decoded by this compile is the trace's own
+            owned_image = (
+                compiled.image
+                if predecode.stats()["images_built"] != images_built
+                else None
+            )
             self._owned_programs.append((program, owned_image))
             while len(self._owned_programs) > self.retain_traces:
                 stale, stale_image = self._owned_programs.popleft()
                 discard_compiled_trace(stale, session.design, max_cycles)
-                if stale_image:
-                    predecode.discard_image(stale)
+                if stale_image is not None:
+                    predecode.discard_image(stale_image)
         return compiled
 
     def _observe_window(self, window):

@@ -15,9 +15,20 @@ the same applied-period sequence as one whole-trace call — the invariant
 the streaming engine's bit-identity rests on.  The one policy with
 cross-cycle state (``learned:`` recent-window counts) streams through
 :class:`repro.ml.features.WindowedFeatureExtractor` instead.
+
+The windows of one :func:`iter_windows` pass share their class tables: a
+LUT policy's class×stage table is built once per (trace, ``entry``
+callable) and every window gathers its own cycles from it, so a stream
+cut into single-cycle windows makes no more LUT lookups than one
+whole-program window.
 """
 
 import numpy as np
+
+#: Class tables one window pass keeps (one per ``entry`` callable) before
+#: it starts over — a caller that passes a fresh callable every time can
+#: never grow the memo past this.
+TABLE_MEMO_CAP = 16
 
 
 class TraceWindow:
@@ -32,7 +43,7 @@ class TraceWindow:
         "parent", "index", "start_cycle", "num_cycles",
         "program_name", "num_retired", "class_names",
         "class_ids", "bubble", "held", "stall", "redirect",
-        "excitation", "operating_point",
+        "excitation", "operating_point", "_tables",
     )
 
     #: Windows never expose the raw record trace: per-record walks over a
@@ -40,7 +51,7 @@ class TraceWindow:
     #: it (cross-operating-point genie replay) must run offline.
     trace = None
 
-    def __init__(self, parent, start, stop, index=0):
+    def __init__(self, parent, start, stop, index=0, *, tables=None):
         if not 0 <= start <= stop <= parent.num_cycles:
             raise ValueError(
                 f"window [{start}, {stop}) outside trace of "
@@ -60,6 +71,8 @@ class TraceWindow:
         self.redirect = parent.redirect[start:stop]
         self.excitation = parent.excitation
         self.operating_point = parent.operating_point
+        #: Class tables shared with the other windows of the same pass.
+        self._tables = {} if tables is None else tables
 
     @property
     def stop_cycle(self):
@@ -90,14 +103,27 @@ class TraceWindow:
             self.start_cycle:self.stop_cycle
         ]
 
+    def _shared_table(self, kind, entry, build):
+        key = (kind, entry)
+        table = self._tables.get(key)
+        if table is None:
+            if len(self._tables) >= TABLE_MEMO_CAP:
+                self._tables.clear()
+            table = build(entry)
+            table.flags.writeable = False
+            self._tables[key] = table
+        return table
+
     def class_table(self, entry):
         """``(num_classes, num_stages)`` table of ``entry(cls, stage)``
-        with one column per pipeline-spec stage."""
-        return self.parent.class_table(entry)
+        with one column per pipeline-spec stage (read-only, built once
+        per window pass)."""
+        return self._shared_table("stage", entry, self.parent.class_table)
 
     def class_column(self, entry):
-        """``(num_classes,)`` vector of ``entry(cls)``."""
-        return self.parent.class_column(entry)
+        """``(num_classes,)`` vector of ``entry(cls)`` (read-only, built
+        once per window pass)."""
+        return self._shared_table("column", entry, self.parent.class_column)
 
     def stage_periods(self, table):
         """Gather a class×stage ``table`` along the window's cycles."""
@@ -139,9 +165,11 @@ def iter_windows(compiled, window_cycles):
     window_cycles = int(window_cycles)
     if window_cycles < 1:
         raise ValueError(f"window must be >= 1 cycle, got {window_cycles}")
+    tables = {}
     for index, start in enumerate(range(0, num_cycles, window_cycles)):
         yield TraceWindow(
-            compiled, start, min(start + window_cycles, num_cycles), index
+            compiled, start, min(start + window_cycles, num_cycles), index,
+            tables=tables,
         )
 
 
@@ -149,11 +177,13 @@ def windows_from_sizes(compiled, sizes):
     """Windows with explicit sizes (must partition the trace exactly) —
     the window-partition property tests drive the engine through this."""
     start = 0
+    tables = {}
     for index, size in enumerate(sizes):
         size = int(size)
         if size < 1:
             raise ValueError(f"window must be >= 1 cycle, got {size}")
-        yield TraceWindow(compiled, start, start + size, index)
+        yield TraceWindow(compiled, start, start + size, index,
+                          tables=tables)
         start += size
     if start != compiled.num_cycles:
         raise ValueError(

@@ -33,7 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.isa.opcodes import KIND_CODE, SPECS, InstructionKind
+from repro.isa.opcodes import (
+    KIND_CODE,
+    MNEMONIC_ID,
+    MNEMONICS,
+    SPECS,
+    InstructionKind,
+)
 from repro.sim.trace import Stage
 from repro.timing.library import reference_library
 from repro.timing.profiles import BUBBLE_CLASS
@@ -134,6 +140,7 @@ _MEM_CODES = (
     KIND_CODE[InstructionKind.STORE],
 )
 _WORD = np.uint64(0xFFFFFFFF)
+_MOVHI_ID = MNEMONIC_ID["l.movhi"]
 
 #: Divisor of :func:`~repro.utils.rng.hash_to_unit_float`, replicated for
 #: the inlined vector loop below.
@@ -145,17 +152,19 @@ _EX_HASH_MEMO = {}
 _EX_HASH_MEMO_CAP = 1 << 18
 
 
-def ex_criticality_array(mnemonics, kinds, a, b, pcs, taken):
+def ex_criticality_array(mnemonic_ids, kinds, a, b, pcs, taken):
     """Vectorized :func:`ex_criticality` over per-occurrence arrays.
 
-    ``mnemonics`` is a sequence of mnemonic strings, ``kinds`` the
-    matching :data:`~repro.isa.opcodes.KIND_CODE` integers; ``a``/``b``
-    are the recorded EX operand values with ``None`` already replaced by
-    zero (the scalar path's convention for draining slots).  The worst-
-    pattern test is pure array comparisons; only the non-worst occurrences
-    hash, deduplicated on ``(mnemonic, a, b, pc)`` — the same dynamic
-    operand pattern always excites the same paths, so loops collapse.
+    ``mnemonic_ids`` holds :data:`~repro.isa.opcodes.MNEMONIC_ID` values,
+    ``kinds`` the matching :data:`~repro.isa.opcodes.KIND_CODE` integers;
+    ``a``/``b`` are the recorded 32-bit EX operand values with ``None``
+    already replaced by zero (the scalar path's convention for draining
+    slots).  The worst-pattern test is pure array comparisons; only the
+    non-worst occurrences hash, once per distinct ``(mnemonic, a, b, pc)``
+    row (one ``lexsort`` finds them) — the same dynamic operand pattern
+    always excites the same paths, so loops collapse.
     """
+    mnemonic_ids = np.asarray(mnemonic_ids, dtype=np.int64)
     kinds = np.asarray(kinds)
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
@@ -175,36 +184,45 @@ def ex_criticality_array(mnemonics, kinds, a, b, pcs, taken):
     )
     move = kinds == KIND_CODE[InstructionKind.MOVE]
     if move.any():
-        movhi = np.fromiter(
-            (m == "l.movhi" for m in mnemonics), dtype=bool,
-            count=len(mnemonics),
-        )
         worst |= move & np.where(
-            movhi, b == np.uint64(0xFFFF), a == _WORD
+            mnemonic_ids == _MOVHI_ID, b == np.uint64(0xFFFF), a == _WORD
         )
 
     crit = np.ones(len(kinds), dtype=float)
-    nonworst = np.nonzero(~worst)[0]
+    nonworst = np.flatnonzero(~worst)
     if len(nonworst):
         # Inlined, memoised hash_to_unit_float("ex", m, a, b, pc): the
         # blake2b digest of the exact same key string, so values are
         # bit-identical to the scalar path.  The memo is module-global —
         # the same dynamic operand pattern recurs across characterisation
         # and every sweep config of the same program.
+        ids = mnemonic_ids[nonworst]
+        operands = (a[nonworst] << np.uint64(32)) | b[nonworst]
+        pcs = np.asarray(pcs, dtype=np.int64)[nonworst]
+        order = np.lexsort((pcs, operands, ids))
+        ids, operands, pcs = ids[order], operands[order], pcs[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (
+            (ids[1:] != ids[:-1]) | (operands[1:] != operands[:-1])
+            | (pcs[1:] != pcs[:-1])
+        )
+        inverse = np.empty(len(order), dtype=np.int64)
+        inverse[order] = np.cumsum(first) - 1
+        rows = zip(
+            ids[first].tolist(),
+            (operands[first] >> np.uint64(32)).tolist(),
+            (operands[first] & _WORD).tolist(),
+            pcs[first].tolist(),
+        )
         memo = _EX_HASH_MEMO
         if len(memo) > _EX_HASH_MEMO_CAP:
             memo.clear()
         blake = hashlib.blake2b
         from_bytes = int.from_bytes
-        a_int = a.tolist()
-        b_int = b.tolist()
-        pc_int = np.asarray(pcs).tolist()
-        values = np.empty(len(nonworst), dtype=float)
-        for out, index in enumerate(nonworst.tolist()):
-            text = (
-                f"ex|{mnemonics[index]}|{a_int[index]}|{b_int[index]}"
-                f"|{pc_int[index]}"
-            )
+        names = MNEMONICS
+        values = np.empty(int(first.sum()), dtype=float)
+        for out, (mnemonic, a_int, b_int, pc) in enumerate(rows):
+            text = f"ex|{names[mnemonic]}|{a_int}|{b_int}|{pc}"
             value = memo.get(text)
             if value is None:
                 digest = blake(text.encode("utf-8"), digest_size=8).digest()
@@ -213,7 +231,7 @@ def ex_criticality_array(mnemonics, kinds, a, b, pcs, taken):
                 )
                 memo[text] = value
             values[out] = value
-        crit[nonworst] = values
+        crit[nonworst] = values[inverse]
     return crit
 
 

@@ -163,18 +163,28 @@ _NONEX_FACTOR = 0.88
 _CONV_CAP_PS = _STATIC_CONVENTIONAL_PS * 0.995
 
 
+#: Representative :class:`InstructionKind` (its first mnemonic's) and
+#: rD usage (any mnemonic's) of every timing class, read off SPECS once.
+_CLASS_KIND = {}
+_CLASS_WRITES_RD = {}
+for _spec in SPECS.values():
+    _CLASS_KIND.setdefault(_spec.timing_class, _spec.kind)
+    _CLASS_WRITES_RD[_spec.timing_class] = (
+        _CLASS_WRITES_RD.get(_spec.timing_class, False) or _spec.writes_rd
+    )
+del _spec
+
+
 def _kind_of_class(cls):
     """Representative :class:`InstructionKind` of a timing class."""
-    for spec in SPECS.values():
-        if spec.timing_class == cls:
-            return spec.kind
-    raise KeyError(f"unknown timing class {cls!r}")
+    try:
+        return _CLASS_KIND[cls]
+    except KeyError:
+        raise KeyError(f"unknown timing class {cls!r}") from None
 
 
 def _class_writes_rd(cls):
-    return any(
-        spec.writes_rd for spec in SPECS.values() if spec.timing_class == cls
-    )
+    return _CLASS_WRITES_RD.get(cls, False)
 
 
 def _ctrl_category(cls):

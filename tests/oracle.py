@@ -23,11 +23,15 @@ pytest); scripts outside ``tests/`` load it by file path.
 - :func:`evaluate_with_drift` — drift-aware evaluation (extension E2);
 - :func:`evaluate_overscaling` — over-scaling scan (extension E1);
 - :func:`characterize` — the event-log characterisation flow;
-- :func:`assert_results_identical` — the field-for-field comparator.
+- :func:`assert_results_identical` — the field-for-field comparator;
+- :func:`reference_image` — the per-instruction decode of a program image
+  (the reference for ``repro.sim.predecode.DecodedImage``).
 """
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.adapt.online import (
     AdaptiveEvaluationResult,
@@ -54,13 +58,14 @@ from repro.flow.evaluate import (
     TimingViolation,
 )
 from repro.isa.encoding import EncodingError, decode
-from repro.isa.opcodes import InstructionKind
+from repro.isa.opcodes import KIND_CODE, MNEMONIC_ID, SPECS, InstructionKind
 from repro.isa.registers import REG_LINK
 from repro.isa.semantics import compute, load_extract
 from repro.sim import vector
 from repro.sim.iss import HALT_NOP_CODE, SimulationError
 from repro.sim.memory import Memory
 from repro.sim.spec import get_pipeline_spec
+from repro.sim import predecode as _pd
 from repro.sim.state import ArchState
 from repro.sim.trace import (
     BUBBLE_VIEW,
@@ -69,6 +74,7 @@ from repro.sim.trace import (
     Stage,
     StageView,
 )
+from repro.utils.bitops import sign_extend, to_signed32
 from repro.workloads.suite import characterization_suite
 
 
@@ -702,3 +708,174 @@ def assert_results_identical(expected, actual):
             f"{expected['program']}: {name} differs: "
             f"{expected[name]!r} != {actual[name]!r}"
         )
+
+
+# -- the per-instruction decode -----------------------------------------------
+
+_MASK = 0xFFFFFFFF
+
+
+def _encode_slot(pc, instruction, spec):
+    """Canonical micro-op ``(op, rd, ra, rb, aux, aux2, bmask, is_ctrl)``
+    of one instruction, or ``None`` for a mnemonic outside the dispatch
+    table (see ``repro.sim.predecode`` for the field meanings)."""
+    mnemonic = instruction.mnemonic
+    kind = spec.kind
+    rd, ra, rb, imm = instruction.rd, instruction.ra, instruction.rb, \
+        instruction.imm
+    aux = 0
+    aux2 = 0
+    if kind == InstructionKind.NOP:
+        op = _pd.OP_HALT if imm == HALT_NOP_CODE else _pd.OP_NOP
+    elif kind == InstructionKind.ALU:
+        if mnemonic == "l.addi":
+            op, aux = _pd.OP_ADDI, imm & _MASK
+        elif mnemonic == "l.andi":
+            op, aux = _pd.OP_ANDI, imm & 0xFFFF
+        elif mnemonic == "l.ori":
+            op, aux = _pd.OP_ORI, imm & 0xFFFF
+        elif mnemonic == "l.xori":
+            op, aux = _pd.OP_XORI, sign_extend(imm, 16) & _MASK
+        else:
+            op = _pd._ALU_OPS.get(mnemonic)
+            if op is None:
+                return None
+    elif kind == InstructionKind.SHIFT:
+        op = _pd._SHIFT_OPS.get(mnemonic)
+        if op is None:
+            return None
+        if mnemonic.endswith("i"):
+            aux = imm & 0x1F
+    elif kind == InstructionKind.MUL:
+        if mnemonic == "l.muli":
+            op, aux = _pd.OP_MULI, imm & _MASK
+        else:
+            op = _pd.OP_MUL
+    elif kind == InstructionKind.DIV:
+        op = _pd.OP_DIV if mnemonic == "l.div" else _pd.OP_DIVU
+    elif kind == InstructionKind.MOVE:
+        if mnemonic == "l.movhi":
+            op, aux = _pd.OP_MOVHI, ((imm & 0xFFFF) << 16) & _MASK
+        else:
+            op = _pd._MOVE_OPS.get(mnemonic)
+            if op is None:
+                return None
+    elif kind == InstructionKind.SETFLAG:
+        base = mnemonic.replace("l.sf", "")
+        immediate = spec.fmt.name == "SETFLAG_IMM"
+        if immediate and base.endswith("i"):
+            base = base[:-1]
+        signed = base.endswith("s") or base in ("eq", "ne")
+        cond = _pd._SF_CONDS.get(
+            base if base in ("eq", "ne") else base[:-1]
+        )
+        if cond is None:
+            return None
+        aux = cond | (8 if signed else 0)
+        if immediate:
+            op = _pd.OP_SFI
+            aux2 = to_signed32(imm) if signed else imm & _MASK
+        else:
+            op = _pd.OP_SF
+    elif kind == InstructionKind.LOAD:
+        op = _pd._LOAD_OPS.get(mnemonic)
+        if op is None:
+            return None
+        aux = imm
+    elif kind == InstructionKind.STORE:
+        op = _pd._STORE_OPS.get(mnemonic)
+        if op is None:
+            return None
+        aux = imm
+    elif kind == InstructionKind.JUMP:
+        op = _pd.OP_JAL if mnemonic == "l.jal" else _pd.OP_J
+        aux = (pc + (imm << 2)) & _MASK
+        aux2 = (pc + 8) & _MASK
+    elif kind == InstructionKind.JUMP_REG:
+        op = _pd.OP_JALR if mnemonic == "l.jalr" else _pd.OP_JR
+        aux2 = (pc + 8) & _MASK
+    elif kind == InstructionKind.BRANCH:
+        op = _pd.OP_BF if mnemonic == "l.bf" else _pd.OP_BNF
+        aux = (pc + (imm << 2)) & _MASK
+    else:
+        return None
+    bmask = None if spec.reads_rb else imm & _MASK
+    return (op, rd, ra, rb, aux, aux2, bmask, spec.is_control)
+
+
+@dataclass
+class ReferenceImage:
+    """The fields of a decoded program image, built one instruction at a
+    time; names match ``repro.sim.predecode.DecodedImage``."""
+
+    addrs: list
+    instrs: list
+    slots: list
+    class_names: list
+    np_pc: object
+    np_cls: object
+    np_kind: object
+    np_dest: object
+    np_src: object
+    np_mnem: object
+    lookup: list
+    sparse: dict
+    fast_ok: bool
+    memory_proto: Memory
+
+
+def reference_image(program):
+    """Per-instruction decode of ``program``: one spec lookup, one slot
+    encoding and one metadata row per text word, and one 4-byte store
+    per image word."""
+    addrs = sorted(program.instructions)
+    instrs = [program.instructions[address] for address in addrs]
+    count = len(addrs)
+    class_names = []
+    intern = {}
+    slots = []
+    np_cls = np.full(count, -1, dtype=np.int64)
+    np_kind = np.full(count, -1, dtype=np.int64)
+    np_dest = np.full(count, -1, dtype=np.int64)
+    np_src = np.zeros(count, dtype=np.int64)
+    np_mnem = np.full(count, -1, dtype=_pd.MNEMONIC_DTYPE)
+    for index, (address, instruction) in enumerate(zip(addrs, instrs)):
+        spec = SPECS.get(instruction.mnemonic)
+        if spec is None:
+            slots.append(None)
+            continue
+        cls = spec.timing_class
+        cls_id = intern.get(cls)
+        if cls_id is None:
+            cls_id = intern[cls] = len(class_names)
+            class_names.append(cls)
+        np_cls[index] = cls_id
+        np_kind[index] = KIND_CODE[spec.kind]
+        np_mnem[index] = MNEMONIC_ID[instruction.mnemonic]
+        if spec.writes_rd:
+            np_dest[index] = instruction.rd
+        source_mask = 0
+        if spec.reads_ra:
+            source_mask |= 1 << instruction.ra
+        if spec.reads_rb:
+            source_mask |= 1 << instruction.rb
+        np_src[index] = source_mask
+        slots.append(_encode_slot(address, instruction, spec))
+    lookup = None
+    sparse = None
+    if count and 0 <= addrs[0] and (addrs[-1] >> 2) < _pd._MAX_DENSE_WORDS:
+        lookup = [-1] * ((addrs[-1] >> 2) + 1)
+        for index, address in enumerate(addrs):
+            lookup[address >> 2] = index
+    else:
+        sparse = dict(zip(addrs, range(count)))
+    memory = Memory("dmem")
+    for address, word in program.words.items():
+        memory.store(address, word, 4)
+    return ReferenceImage(
+        addrs=addrs, instrs=instrs, slots=slots, class_names=class_names,
+        np_pc=np.array(addrs, dtype=np.int64), np_cls=np_cls,
+        np_kind=np_kind, np_dest=np_dest, np_src=np_src, np_mnem=np_mnem,
+        lookup=lookup, sparse=sparse, fast_ok=lookup is not None,
+        memory_proto=memory,
+    )

@@ -1,6 +1,7 @@
 """Sweep runner: serial/parallel equivalence, store warming, resume."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.dta.compiled import (
     reset_simulation_count,
 )
 from repro.lab import ArtifactStore, ScenarioGrid, SweepRunner
+from repro.lab import runner as runner_module
 
 #: Small but non-trivial grid: 2 configs x 2 programs, safety checked.
 GRID = ScenarioGrid(
@@ -44,6 +46,23 @@ def seeded_store(tmp_path, design, lut):
 def _run(store, jobs=1, resume=False, grid=GRID):
     runner = SweepRunner(grid, store=store, jobs=jobs)
     return runner.run(resume=resume)
+
+
+class _Interrupted(Exception):
+    """Stands in for a run killed mid-sweep."""
+
+
+def _record_replaces(monkeypatch):
+    """Destinations of every atomic ``os.replace`` the runner makes."""
+    real_replace = runner_module.os.replace
+    destinations = []
+
+    def replace(source, destination):
+        destinations.append(pathlib.Path(destination))
+        return real_replace(source, destination)
+
+    monkeypatch.setattr(runner_module.os, "replace", replace)
+    return destinations
 
 
 class TestSerialRun:
@@ -200,6 +219,55 @@ class TestResume:
         # different fingerprint: nothing resumed, everything re-run
         assert rerun.units_resumed == 0
         assert rerun.units_run == 2
+
+    def test_manifest_written_once_per_batch(self, seeded_store,
+                                             monkeypatch):
+        """A serial run over one design point is one batch: every unit
+        gets its own store result, the manifest one atomic write."""
+        runner = SweepRunner(GRID, store=seeded_store)
+        writes = _record_replaces(monkeypatch)
+        result = runner.run()
+        assert result.units_run == 2
+        assert writes.count(runner.manifest_path) == 1
+        for unit_id, _, _ in runner.units():
+            assert seeded_store.load_result(
+                runner._unit_result_name(unit_id)) is not None
+
+    def test_interrupt_after_one_batch_then_resume(self, seeded_store,
+                                                   monkeypatch):
+        """Kill a run after its first batch: the manifest holds exactly
+        that batch, and resuming skips it and reproduces the rows."""
+        expected = _run(seeded_store).rows
+        clear_compiled_cache()
+        runner = SweepRunner(GRID, store=seeded_store)
+        # one batch per unit, and the second batch dies
+        monkeypatch.setattr(runner, "_grouped", lambda pending: [
+            (point, [(unit_id, workload)])
+            for unit_id, point, workload in pending
+        ])
+        real_run_units = runner_module._run_units
+        batches = []
+
+        def run_units(point, workloads):
+            batches.append(workloads)
+            if len(batches) == 2:
+                raise _Interrupted
+            return real_run_units(point, workloads)
+
+        monkeypatch.setattr(runner_module, "_run_units", run_units)
+        writes = _record_replaces(monkeypatch)
+        with pytest.raises(_Interrupted):
+            runner.run()
+        assert writes.count(runner.manifest_path) == 1
+        manifest = json.loads(runner.manifest_path.read_text())
+        assert list(manifest["completed"]) == ["critical_range@0.7/fib"]
+
+        monkeypatch.undo()
+        clear_compiled_cache()
+        resumed = _run(seeded_store, resume=True)
+        assert resumed.units_resumed == 1
+        assert resumed.units_run == 1
+        assert resumed.rows == expected
 
     def test_no_store_no_manifest(self, tmp_path):
         runner = SweepRunner(GRID, store=None, jobs=1)

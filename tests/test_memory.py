@@ -93,3 +93,137 @@ class TestProperties:
             memory.store(addr + offset, byte, 1)
         expected = int.from_bytes(bytes(values), "big")
         assert memory.load(addr, 4) == expected
+
+
+def _byte_load(memory, address, size):
+    """Reference read: one single-byte access per byte."""
+    value = 0
+    for offset in range(size):
+        value = (value << 8) | memory.load(address + offset, 1)
+    return value
+
+
+class TestWordFastPath:
+    """Aligned accesses read and write one page slice; everything else
+    keeps the per-byte path.  Both must agree byte for byte."""
+
+    @given(addr=st.integers(min_value=0, max_value=0x3FFF),
+           size=st.sampled_from([1, 2, 4]),
+           value=st.integers(min_value=0, max_value=0xFFFFFFFF))
+    def test_any_alignment_matches_byte_reads(self, addr, size, value):
+        memory = Memory()
+        memory.store(addr, value, size)
+        expected = value & ((1 << (8 * size)) - 1)
+        assert memory.load(addr, size) == expected
+        assert _byte_load(memory, addr, size) == expected
+
+    @pytest.mark.parametrize("address", [0xFFD, 0xFFE, 0xFFF, 0x1FFF])
+    def test_page_straddling_word(self, address):
+        memory = Memory()
+        memory.store(address, 0xA1B2C3D4, 4)
+        assert memory.load(address, 4) == 0xA1B2C3D4
+        assert _byte_load(memory, address, 4) == 0xA1B2C3D4
+        assert len(memory._pages) == 2
+
+    def test_page_straddling_halfword(self):
+        memory = Memory()
+        memory.store(0xFFF, 0xBEEF, 2)
+        assert memory.load(0xFFF, 2) == 0xBEEF
+        assert memory.load(0x1000, 1) == 0xEF
+
+    @pytest.mark.parametrize("address,size", [(0x101, 4), (0x102, 4),
+                                              (0x103, 2)])
+    def test_unaligned_inside_page(self, address, size):
+        memory = Memory()
+        memory.store(0x100, 0x11223344, 4)
+        memory.store(0x104, 0x55667788, 4)
+        assert memory.load(address, size) == _byte_load(
+            memory, address, size)
+
+    def test_aligned_load_of_unwritten_page(self):
+        memory = Memory()
+        assert memory.load(0x5000, 4) == 0
+        assert memory.load(0x5002, 2) == 0
+        assert not memory._pages            # reads never allocate
+
+    @pytest.mark.parametrize("address,size", [
+        (0xFFFF_FFFC, 8), (-1, 1), (-4, 4), (0xFFFF_FFFF, 2),
+        (0xFFFF_FFFE, 4), (1 << 32, 1),
+    ])
+    def test_out_of_range_raises(self, address, size):
+        with pytest.raises(MemoryError_):
+            Memory().load(address, size)
+        with pytest.raises(MemoryError_):
+            Memory().store(address, 0, size)
+
+    def test_last_word_of_address_space(self):
+        memory = Memory()
+        memory.store(0xFFFF_FFFC, 0xCAFEF00D, 4)
+        assert memory.load(0xFFFF_FFFC, 4) == 0xCAFEF00D
+        memory.store(0xFFFF_FFFF, 0x7F, 1)
+        assert memory.load(0xFFFF_FFFF, 1) == 0x7F
+
+
+def _per_word(words):
+    memory = Memory()
+    for address, word in words.items():
+        memory.store(address, word, 4)
+    return memory
+
+
+class TestBulkLoad:
+    """``store_words`` (one page fill per touched page) leaves exactly the
+    pages one ``store`` per word leaves."""
+
+    @given(words=st.dictionaries(
+        st.integers(min_value=0, max_value=0x7FFF).map(lambda w: 4 * w),
+        st.integers(min_value=0, max_value=0xFFFFFFFF), max_size=64))
+    def test_aligned_images_match_per_word(self, words):
+        memory = Memory()
+        memory.store_words(words)
+        assert memory._pages == _per_word(words)._pages
+
+    @given(words=st.dictionaries(
+        st.integers(min_value=0, max_value=0x3FFF),
+        st.integers(min_value=0, max_value=0xFFFFFFFF), max_size=32))
+    def test_unaligned_images_match_per_word(self, words):
+        memory = Memory()
+        memory.store_words(words)
+        assert memory._pages == _per_word(words)._pages
+
+    def test_zero_words_still_allocate_pages(self):
+        memory = Memory()
+        memory.store_words({0x3000: 0, 0x8004: 0})
+        assert memory._pages == _per_word({0x3000: 0, 0x8004: 0})._pages
+        assert sorted(memory._pages) == [3, 8]
+
+    def test_merges_into_existing_pages(self):
+        memory = Memory()
+        memory.store(0x10, 0xAAAAAAAA, 4)
+        memory.store(0x22, 0xBB, 1)
+        memory.store(0x31, 0xCC, 1)
+        memory.store_words({0x10: 0x01020304, 0x20: 0x05060708})
+        assert memory.load(0x10, 4) == 0x01020304
+        assert memory.load(0x20, 4) == 0x05060708
+        assert memory.load(0x30, 4) == 0x00CC0000
+        memory.store(0x1000, 1, 1)
+        memory.store_words({0x2000: 9})
+        assert memory.load(0x1000, 1) == 1
+
+    def test_words_are_masked_to_32_bits(self):
+        words = {0x0: -1, 0x4: 0x1_2345_6789}
+        memory = Memory()
+        memory.store_words(words)
+        assert memory._pages == _per_word(words)._pages
+        assert memory.load(0x4, 4) == 0x2345_6789
+
+    @pytest.mark.parametrize("address", [-4, 0xFFFF_FFFE, 1 << 32,
+                                         1 << 70])
+    def test_out_of_range_raises(self, address):
+        with pytest.raises(MemoryError_):
+            Memory().store_words({0x0: 1, address: 2})
+
+    def test_empty_image(self):
+        memory = Memory()
+        memory.store_words({})
+        assert not memory._pages

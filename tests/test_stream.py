@@ -283,6 +283,56 @@ class TestStreamingEquivalence:
             StreamingSession(session, window_cycles=0)
 
 
+class TestUnseenProgramWindows:
+    """Seeded random programs nobody characterised, through the window
+    extremes: per-cycle, a prime, the benchmark's size, whole-program."""
+
+    POLICIES = ["instruction", "ex-only", "genie"]
+
+    @pytest.fixture(scope="class")
+    def programs(self):
+        return list(random_source(seed=11, count=2, length=120, repeats=1))
+
+    @pytest.fixture(scope="class")
+    def offline(self, session, programs):
+        return session.evaluate(programs, policies=self.POLICIES,
+                                check_safety=True)
+
+    @pytest.mark.parametrize("window", [1, 7, 256, None])
+    def test_frames_byte_identical_to_offline(self, session, programs,
+                                              offline, window):
+        frame = StreamingSession(session, window_cycles=window).evaluate(
+            programs, policies=self.POLICIES, check_safety=True
+        )
+        assert frame.to_json() == offline.to_json()
+
+    def test_lut_lookups_do_not_grow_with_windows(self, session, programs,
+                                                  monkeypatch):
+        """Class tables are built once per (trace, policy) and sliced per
+        window: single-cycle windows make exactly the LUT lookups one
+        whole-program window makes."""
+        from repro.dta.lut import DelayLUT
+
+        session.lut
+        lookups = []
+        entry = DelayLUT.entry
+
+        def counting_entry(self, cls, stage):
+            lookups.append(cls)
+            return entry(self, cls, stage)
+
+        monkeypatch.setattr(DelayLUT, "entry", counting_entry)
+        counts = {}
+        for window in (None, 256, 7, 1):
+            lookups.clear()
+            StreamingSession(session, window_cycles=window).evaluate(
+                programs, policies=["instruction", "ex-only"]
+            )
+            counts[window] = len(lookups)
+        assert counts[None] > 0
+        assert counts[1] == counts[7] == counts[256] == counts[None]
+
+
 class TestStreamingAdapt:
     @pytest.fixture(scope="class")
     def offline_adapt(self, session):
