@@ -96,21 +96,15 @@ class ExOnlyLutPolicy:
             self.floor_ps,
         )
 
-    def _ex_entry(self, cls):
-        return self.lut.entry(cls, Stage.EX)
-
-    def _adr_entry(self, cls):
-        return self.lut.entry(cls, Stage.ADR)
-
     def periods_for(self, compiled_trace):
         ex = getattr(compiled_trace, "ex_column", int(Stage.EX))
         ex_ids = compiled_trace.class_ids[:, ex]
-        # bound methods compare equal per policy, so a window pass's
-        # shared class tables serve every window of the trace
-        ex_table = compiled_trace.class_column(self._ex_entry)
-        adr_table = compiled_trace.class_column(self._adr_entry)
+        # the LUT's class x stage table, shared with InstructionLutPolicy:
+        # column 0 is the ADR group (every spec starts with it), column
+        # ``ex`` the EX group
+        table = compiled_trace.class_table(self.lut.entry)
         return np.maximum(
-            np.maximum(ex_table[ex_ids], adr_table[ex_ids]), self.floor_ps
+            np.maximum(table[ex_ids, ex], table[ex_ids, 0]), self.floor_ps
         )
 
 

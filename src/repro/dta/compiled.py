@@ -209,10 +209,6 @@ class CompiledTrace:
             for cls in self.class_names
         ], dtype=float)
 
-    def class_column(self, entry):
-        """``(num_classes,)`` vector of ``entry(cls)``."""
-        return np.array([entry(cls) for cls in self.class_names], dtype=float)
-
     def stage_periods(self, table):
         """Gather a class×stage ``table`` along the trace: element
         ``[t, s]`` is the table entry of the class driving stage ``s`` in

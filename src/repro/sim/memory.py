@@ -8,8 +8,9 @@ the SRAM macros as path endpoints like any flip-flop.
 Aligned accesses never straddle a 4 KiB page, so they read and write one
 page slice through ``int.from_bytes``/``to_bytes``; unaligned accesses
 keep the per-byte loop, which handles page-straddling words.  A program
-image is loaded in bulk (:meth:`Memory.store_words`), one NumPy page fill
-per touched page rather than one store per word.
+image (word-aligned by construction) is loaded in bulk
+(:meth:`Memory.store_words`), one NumPy page fill per touched page rather
+than one store per word.
 """
 
 import numpy as np
@@ -75,26 +76,20 @@ class Memory:
             self._page(byte_addr)[byte_addr & _PAGE_MASK] = byte
 
     def store_words(self, words):
-        """Bulk :meth:`store` of a ``{address: word}`` mapping (4-byte,
-        big-endian), with the same resulting pages as one ``store`` per
-        item in mapping order.
-
-        Word-aligned images fill each touched page in one NumPy
-        assignment; an image with any unaligned address (words may then
-        overlap, and the later one wins) takes the per-word path.
-        """
+        """Bulk :meth:`store` of a word-aligned ``{address: word}`` image
+        (32-bit words, big-endian): one NumPy fill per touched page, with
+        the same resulting pages as one ``store`` per item.  Raises
+        :class:`MemoryError_` on an unaligned or out-of-range address."""
         if not words:
             return
         self._check(min(words), 4)
         self._check(max(words), 4)
         addresses = np.fromiter(words, dtype=np.int64, count=len(words))
-        if (addresses & 3).any():
-            for address, word in words.items():
-                self.store(address, word, 4)
-            return
-        values = list(words.values())
-        if min(values) < 0 or max(values) > WORD_MASK:
-            values = [value & WORD_MASK for value in values]
+        unaligned = np.flatnonzero(addresses & 3)
+        if len(unaligned):
+            raise MemoryError_(
+                f"word address not aligned: {int(addresses[unaligned[0]]):#x}"
+            )
         page_ids = addresses >> _PAGE_BITS
         touched, slot = np.unique(page_ids, return_inverse=True)
         block = np.zeros((len(touched), _PAGE_SIZE), dtype=np.uint8)
@@ -103,7 +98,9 @@ class Memory:
             page = self._pages.get(index)
             if page is not None:
                 block[row] = np.frombuffer(page, dtype=np.uint8)
-        block.view(">u4")[slot, (addresses & _PAGE_MASK) >> 2] = values
+        block.view(">u4")[slot, (addresses & _PAGE_MASK) >> 2] = list(
+            words.values()
+        )
         for row, index in enumerate(indices):
             self._pages[index] = bytearray(block[row].tobytes())
 

@@ -251,12 +251,10 @@ _TABLE = _build_table()
 _FIELDS = attrgetter("mnemonic", "rd", "ra", "rb", "imm")
 
 #: dtype of the mnemonic-id columns (:data:`MNEMONIC_ID` values, ``-1``
-#: for none): they ride along with every retired instruction and slot.
-MNEMONIC_DTYPE = np.int16
-
-#: Immediates within this magnitude decode in int64 (``pc + (imm << 2)``
-#: cannot overflow); anything larger decodes as Python ints.
-_INT64_IMM_LIMIT = 1 << 40
+#: for none): they ride along with every retired instruction and slot, so
+#: they take the narrowest type that holds every id (a table outgrowing
+#: it makes the decode's ``np.fromiter`` raise).
+MNEMONIC_DTYPE = np.int8
 
 
 class DecodedImage:
@@ -278,17 +276,21 @@ class DecodedImage:
     per-mnemonic rows of :data:`SPECS` plus array arithmetic on the
     immediates, and the slot tuples are zipped from those columns.
     ``key`` is the image's entry in the shared cache (``None`` for an
-    image built outside it).
+    image built outside it); ``built_at`` is the ``time.perf_counter()``
+    reading when its decode started, so a caller can tell whether an
+    image was decoded after a point in time (the streaming engine's
+    ownership test).
     """
 
     __slots__ = (
-        "key", "addrs", "instrs", "slots", "lookup", "sparse", "fast_ok",
-        "class_names", "np_pc", "np_cls", "np_kind", "np_dest", "np_src",
-        "np_mnem", "memory_proto", "iss_results", "crit_cache",
+        "key", "built_at", "addrs", "instrs", "slots", "lookup", "sparse",
+        "fast_ok", "class_names", "np_pc", "np_cls", "np_kind", "np_dest",
+        "np_src", "np_mnem", "memory_proto", "iss_results", "crit_cache",
     )
 
     def __init__(self, program, key=None):
         self.key = key
+        self.built_at = time.perf_counter()
         instructions = program.instructions
         addrs = sorted(instructions)
         self.addrs = addrs
@@ -303,9 +305,7 @@ class DecodedImage:
             dtype=MNEMONIC_DTYPE, count=count,
         )
         pc = np.array(addrs, dtype=np.int64)
-        wide = count and (min(imms) <= -_INT64_IMM_LIMIT
-                          or max(imms) >= _INT64_IMM_LIMIT)
-        imm = np.array(imms, dtype=object if wide else np.int64)
+        imm = np.array(imms, dtype=np.int64)
         table = _TABLE
 
         op = table["op"][mnem]
@@ -494,11 +494,6 @@ def reset_stats():
 def clear_images():
     """Drop every cached image (tests / memory pressure)."""
     _images.clear()
-
-
-def is_image_cached(program):
-    """Whether the image cache currently holds ``program``'s decode."""
-    return _image_key(program) in _images
 
 
 def discard_image(image):

@@ -33,6 +33,7 @@ export):
 window size, including a Hypothesis window-partition property test.
 """
 
+import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -242,15 +243,16 @@ class StreamingSession:
         session = self.session
         max_cycles = session.max_cycles
         already = is_trace_cached(program, session.design, max_cycles)
-        images_built = predecode.stats()["images_built"]
+        started = time.perf_counter()
         compiled = get_compiled_trace(
             program, session.design, max_cycles=max_cycles
         )
         if not already:
-            # an image decoded by this compile is the trace's own
+            # an image decoded during this compile is the trace's own;
+            # one that was cached before stays (its build time says so)
+            image = compiled.image
             owned_image = (
-                compiled.image
-                if predecode.stats()["images_built"] != images_built
+                image if image is not None and image.built_at >= started
                 else None
             )
             self._owned_programs.append((program, owned_image))

@@ -17,17 +17,17 @@ cross-cycle state (``learned:`` recent-window counts) streams through
 :class:`repro.ml.features.WindowedFeatureExtractor` instead.
 
 The windows of one :func:`iter_windows` pass share their class tables: a
-LUT policy's class×stage table is built once per (trace, ``entry``
-callable) and every window gathers its own cycles from it, so a stream
+LUT policy's class×stage table is built once per (trace, LUT) and every
+window gathers its own cycles from it, so a stream
 cut into single-cycle windows makes no more LUT lookups than one
 whole-program window.
 """
 
 import numpy as np
 
-#: Class tables one window pass keeps (one per ``entry`` callable) before
-#: it starts over — a caller that passes a fresh callable every time can
-#: never grow the memo past this.
+#: Class tables one window pass keeps (one per ``entry`` callable, i.e.
+#: one per LUT) before it starts over, so the memo stays bounded whatever
+#: callables its callers pass.
 TABLE_MEMO_CAP = 16
 
 
@@ -103,27 +103,18 @@ class TraceWindow:
             self.start_cycle:self.stop_cycle
         ]
 
-    def _shared_table(self, kind, entry, build):
-        key = (kind, entry)
-        table = self._tables.get(key)
-        if table is None:
-            if len(self._tables) >= TABLE_MEMO_CAP:
-                self._tables.clear()
-            table = build(entry)
-            table.flags.writeable = False
-            self._tables[key] = table
-        return table
-
     def class_table(self, entry):
         """``(num_classes, num_stages)`` table of ``entry(cls, stage)``
         with one column per pipeline-spec stage (read-only, built once
         per window pass)."""
-        return self._shared_table("stage", entry, self.parent.class_table)
-
-    def class_column(self, entry):
-        """``(num_classes,)`` vector of ``entry(cls)`` (read-only, built
-        once per window pass)."""
-        return self._shared_table("column", entry, self.parent.class_column)
+        table = self._tables.get(entry)
+        if table is None:
+            if len(self._tables) >= TABLE_MEMO_CAP:
+                self._tables.clear()
+            table = self.parent.class_table(entry)
+            table.flags.writeable = False
+            self._tables[entry] = table
+        return table
 
     def stage_periods(self, table):
         """Gather a class×stage ``table`` along the window's cycles."""

@@ -183,13 +183,12 @@ class TestBulkLoad:
         memory.store_words(words)
         assert memory._pages == _per_word(words)._pages
 
-    @given(words=st.dictionaries(
-        st.integers(min_value=0, max_value=0x3FFF),
-        st.integers(min_value=0, max_value=0xFFFFFFFF), max_size=32))
-    def test_unaligned_images_match_per_word(self, words):
+    @pytest.mark.parametrize("address", [0x1, 0x2, 0x1003])
+    def test_unaligned_address_raises(self, address):
         memory = Memory()
-        memory.store_words(words)
-        assert memory._pages == _per_word(words)._pages
+        with pytest.raises(MemoryError_, match="not aligned"):
+            memory.store_words({0x0: 1, address: 2})
+        assert not memory._pages
 
     def test_zero_words_still_allocate_pages(self):
         memory = Memory()
@@ -209,13 +208,6 @@ class TestBulkLoad:
         memory.store(0x1000, 1, 1)
         memory.store_words({0x2000: 9})
         assert memory.load(0x1000, 1) == 1
-
-    def test_words_are_masked_to_32_bits(self):
-        words = {0x0: -1, 0x4: 0x1_2345_6789}
-        memory = Memory()
-        memory.store_words(words)
-        assert memory._pages == _per_word(words)._pages
-        assert memory.load(0x4, 4) == 0x2345_6789
 
     @pytest.mark.parametrize("address", [-4, 0xFFFF_FFFE, 1 << 32,
                                          1 << 70])

@@ -80,8 +80,8 @@ def _operands(spec, step):
 
 def _directed_program():
     """Every SPECS mnemonic twice (odd and even operand patterns), the
-    halt and non-halt nop, a mnemonic outside the table, immediates too
-    wide for int64 arithmetic, and a data word."""
+    halt and non-halt nop, a mnemonic outside the table and a data
+    word."""
     program = Program(name="directed")
     address = 0
     for step, spec in enumerate(list(SPECS.values()) * 2):
@@ -91,14 +91,9 @@ def _directed_program():
     for instruction in (Instruction("l.nop", imm=1), Instruction("l.nop")):
         program.add_word(address, encode(instruction), instruction)
         address += 4
-    for instruction in (
-        Instruction("l.custom", rd=1, ra=2, rb=3, imm=9),
-        Instruction("l.addi", rd=1, ra=2, imm=1 << 45),
-        Instruction("l.j", imm=-(1 << 62)),
-        Instruction("l.sfltsi", ra=4, imm=-(1 << 70)),
-    ):
-        program.add_word(address, 0, instruction)
-        address += 4
+    program.add_word(address, 0, Instruction("l.custom", rd=1, ra=2, rb=3,
+                                             imm=9))
+    address += 4
     program.add_word(address + 64, 0xDEADBEEF)
     return program
 

@@ -257,11 +257,37 @@ class TestStreamingEquivalence:
         for program in programs[:-2]:
             assert not is_trace_cached(program, session.design,
                                        session.max_cycles)
-            assert not predecode.is_image_cached(program)
+            assert predecode._image_key(program) not in predecode._images
         for program in programs[-2:]:
             assert is_trace_cached(program, session.design,
                                    session.max_cycles)
-            assert predecode.is_image_cached(program)
+            assert predecode._image_key(program) in predecode._images
+
+    def test_stream_keeps_images_cached_before(self, session, monkeypatch):
+        """An image decoded before the stream stays cached, even when
+        another program is decoded while the stream compiles it."""
+        from repro.sim import predecode
+        from repro.stream import random_source
+        from repro.stream import session as stream_session
+
+        programs = list(random_source(seed=23, count=4, length=120,
+                                      repeats=1))
+        bystander = list(random_source(seed=29, count=4, length=120,
+                                       repeats=1))
+        pre_decoded = [predecode.image_for(program) for program in programs]
+        compile_trace = stream_session.get_compiled_trace
+
+        def compile_alongside_a_decode(program, *args, **kwargs):
+            predecode.image_for(bystander[programs.index(program)])
+            return compile_trace(program, *args, **kwargs)
+
+        monkeypatch.setattr(stream_session, "get_compiled_trace",
+                            compile_alongside_a_decode)
+        streaming = StreamingSession(session, window_cycles=128,
+                                     retain_traces=1)
+        streaming.evaluate(programs, policies=["instruction"])
+        for image in pre_decoded:
+            assert predecode._images.get(image.key) is image
 
     def test_stream_counters(self, session):
         from repro.obs import metrics as obs_metrics
@@ -331,6 +357,32 @@ class TestUnseenProgramWindows:
             counts[window] = len(lookups)
         assert counts[None] > 0
         assert counts[1] == counts[7] == counts[256] == counts[None]
+
+    def test_lut_lookups_stay_flat_across_many_configs(
+            self, session, programs, monkeypatch):
+        """Every LUT policy of every config shares one class table per
+        trace, so a grid larger than the window memo still builds it
+        once per window pass."""
+        from repro.dta.lut import DelayLUT
+
+        session.lut
+        lookups = []
+        entry = DelayLUT.entry
+
+        def counting_entry(self, cls, stage):
+            lookups.append(cls)
+            return entry(self, cls, stage)
+
+        monkeypatch.setattr(DelayLUT, "entry", counting_entry)
+        counts = {}
+        for window in (None, 1):
+            lookups.clear()
+            StreamingSession(session, window_cycles=window).evaluate(
+                programs, policies=["instruction", "ex-only"],
+                generators=["ideal", "ring"], margins=[0, 2, 4, 6, 8],
+            )
+            counts[window] = len(lookups)
+        assert counts[1] == counts[None] > 0
 
 
 class TestStreamingAdapt:
