@@ -17,7 +17,7 @@ from repro.utils.stats import Histogram
 def _collect(characterization):
     samples = {stage: [] for stage in Stage}
     for run in characterization.runs:
-        run_samples = class_stage_delays(run.dta, run.trace, "l.mul(i)")
+        run_samples = class_stage_delays(run.dta, run.compiled, "l.mul(i)")
         for stage in Stage:
             samples[stage].extend(run_samples[stage])
     return samples

@@ -7,7 +7,7 @@ simulation -> DTA -> extraction), exactly the paper's methodology.
 
 from conftest import publish
 
-from repro.dta.extraction import extract_lut
+from repro.dta.extraction import extract_lut_arrays
 from repro.flow.experiment import ExperimentReport
 from repro.paperdata import TABLE2_INSTRUCTION_DELAYS
 from repro.utils.tables import format_table
@@ -15,8 +15,8 @@ from repro.utils.tables import format_table
 
 def _extract(characterization, design):
     run = characterization.runs[-1]
-    return extract_lut(
-        run.dta, run.trace, design.static_period_ps, min_occurrences=1
+    return extract_lut_arrays(
+        run.dta, run.compiled, design.static_period_ps, min_occurrences=1
     )
 
 

@@ -14,11 +14,8 @@ Reproduces Sec. II-B / IV-A interactively:
 Run:  python examples/characterize_core.py
 """
 
-import numpy as np
-
-from repro.dta.analyzer import analyze_event_log
-from repro.dta.extraction import extract_lut
-from repro.dta.gatesim import run_gatesim
+from repro.dta.extraction import extract_lut_arrays
+from repro.flow.characterize import characterize_program
 from repro.sim.trace import Stage
 from repro.timing.design import build_design
 from repro.timing.profiles import DesignVariant
@@ -47,14 +44,13 @@ def main():
     print("\n=== Step 2: gate-level simulation (directed semi-random) ===")
     program = generate_characterization_program(seed=1, length=800,
                                                 repeats=2)
-    result = run_gatesim(program, optimized)
-    print(f"{result.program_name}: {result.num_cycles} cycles, "
-          f"{result.event_log.num_events} endpoint events "
-          f"@ sim period {result.event_log.sim_period_ps:.0f} ps")
+    _, _, run = characterize_program(program, optimized, keep_run=True)
+    dta = run.dta
+    print(f"{run.program_name}: {run.num_cycles} cycles "
+          f"@ sim period {dta.sim_period_ps:.0f} ps")
 
     # -- step 3: dynamic timing analysis -----------------------------------
     print("\n=== Step 3: dynamic timing analysis ===")
-    dta = analyze_event_log(result.event_log)
     print(f"mean per-cycle worst delay: {dta.mean_cycle_delay_ps:.0f} ps "
           f"(static bound {optimized.static_period_ps:.0f} ps)")
     print(f"genie-aided speedup bound: "
@@ -66,8 +62,8 @@ def main():
 
     # -- step 4: instruction timing extraction ------------------------------
     print("\n=== Step 4: per-instruction extraction (Table II) ===")
-    lut = extract_lut(dta, result.trace, optimized.static_period_ps,
-                      min_occurrences=20)
+    lut = extract_lut_arrays(dta, run.compiled, optimized.static_period_ps,
+                             min_occurrences=20)
     print(lut.render(classes=[
         "l.add(i)", "l.and(i)", "l.bf", "l.j", "l.lwz", "l.mul(i)",
         "l.sll(i)", "l.xor(i)", "<bubble>",

@@ -1,46 +1,45 @@
 """Dynamic timing analysis (paper Sec. II-B.2).
 
-The flow mirrors the paper's tooling chain:
+The paper characterises its core in four steps: gate-level simulation,
+an endpoint event log, its DTA tool over that log, and per-instruction
+worst-case extraction into the LUT.  This package runs those steps on
+arrays, one path per step:
 
-1. :mod:`repro.dta.gatesim` — "gate-level simulation": runs a program on
-   the cycle-accurate pipeline while sampling the excitation model, and
-   emits an endpoint event log (last data-input event vs. next clock edge
-   per sequential element per cycle, like the paper's Modelsim/TSSI flow);
-2. :mod:`repro.dta.analyzer` — the DTA tool: recovers per-endpoint dynamic
-   delays from the event log (accounting for per-endpoint clock skew and
-   setup), groups endpoints into pipeline-stage path groups, and computes
-   per-cycle per-stage maxima, the genie-aided bound and limiting-stage
-   statistics (Figs. 5 and 6);
-3. :mod:`repro.dta.extraction` — per-instruction worst-case extraction:
-   attributes stage delays to the driving instruction's timing class and
-   produces the delay-prediction LUT (Table II), with the static-timing
-   fallback for under-characterised instructions;
-4. :mod:`repro.dta.histograms` — Fig. 5 / Fig. 7 histogram builders;
-5. :mod:`repro.dta.compiled` — compiled pipeline traces (class-id and
-   excited-delay matrices, cached per program × design) powering the batch
-   evaluation engine in :mod:`repro.flow.evaluate`.
+1. :mod:`repro.dta.gatesim` — "gate-level simulation" and the DTA:
+   :func:`~repro.dta.gatesim.run_dta` runs a program on the vector
+   pipeline engine, compiles its excited-delay matrix and replays the
+   event-log timestamp arithmetic on it (per-endpoint rounding, clock
+   skew and setup), giving the per-cycle per-stage delays, the
+   genie-aided bound and the limiting-stage statistics (Figs. 5 and 6)
+   in a :class:`~repro.dta.gatesim.DtaResult`;
+2. :mod:`repro.dta.extraction` — per-instruction worst-case extraction:
+   attributes stage delays to the driving instruction's timing class
+   through the compiled trace and produces the delay-prediction LUT
+   (Table II), with the static-timing fallback for under-characterised
+   instructions;
+3. :mod:`repro.dta.histograms` — Fig. 5 / Fig. 7 histogram builders;
+4. :mod:`repro.dta.compiled` — compiled pipeline traces (class-id and
+   excited-delay matrices, cached per program × design) powering the
+   characterisation above and the batch evaluation engine in
+   :mod:`repro.flow.evaluate`.
+
+The materialised event log and the per-record extraction are the
+bit-identity reference for this path; they live in the test oracle
+(``tests/oracle.py``), not here.
 """
 
-from repro.dta.analyzer import DtaResult, analyze_event_log
 from repro.dta.compiled import (
     CompiledTrace,
     compile_trace,
     get_compiled_trace,
     worst_per_cycle,
 )
-from repro.dta.events import EndpointEvent, EventLog
-from repro.dta.extraction import extract_lut
-from repro.dta.gatesim import GateLevelSimulator, GateSimResult
+from repro.dta.gatesim import DtaResult, run_dta
 from repro.dta.lut import DelayLUT
 
 __all__ = [
-    "EndpointEvent",
-    "EventLog",
-    "GateLevelSimulator",
-    "GateSimResult",
     "DtaResult",
-    "analyze_event_log",
-    "extract_lut",
+    "run_dta",
     "DelayLUT",
     "CompiledTrace",
     "compile_trace",

@@ -1,6 +1,6 @@
 """Per-instruction worst-case delay extraction (paper's Matlab step).
 
-Combines the DTA per-cycle stage delays with the pipeline trace: every
+Combines the DTA per-cycle stage delays with the compiled trace: every
 stage-group delay in every cycle is attributed to the timing class of the
 instruction *driving* that group in that cycle (the same driver mapping the
 excitation model and the clock controller use — see
@@ -36,72 +36,17 @@ def attribute_cycle(record):
     return classes
 
 
-def extract_lut(dta_result, trace, static_period_ps,
-                min_occurrences=DEFAULT_MIN_OCCURRENCES, source=""):
-    """Build the :class:`DelayLUT` from one characterisation run.
-
-    Parameters
-    ----------
-    dta_result:
-        Output of :func:`repro.dta.analyzer.analyze_event_log`.
-    trace:
-        The pipeline trace of the same run (provides the attribution).
-    static_period_ps:
-        Fallback period for under-characterised classes.
-    min_occurrences:
-        Minimum EX-stage observations to trust a class's entries.
-    """
-    if dta_result.num_cycles != trace.num_cycles:
-        raise ValueError(
-            f"DTA covers {dta_result.num_cycles} cycles but the trace has "
-            f"{trace.num_cycles}"
-        )
-
-    entries = {}
-    ex_counts = {}
-    for record in trace.records:
-        classes = attribute_cycle(record)
-        for stage in Stage:
-            cls = classes[stage]
-            delay = float(dta_result.stage_delays[stage][record.cycle])
-            row = entries.setdefault(cls, {})
-            if delay > row.get(stage, 0.0):
-                row[stage] = delay
-        ex_cls = classes[Stage.EX]
-        ex_counts[ex_cls] = ex_counts.get(ex_cls, 0) + 1
-
-    characterized = {
-        cls for cls, count in ex_counts.items() if count >= min_occurrences
-    }
-    # Bubbles are ubiquitous; they are characterised whenever seen at all.
-    if BUBBLE_CLASS in ex_counts:
-        characterized.add(BUBBLE_CLASS)
-
-    # complete rows: a class must have an entry for every stage group
-    for cls, row in entries.items():
-        for stage in Stage:
-            row.setdefault(stage, static_period_ps)
-
-    return DelayLUT(
-        static_period_ps=static_period_ps,
-        entries=entries,
-        occurrences=ex_counts,
-        characterized=characterized,
-        min_occurrences=min_occurrences,
-        source=source,
-    )
-
-
 def extract_lut_arrays(dta_result, compiled, static_period_ps,
                        min_occurrences=DEFAULT_MIN_OCCURRENCES, source=""):
-    """Array-path :func:`extract_lut`: attribution from a compiled trace.
+    """Build the :class:`DelayLUT` from one characterisation run.
 
-    The compiled class-id matrix *is* :func:`attribute_cycle` in bulk (the
-    ADR column already keys on the EX occupant), so the per-class,
-    per-stage maxima reduce to one ``np.maximum.at`` per stage and the EX
-    occurrence counts to a ``bincount``.  Produces a LUT equal to the
-    record-path one — same entries, occurrences, characterized set — for
-    the same DTA data.
+    ``dta_result`` is the run's :class:`~repro.dta.gatesim.DtaResult`;
+    ``compiled`` is the compiled trace of the same run, whose class-id
+    matrix *is* :func:`attribute_cycle` in bulk (the ADR column already
+    keys on the EX occupant).  The per-class, per-stage maxima reduce to
+    one ``np.maximum.at`` per column and the EX occurrence counts to a
+    ``bincount``; classes seen fewer than ``min_occurrences`` times in EX
+    are not characterised.
 
     Non-default pipeline specs fold their columns onto the six canonical
     :class:`Stage` groups (several decode stages all accumulate into the

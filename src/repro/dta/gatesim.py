@@ -1,25 +1,34 @@
-"""Gate-level simulation substitute: pipeline run + excitation sampling.
+"""Gate-level simulation and dynamic timing analysis (paper Sec. II-B.2).
 
 The paper runs the placed-and-routed netlist in Modelsim at a "low" clock
-frequency and records an event log of all endpoint data/clock activity.
-Here the cycle-accurate pipeline provides the per-cycle stage occupancy,
-and the excitation model provides the worst data-arrival delay of each
-endpoint group; the result is serialised into exactly the event-log shape
-the analyzer consumes.
+frequency, records an event log of all endpoint data/clock activity and
+runs its DTA tool over that log.  Here the vector pipeline engine provides
+the per-cycle stage occupancy, the excitation model the worst data-arrival
+delay of each stage column, and :func:`recovered_stage_delays` replays the
+event-log timestamp arithmetic on the resulting delay matrix: what the DTA
+recovers is exactly what it would read off the materialised log.
 
-Each stage group materialises events on its (few) representative endpoints:
+Each stage group is observed through its (few) representative endpoints:
 the worst endpoint of the group carries the excited delay; the others trail
-at fixed fractions, exercising the analyzer's per-endpoint max reduction.
+at fixed fractions, and the DTA keeps the per-endpoint maximum.
+
+:class:`DtaResult` holds what the analysis recovers:
+
+- the per-cycle, per-column worst delays ``d_s[t]`` (the per-endpoint
+  clock/data comparison makes clock skew cancel, as the paper emphasises);
+- the per-cycle overall worst delay (the genie-aided minimum safe period),
+  its distribution (Fig. 5) and the time-average lower bound on T_avg;
+- which stage group limits each cycle (Fig. 6).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dta.events import EndpointEvent, EventLog
 from repro.sim import vector
 from repro.sim.trace import Stage
 from repro.utils.rounding import round3_array
+from repro.utils.stats import Histogram
 
 #: Data-arrival fractions of the non-worst endpoints in each group.
 _TRAILING_FRACTIONS = (1.0, 0.86, 0.67)
@@ -27,151 +36,109 @@ _TRAILING_FRACTIONS = (1.0, 0.86, 0.67)
 #: Default gate-sim clock period margin above the STA period.
 _SIM_PERIOD_MARGIN = 1.10
 
+#: Safety bound on the pipeline run of one characterisation program.
+MAX_CYCLES = 2_000_000
+
 
 @dataclass
-class GateSimResult:
-    """Output bundle of one characterisation run."""
+class DtaResult:
+    """Per-cycle dynamic timing data recovered by the DTA."""
 
-    program_name: str
-    event_log: EventLog
-    trace: object                    # PipelineTrace
-    design: object                   # ProcessorDesign
+    sim_period_ps: float
     num_cycles: int
+    #: column -> numpy array of per-cycle worst delays (ps).
+    stage_delays: dict = field(default_factory=dict)
+    #: per-cycle overall worst delay (ps).
+    cycle_max: np.ndarray = None
+    #: per-cycle limiting column (a :class:`Stage` value on the default
+    #: six-stage spec).
+    limiting_stage: np.ndarray = None
+    #: canonical :class:`Stage` group (as int) of every column.
+    group_of: tuple = tuple(int(stage) for stage in Stage)
+
+    # -- Fig. 5 statistics ----------------------------------------------------
 
     @property
-    def pc_trace(self):
-        """Program-counter trace of retired instructions (paper's .das input)."""
-        return [pc for pc, _ in self.trace.retired]
+    def mean_cycle_delay_ps(self):
+        """Optimistic lower bound on the average clock period (genie)."""
+        return float(self.cycle_max.mean())
+
+    @property
+    def max_cycle_delay_ps(self):
+        return float(self.cycle_max.max())
+
+    def genie_speedup_percent(self, static_period_ps):
+        """Theoretical speedup of perfect per-cycle adjustment (Sec. IV-A)."""
+        return (static_period_ps / self.mean_cycle_delay_ps - 1.0) * 100.0
+
+    def delay_histogram(self, num_bins=40, low=0.0, high=None):
+        """Histogram of per-cycle worst delays (paper Fig. 5)."""
+        if high is None:
+            high = float(np.ceil(self.max_cycle_delay_ps / 100.0) * 100.0)
+        histogram = Histogram(low=low, high=high, num_bins=num_bins)
+        histogram.extend(self.cycle_max.tolist())
+        return histogram
+
+    # -- Fig. 6 statistics ----------------------------------------------------
+
+    def limiting_stage_shares(self):
+        """Fraction of cycles in which each stage group holds the worst
+        endpoint (limiting columns fold onto their groups)."""
+        groups = np.asarray(self.group_of)[self.limiting_stage]
+        counts = np.bincount(groups, minlength=len(Stage))
+        return {
+            stage: float(counts[stage] / self.num_cycles) for stage in Stage
+        }
+
+    def dominant_stage(self):
+        shares = self.limiting_stage_shares()
+        return max(shares, key=lambda stage: shares[stage])
 
 
-class GateLevelSimulator:
-    """Runs a program against a design and produces the event log.
+def _sim_period(design, sim_period_ps=None):
+    """Resolved gate-sim clock period: 10 % above the STA period by
+    default; a period below STA is rejected (the characterisation must
+    itself be timing-safe)."""
+    if sim_period_ps is None:
+        sim_period_ps = design.static_period_ps * _SIM_PERIOD_MARGIN
+    if sim_period_ps < design.static_period_ps:
+        raise ValueError(
+            "gate-level simulation must run at or below the STA "
+            f"frequency: period {sim_period_ps} ps < "
+            f"{design.static_period_ps} ps"
+        )
+    return sim_period_ps
 
-    Parameters
-    ----------
-    program:
-        Assembled program.
-    design:
-        :class:`~repro.timing.design.ProcessorDesign`.
-    sim_period_ps:
-        Gate-sim clock period; defaults to 10 % above the STA period (the
-        characterisation must itself be timing-safe).
-    max_cycles:
-        Safety bound for the pipeline run.
+
+def run_dta(program, design, sim_period_ps=None):
+    """Simulate one characterisation program and run the DTA on it.
+
+    The compiled trace supplies both the excited-delay matrix the DTA
+    reads and the per-cycle class attribution the extraction needs.
+
+    Returns ``(dta_result, compiled_trace)``.
     """
+    from repro.dta.compiled import compile_vector_run, worst_per_cycle
 
-    def __init__(self, program, design, sim_period_ps=None,
-                 max_cycles=2_000_000):
-        self.program = program
-        self.design = design
-        if sim_period_ps is None:
-            sim_period_ps = design.static_period_ps * _SIM_PERIOD_MARGIN
-        if sim_period_ps < design.static_period_ps:
-            raise ValueError(
-                "gate-level simulation must run at or below the STA "
-                f"frequency: period {sim_period_ps} ps < "
-                f"{design.static_period_ps} ps"
-            )
-        self.sim_period_ps = sim_period_ps
-        self.max_cycles = max_cycles
+    sim_period_ps = _sim_period(design, sim_period_ps)
+    spec = design.pipeline_spec
+    run = vector.simulate(program, max_cycles=MAX_CYCLES, spec=spec)
+    compiled = compile_vector_run(run, design.excitation)
 
-    def run(self):
-        """Simulate and emit the event log.
-
-        The event-log path registers one endpoint set per canonical stage
-        group, so it models the default six-stage machine only; other
-        pipeline specs characterise through the array path
-        (:meth:`run_dta`), which keys delays per spec column.
-        """
-        spec = self.design.pipeline_spec
-        if not spec.is_default:
-            raise ValueError(
-                "event-log characterisation supports the default pipeline "
-                f"spec only; spec {spec.name!r} must use run_dta()"
-            )
-        trace = vector.simulate(self.program,
-                                max_cycles=self.max_cycles).trace
-
-        log = EventLog(sim_period_ps=self.sim_period_ps)
-        endpoints_by_stage = {}
-        for stage in Stage:
-            stage_endpoints = self.design.netlist.endpoints_for(stage)
-            endpoints_by_stage[stage] = stage_endpoints
-            for endpoint in stage_endpoints:
-                log.register_endpoint(
-                    endpoint.name, stage.name, endpoint.setup_ps
-                )
-
-        excitation = self.design.excitation
-        period = self.sim_period_ps
-        for record in trace.records:
-            t0 = record.cycle * period
-            for stage in Stage:
-                excited = excitation.group_delay(record, stage)
-                for endpoint, fraction in zip(
-                    endpoints_by_stage[stage], _TRAILING_FRACTIONS
-                ):
-                    delay = excited.delay_ps * fraction
-                    # data must arrive `setup` before the (skewed) edge for
-                    # a path of this delay: D = arrival - t0 + setup - skew
-                    t_data = t0 + delay - endpoint.setup_ps + endpoint.skew_ps
-                    t_clock = t0 + period + endpoint.skew_ps
-                    log.add(
-                        EndpointEvent(
-                            cycle=record.cycle,
-                            endpoint=endpoint.name,
-                            t_data_ps=round(t_data, 3),
-                            t_clock_ps=round(t_clock, 3),
-                        )
-                    )
-        log.num_cycles = trace.num_cycles
-        return GateSimResult(
-            program_name=self.program.name,
-            event_log=log,
-            trace=trace,
-            design=self.design,
-            num_cycles=trace.num_cycles,
-        )
-
-
-    def run_dta(self):
-        """Array fast path: simulate, 'log', and analyze in one sweep.
-
-        Produces the :class:`~repro.dta.analyzer.DtaResult` (and the
-        compiled trace that supplies the per-cycle attribution) that
-        :meth:`run` + :func:`~repro.dta.analyzer.analyze_event_log` would
-        produce — bit-identically — without materialising half a million
-        :class:`EndpointEvent` objects.  The event-log timestamp
-        arithmetic (per-endpoint rounding, setup/skew offsets, the
-        slack-recovery subtraction) is replayed exactly on the compiled
-        ground-truth delay matrix; ``tests/test_characterize_flow.py``
-        holds the two paths together.
-
-        Returns ``(dta_result, compiled_trace)``.
-        """
-        from repro.dta.analyzer import DtaResult
-        from repro.dta.compiled import compile_vector_run, worst_per_cycle
-
-        spec = self.design.pipeline_spec
-        run = vector.simulate(self.program, max_cycles=self.max_cycles,
-                              spec=spec)
-        compiled = compile_vector_run(run, self.design.excitation)
-
-        recovered = recovered_stage_delays(
-            compiled.delays, self.design, self.sim_period_ps
-        )
-        cycle_max, limiting = worst_per_cycle(recovered)
-        dta = DtaResult(
-            sim_period_ps=self.sim_period_ps,
-            num_cycles=compiled.num_cycles,
-            stage_delays={
-                column: recovered[:, column]
-                for column in range(spec.num_stages)
-            },
-            cycle_max=cycle_max,
-            limiting_stage=limiting,
-        )
-        return dta, compiled
+    recovered = recovered_stage_delays(compiled.delays, design, sim_period_ps)
+    cycle_max, limiting = worst_per_cycle(recovered)
+    dta = DtaResult(
+        sim_period_ps=sim_period_ps,
+        num_cycles=compiled.num_cycles,
+        stage_delays={
+            column: recovered[:, column]
+            for column in range(spec.num_stages)
+        },
+        cycle_max=cycle_max,
+        limiting_stage=limiting,
+        group_of=spec.group_of,
+    )
+    return dta, compiled
 
 
 def recovered_stage_delays(delays, design, sim_period_ps):
@@ -183,8 +150,9 @@ def recovered_stage_delays(delays, design, sim_period_ps):
     the analyzer recovers ``period - slack``.  This function replays that
     exact arithmetic on the ``(cycles, stages)`` excited-delay matrix —
     the recovered value differs from the excited delay by the rounding
-    noise of the timestamps, which is why extraction must run on *this*
-    matrix to stay bit-identical to the event-log reference path.
+    noise of the timestamps, which is why extraction runs on *this*
+    matrix: the LUT is bit-identical to one extracted from the
+    materialised event log.
     """
     spec = design.pipeline_spec
     num_cycles = len(delays)
@@ -215,8 +183,3 @@ def recovered_stage_delays(delays, design, sim_period_ps):
             )
         recovered[:, index] = column
     return recovered
-
-
-def run_gatesim(program, design, sim_period_ps=None):
-    """Convenience wrapper for one characterisation run."""
-    return GateLevelSimulator(program, design, sim_period_ps).run()

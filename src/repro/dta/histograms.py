@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.dta.extraction import attribute_cycle
 from repro.sim.trace import Stage
 from repro.utils.stats import Histogram
 
@@ -16,28 +15,33 @@ def fig5_histogram(dta_result, num_bins=40, high=None):
     return dta_result.delay_histogram(num_bins=num_bins, high=high)
 
 
-def class_stage_delays(dta_result, trace, timing_class):
+def class_stage_delays(dta_result, compiled, timing_class):
     """Per-stage delay samples attributed to one timing class.
 
-    For every cycle in which ``timing_class`` drives a stage group, collect
-    that group's measured delay.  This reproduces the per-stage
+    For every cycle in which ``timing_class`` drives a stage column (the
+    compiled trace's class attribution, as in LUT extraction), collect
+    that column's measured delay under the column's canonical
+    :class:`Stage` group, in cycle order.  This reproduces the per-stage
     distributions of Fig. 7 (shown there for ``l.mul``).
     """
-    samples = {stage: [] for stage in Stage}
-    for record in trace.records:
-        classes = attribute_cycle(record)
-        for stage in Stage:
-            if classes[stage] == timing_class:
-                samples[stage].append(
-                    float(dta_result.stage_delays[stage][record.cycle])
-                )
+    names = compiled.class_names
+    class_id = names.index(timing_class) if timing_class in names else -1
+    driven = compiled.class_ids == class_id
+    delays = np.column_stack([
+        dta_result.stage_delays[column] for column in range(driven.shape[1])
+    ])
+    group_of = np.asarray(compiled.pipeline_spec.group_of)
+    samples = {}
+    for stage in Stage:
+        columns = group_of == stage
+        samples[stage] = delays[:, columns][driven[:, columns]].tolist()
     return samples
 
 
-def fig7_histograms(dta_result, trace, timing_class="l.mul(i)",
+def fig7_histograms(dta_result, compiled, timing_class="l.mul(i)",
                     num_bins=25, high=None):
     """Per-stage delay histograms for one instruction class (Fig. 7)."""
-    samples = class_stage_delays(dta_result, trace, timing_class)
+    samples = class_stage_delays(dta_result, compiled, timing_class)
     if high is None:
         peak = max(
             (max(values) for values in samples.values() if values),

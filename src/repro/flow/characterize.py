@@ -1,18 +1,13 @@
-"""Characterisation flow: programs → event logs → DTA → delay LUT.
+"""Characterisation flow: programs → gate-level simulation → DTA → LUT.
 
 Mirrors the paper's Fig. 2 right half: gate-level simulation of
-characterisation programs, dynamic timing analysis of the resulting event
-logs, per-instruction extraction and LUT merge.
-
-The flow is vectorized:
-:meth:`~repro.dta.gatesim.GateLevelSimulator.run_dta` replays the
-event-log arithmetic on the compiled delay matrices and
-:func:`~repro.dta.extraction.extract_lut_arrays` reduces the attribution
-with array maxima.  The materialised event-log path
-(:meth:`~repro.dta.gatesim.GateLevelSimulator.run` →
-:func:`~repro.dta.analyzer.analyze_event_log` →
-:func:`~repro.dta.extraction.extract_lut`) is the test oracle
-(``tests/oracle.py``) this flow is held byte-identical to.
+characterisation programs, dynamic timing analysis, per-instruction
+extraction and LUT merge.  Each program runs through
+:func:`~repro.dta.gatesim.run_dta` (vector simulation, compiled delay
+matrix, replayed event-log arithmetic) and
+:func:`~repro.dta.extraction.extract_lut_arrays` (array maxima over the
+compiled class attribution); the test oracle (``tests/oracle.py``)
+holds the materialised event-log flow this one is byte-identical to.
 :class:`repro.api.Session` (``Session.characterize``) is the entry point.
 
 Characterisation shards: each program's gate-sim batch is independent, so
@@ -35,7 +30,7 @@ from repro.dta.extraction import (
     extract_lut_arrays,
     merge_luts,
 )
-from repro.dta.gatesim import GateLevelSimulator
+from repro.dta.gatesim import run_dta
 from repro.workloads.suite import characterization_suite
 
 
@@ -46,7 +41,7 @@ class CharacterizationRun:
     program_name: str
     num_cycles: int
     dta: object           # DtaResult
-    trace: object         # PipelineTrace
+    compiled: object      # CompiledTrace (per-cycle class attribution)
     lut: object           # per-run DelayLUT
 
 
@@ -79,9 +74,7 @@ def characterize_program(program, design,
     :class:`CharacterizationRun` when ``keep_run`` is set, else ``None``.
     """
     with obs_span("characterize.program", program=program.name):
-        gatesim = GateLevelSimulator(program, design,
-                                     sim_period_ps=sim_period_ps)
-        dta, compiled = gatesim.run_dta()
+        dta, compiled = run_dta(program, design, sim_period_ps=sim_period_ps)
         lut = extract_lut_arrays(
             dta, compiled, design.static_period_ps,
             min_occurrences=min_occurrences, source=program.name,
@@ -92,7 +85,7 @@ def characterize_program(program, design,
                 program_name=program.name,
                 num_cycles=compiled.num_cycles,
                 dta=dta,
-                trace=compiled.trace,
+                compiled=compiled,
                 lut=lut,
             )
         return lut, compiled.num_cycles, run

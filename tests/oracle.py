@@ -22,14 +22,20 @@ pytest); scripts outside ``tests/`` load it by file path.
   ``Session.evaluate_results``;
 - :func:`evaluate_with_drift` — drift-aware evaluation (extension E2);
 - :func:`evaluate_overscaling` — over-scaling scan (extension E1);
-- :func:`characterize` — the event-log characterisation flow;
+- :func:`run_gatesim` → :func:`analyze_event_log` → :func:`extract_lut`
+  — the materialised event-log characterisation of one program (the
+  reference for ``repro.dta.gatesim.run_dta`` and
+  ``repro.dta.extraction.extract_lut_arrays``), and
+  :func:`characterize`, the whole flow with the suite-order merge;
+- :func:`class_stage_delays` — the per-record Fig. 7 attribution (the
+  reference for ``repro.dta.histograms.class_stage_delays``);
 - :func:`assert_results_identical` — the field-for-field comparator;
 - :func:`reference_image` — the per-instruction decode of a program image
   (the reference for ``repro.sim.predecode.DecodedImage``).
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,13 +49,19 @@ from repro.approx.errors import approximate_value, error_magnitude_bits
 from repro.approx.violations import ApproximateResult, OverscalingReport
 from repro.clocking.controller import ClockAdjustmentController
 from repro.clocking.policies import InstructionLutPolicy
-from repro.dta.analyzer import analyze_event_log
+from repro.dta.compiled import worst_per_cycle
 from repro.dta.extraction import (
     DEFAULT_MIN_OCCURRENCES,
-    extract_lut,
+    attribute_cycle,
     merge_luts,
 )
-from repro.dta.gatesim import GateLevelSimulator
+from repro.dta.gatesim import (
+    MAX_CYCLES,
+    DtaResult,
+    _TRAILING_FRACTIONS,
+    _sim_period,
+)
+from repro.dta.lut import DelayLUT
 from repro.flow.characterize import CharacterizationResult
 from repro.flow.evaluate import (
     DEFAULT_MAX_CYCLES,
@@ -74,6 +86,7 @@ from repro.sim.trace import (
     Stage,
     StageView,
 )
+from repro.timing.profiles import BUBBLE_CLASS
 from repro.utils.bitops import sign_extend, to_signed32
 from repro.workloads.suite import characterization_suite
 
@@ -640,6 +653,241 @@ def evaluate_overscaling(program, design, lut, overscale_factor,
     return report
 
 
+# -- event-log characterisation ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class EndpointEvent:
+    """Last data-input event and next clock edge of one endpoint, one
+    cycle; times are absolute picoseconds from simulation start."""
+
+    cycle: int
+    endpoint: str
+    t_data_ps: float
+    t_clock_ps: float
+
+
+@dataclass
+class EventLog:
+    """The endpoint event log between gate-level simulation and the DTA.
+
+    The paper's gate-level simulation monitors the data and clock inputs
+    of every flip-flop and memory macro; the DTA relates, per cycle and
+    per endpoint, the last data event to the next active clock edge at
+    that same endpoint (so clock skew cancels per endpoint).  The log
+    stores absolute timestamps, and :func:`analyze_event_log` recovers
+    delays without access to the timing model that produced them.
+    """
+
+    sim_period_ps: float                     # "low" gate-sim clock period
+    num_cycles: int = 0
+    events: list = field(default_factory=list)
+    #: endpoint name -> (stage name, setup_ps); from the netlist/SDF.
+    endpoint_meta: dict = field(default_factory=dict)
+
+    def add(self, event):
+        self.events.append(event)
+
+    def register_endpoint(self, name, stage_name, setup_ps):
+        self.endpoint_meta[name] = (stage_name, setup_ps)
+
+    @property
+    def num_events(self):
+        return len(self.events)
+
+    def endpoint_stage(self, name):
+        return self.endpoint_meta[name][0]
+
+    def endpoint_setup(self, name):
+        return self.endpoint_meta[name][1]
+
+    def validate(self):
+        """Every event's endpoint registered, times ordered."""
+        for event in self.events:
+            if event.endpoint not in self.endpoint_meta:
+                raise ValueError(
+                    f"event references unregistered endpoint "
+                    f"{event.endpoint!r}"
+                )
+            if event.t_clock_ps < event.t_data_ps:
+                raise ValueError(
+                    f"endpoint {event.endpoint!r} cycle {event.cycle}: "
+                    f"clock edge before data event (timing violation in "
+                    f"the characterisation run — sim period too fast)"
+                )
+        return True
+
+
+@dataclass
+class GateSimResult:
+    """Event log and pipeline trace of one characterisation run."""
+
+    program_name: str
+    event_log: EventLog
+    trace: object                    # PipelineTrace
+    design: object                   # ProcessorDesign
+    num_cycles: int
+
+    @property
+    def pc_trace(self):
+        """Program-counter trace of retired instructions (paper's .das
+        input)."""
+        return [pc for pc, _ in self.trace.retired]
+
+
+def run_gatesim(program, design, sim_period_ps=None):
+    """Gate-level simulation that emits the endpoint event log.
+
+    One endpoint set per canonical stage group, so this models the
+    default six-stage machine only.  Every record's excited group delay
+    lands on the group's representative endpoints (the worst one carries
+    it, the others trail at fixed fractions) as 3-decimal data/clock
+    timestamps.
+    """
+    spec = design.pipeline_spec
+    if not spec.is_default:
+        raise ValueError(
+            "event-log characterisation supports the default pipeline "
+            f"spec only, not {spec.name!r}"
+        )
+    period = _sim_period(design, sim_period_ps)
+    trace = vector.simulate(program, max_cycles=MAX_CYCLES).trace
+
+    log = EventLog(sim_period_ps=period)
+    endpoints_by_stage = {}
+    for stage in Stage:
+        endpoints_by_stage[stage] = design.netlist.endpoints_for(stage)
+        for endpoint in endpoints_by_stage[stage]:
+            log.register_endpoint(endpoint.name, stage.name,
+                                  endpoint.setup_ps)
+
+    excitation = design.excitation
+    for record in trace.records:
+        t0 = record.cycle * period
+        for stage in Stage:
+            excited = excitation.group_delay(record, stage)
+            for endpoint, fraction in zip(
+                endpoints_by_stage[stage], _TRAILING_FRACTIONS
+            ):
+                delay = excited.delay_ps * fraction
+                # data must arrive `setup` before the (skewed) edge for a
+                # path of this delay: D = arrival - t0 + setup - skew
+                t_data = t0 + delay - endpoint.setup_ps + endpoint.skew_ps
+                t_clock = t0 + period + endpoint.skew_ps
+                log.add(EndpointEvent(
+                    cycle=record.cycle,
+                    endpoint=endpoint.name,
+                    t_data_ps=round(t_data, 3),
+                    t_clock_ps=round(t_clock, 3),
+                ))
+    log.num_cycles = trace.num_cycles
+    return GateSimResult(
+        program_name=program.name,
+        event_log=log,
+        trace=trace,
+        design=design,
+        num_cycles=trace.num_cycles,
+    )
+
+
+def analyze_event_log(event_log):
+    """The DTA tool over an event log (the paper's Perl DTA): per-event
+    slack recovery, per-stage-group max per cycle, genie reduction.
+
+    The grouping of endpoints into pipeline stages comes from the event
+    log's endpoint metadata (the paper's "pipeline specification" input).
+    """
+    event_log.validate()
+    num_cycles = event_log.num_cycles
+    if num_cycles <= 0:
+        raise ValueError("event log contains no cycles")
+
+    period = event_log.sim_period_ps
+    stage_delays = {
+        stage: np.zeros(num_cycles, dtype=float) for stage in Stage
+    }
+    for event in event_log.events:
+        setup = event_log.endpoint_setup(event.endpoint)
+        stage = Stage[event_log.endpoint_stage(event.endpoint)]
+        # slack observed at the endpoint; skew cancels because both
+        # timestamps are taken at the same element
+        slack = event.t_clock_ps - event.t_data_ps - setup
+        delay = period - slack
+        row = stage_delays[stage]
+        if delay > row[event.cycle]:
+            row[event.cycle] = delay
+
+    matrix = np.stack([stage_delays[stage] for stage in Stage], axis=1)
+    cycle_max, limiting = worst_per_cycle(matrix)
+    return DtaResult(
+        sim_period_ps=period,
+        num_cycles=num_cycles,
+        stage_delays=stage_delays,
+        cycle_max=cycle_max,
+        limiting_stage=limiting,
+    )
+
+
+def extract_lut(dta_result, trace, static_period_ps,
+                min_occurrences=DEFAULT_MIN_OCCURRENCES, source=""):
+    """Per-record LUT extraction: every stage delay of every record goes
+    to the :func:`attribute_cycle` class of its driver; per-class maxima
+    become the entries, EX occurrence counts the characterised set."""
+    if dta_result.num_cycles != trace.num_cycles:
+        raise ValueError(
+            f"DTA covers {dta_result.num_cycles} cycles but the trace has "
+            f"{trace.num_cycles}"
+        )
+
+    entries = {}
+    ex_counts = {}
+    for record in trace.records:
+        classes = attribute_cycle(record)
+        for stage in Stage:
+            cls = classes[stage]
+            delay = float(dta_result.stage_delays[stage][record.cycle])
+            row = entries.setdefault(cls, {})
+            if delay > row.get(stage, 0.0):
+                row[stage] = delay
+        ex_cls = classes[Stage.EX]
+        ex_counts[ex_cls] = ex_counts.get(ex_cls, 0) + 1
+
+    characterized = {
+        cls for cls, count in ex_counts.items() if count >= min_occurrences
+    }
+    # bubbles are ubiquitous; they are characterised whenever seen at all
+    if BUBBLE_CLASS in ex_counts:
+        characterized.add(BUBBLE_CLASS)
+    # complete rows: a class must have an entry for every stage group
+    for row in entries.values():
+        for stage in Stage:
+            row.setdefault(stage, static_period_ps)
+
+    return DelayLUT(
+        static_period_ps=static_period_ps,
+        entries=entries,
+        occurrences=ex_counts,
+        characterized=characterized,
+        min_occurrences=min_occurrences,
+        source=source,
+    )
+
+
+def class_stage_delays(dta_result, trace, timing_class):
+    """Per-record Fig. 7 attribution: every cycle in which
+    ``timing_class`` drives a stage group adds that group's measured
+    delay to the group's sample list."""
+    samples = {stage: [] for stage in Stage}
+    for record in trace.records:
+        classes = attribute_cycle(record)
+        for stage in Stage:
+            if classes[stage] == timing_class:
+                samples[stage].append(
+                    float(dta_result.stage_delays[stage][record.cycle])
+                )
+    return samples
+
+
 def characterize(design, programs=None,
                  min_occurrences=DEFAULT_MIN_OCCURRENCES,
                  sim_period_ps=None):
@@ -652,9 +900,7 @@ def characterize(design, programs=None,
     luts = []
     total_cycles = 0
     for program in programs:
-        result = GateLevelSimulator(
-            program, design, sim_period_ps=sim_period_ps
-        ).run()
+        result = run_gatesim(program, design, sim_period_ps=sim_period_ps)
         dta = analyze_event_log(result.event_log)
         luts.append(extract_lut(
             dta, result.trace, design.static_period_ps,

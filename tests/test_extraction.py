@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dta.extraction import extract_lut, merge_luts
+from repro.dta.extraction import extract_lut_arrays, merge_luts
 from repro.dta.lut import DelayLUT
 from repro.paperdata import TABLE2_INSTRUCTION_DELAYS
 from repro.sim.trace import Stage
@@ -63,8 +63,8 @@ class TestStaticFallback:
 
     def test_under_threshold_uses_static(self, characterization, design):
         run = characterization.runs[0]
-        strict = extract_lut(
-            run.dta, run.trace, design.static_period_ps,
+        strict = extract_lut_arrays(
+            run.dta, run.compiled, design.static_period_ps,
             min_occurrences=10 ** 9,
         )
         assert not strict.is_characterized("l.add(i)")
@@ -74,10 +74,13 @@ class TestStaticFallback:
 
     def test_cycle_count_mismatch_rejected(self, characterization, design):
         run_a = characterization.runs[0]
-        run_b = characterization.runs[-1]
-        if run_a.num_cycles != run_b.num_cycles:
-            with pytest.raises(ValueError, match="cycles"):
-                extract_lut(run_a.dta, run_b.trace, design.static_period_ps)
+        run_b = next(
+            run for run in characterization.runs
+            if run.num_cycles != run_a.num_cycles
+        )
+        with pytest.raises(ValueError, match="cycles"):
+            extract_lut_arrays(run_a.dta, run_b.compiled,
+                               design.static_period_ps)
 
 
 class TestMerging:

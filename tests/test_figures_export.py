@@ -29,7 +29,7 @@ class TestSeries:
 
     def test_fig7(self, characterization):
         run = characterization.run_named("matmult")
-        samples = class_stage_delays(run.dta, run.trace, "l.mul(i)")
+        samples = class_stage_delays(run.dta, run.compiled, "l.mul(i)")
         header, rows = fig7_series(samples)
         assert header[0] == "delay_ps"
         assert len(header) == 7
@@ -57,7 +57,7 @@ class TestWriting:
     def test_export_all(self, tmp_path, characterization, design,
                         evaluate_one, lut):
         run = characterization.run_named("matmult")
-        samples = class_stage_delays(run.dta, run.trace, "l.mul(i)")
+        samples = class_stage_delays(run.dta, run.compiled, "l.mul(i)")
         results = [evaluate_one(
             get_kernel("fib").program(), InstructionLutPolicy(lut),
             check_safety=False,

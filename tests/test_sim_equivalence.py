@@ -347,6 +347,46 @@ class TestOneSimulator:
         assert not offenders, offenders
 
 
+class TestOneCharacterisationPath:
+    """The package ships exactly one characterisation path: the
+    materialised event log and the per-record extraction live only in
+    ``tests/oracle.py``."""
+
+    SOURCE_ROOT = pathlib.Path(repro.__file__).parent
+    EVENT_LOG_NAMES = frozenset({
+        "EventLog", "EndpointEvent", "analyze_event_log", "run_gatesim",
+        "GateSimResult", "extract_lut",
+    })
+
+    @pytest.mark.parametrize("module", ["repro.dta.events",
+                                        "repro.dta.analyzer"])
+    def test_no_event_log_module(self, module):
+        assert importlib.util.find_spec(module) is None
+
+    def test_no_event_log_names(self):
+        offenders = []
+        for path in sorted(self.SOURCE_ROOT.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [alias.asname or alias.name.rsplit(".")[-1]
+                             for alias in node.names]
+                elif isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                else:
+                    continue
+                offenders += [
+                    f"{path.relative_to(self.SOURCE_ROOT)}:{node.lineno} "
+                    f"{name}"
+                    for name in names if name in self.EVENT_LOG_NAMES
+                ]
+        assert not offenders, offenders
+
+
 class TestRandomPrograms:
     """Seeded semi-random sweep (runs with or without Hypothesis).
 
