@@ -50,11 +50,8 @@ class DtaResult:
     stage_delays: dict = field(default_factory=dict)
     #: per-cycle overall worst delay (ps).
     cycle_max: np.ndarray = None
-    #: per-cycle limiting column (a :class:`Stage` value on the default
-    #: six-stage spec).
+    #: per-cycle limiting stage group (a :class:`Stage` value).
     limiting_stage: np.ndarray = None
-    #: canonical :class:`Stage` group (as int) of every column.
-    group_of: tuple = tuple(int(stage) for stage in Stage)
 
     # -- Fig. 5 statistics ----------------------------------------------------
 
@@ -82,13 +79,13 @@ class DtaResult:
     # -- Fig. 6 statistics ----------------------------------------------------
 
     def limiting_stage_shares(self):
-        """Fraction of cycles in which each stage group holds the worst
-        endpoint (limiting columns fold onto their groups)."""
-        groups = np.asarray(self.group_of)[self.limiting_stage]
-        counts = np.bincount(groups, minlength=len(Stage))
-        return {
-            stage: float(counts[stage] / self.num_cycles) for stage in Stage
-        }
+        """Fraction of cycles in which each stage holds the worst endpoint."""
+        shares = {}
+        for stage in Stage:
+            shares[stage] = float(
+                (self.limiting_stage == stage.value).sum() / self.num_cycles
+            )
+        return shares
 
     def dominant_stage(self):
         shares = self.limiting_stage_shares()
@@ -135,8 +132,7 @@ def run_dta(program, design, sim_period_ps=None):
             for column in range(spec.num_stages)
         },
         cycle_max=cycle_max,
-        limiting_stage=limiting,
-        group_of=spec.group_of,
+        limiting_stage=np.asarray(spec.group_of)[limiting],
     )
     return dta, compiled
 
