@@ -39,7 +39,8 @@ def test_fig7_lmul_histograms(benchmark, characterization):
                unit=" ps")
     report.note(
         "non-EX stages collapse to their fixed worst cases in our model "
-        "(documented simplification, DESIGN.md)"
+        "(documented simplification, ARCHITECTURE.md \"Model "
+        "substitutions\")"
     )
 
     lines = [report.render(), ""]

@@ -54,7 +54,8 @@ def test_fig8_benchmark_speedups(benchmark, session, design, suite_results,
     report.add("give-up vs. genie", GIVE_UP_PERCENT, give_up, unit=" %")
     report.note(
         "suite: CoreMark-like composite + BEEBS-like kernels "
-        "(hand-written equivalents, see DESIGN.md)"
+        "(hand-written equivalents, see ARCHITECTURE.md \"Model "
+        "substitutions\")"
     )
 
     table = render_suite_results(

@@ -7,15 +7,15 @@ A complete Python reproduction of:
     Frequency-Over-Scaling with Instruction-Based Clock Adjustment",
     DATE 2015, pp. 381-386.
 
-The public API is re-exported here; see README.md for a quickstart and
-DESIGN.md for the system inventory.
+The public API is re-exported here, lazily (:mod:`repro._lazy`); see
+README.md for a quickstart and ARCHITECTURE.md for the system design,
+with its "Model substitutions" for what stands in for the paper's PDK
+and toolchain.
 """
 
 __version__ = "1.0.0"
 
-from repro.asm import Program, ProgramBuilder, assemble, disassemble
-from repro.isa import Instruction, decode, encode
-from repro.sim import FunctionalSimulator, simulate
+from repro._lazy import lazy_exports
 
 __all__ = [
     "__version__",
@@ -29,3 +29,9 @@ __all__ = [
     "FunctionalSimulator",
     "simulate",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "asm": ("Program", "ProgramBuilder", "assemble", "disassemble"),
+    "isa": ("Instruction", "decode", "encode"),
+    "sim": ("FunctionalSimulator", "simulate"),
+})

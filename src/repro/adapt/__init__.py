@@ -13,10 +13,14 @@ delay prediction table".  This package implements that outlook:
   or no guard band (fast but unsafe once the environment drifts).
 """
 
-from repro.adapt.environment import EnvironmentModel
-from repro.adapt.online import AdaptiveEvaluationResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "EnvironmentModel",
     "AdaptiveEvaluationResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "environment": ("EnvironmentModel",),
+    "online": ("AdaptiveEvaluationResult",),
+})

@@ -58,23 +58,7 @@ renames/removals are breaking and guarded by
 of every workflow.
 """
 
-from repro.api.frame import (
-    ADAPT_SCHEMA,
-    EVALUATION_SCHEMA,
-    OVERSCALING_SCHEMA,
-    TELEMETRY_SCHEMA,
-    TRAINING_SCHEMA,
-    Column,
-    ResultFrame,
-)
-from repro.api.session import (
-    DEFAULT_OVERSCALE_FACTORS,
-    Session,
-    design_point_label,
-    evaluation_row,
-    result_from_row,
-    summarize_row,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Session",
@@ -91,3 +75,14 @@ __all__ = [
     "result_from_row",
     "summarize_row",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "frame": (
+        "ADAPT_SCHEMA", "EVALUATION_SCHEMA", "OVERSCALING_SCHEMA",
+        "TELEMETRY_SCHEMA", "TRAINING_SCHEMA", "Column", "ResultFrame",
+    ),
+    "session": (
+        "DEFAULT_OVERSCALE_FACTORS", "Session", "design_point_label",
+        "evaluation_row", "result_from_row", "summarize_row",
+    ),
+})

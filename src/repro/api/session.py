@@ -33,7 +33,7 @@ from repro.api.frame import (
 )
 from repro.obs import trace as obs_trace
 from repro.obs.trace import span as obs_span
-from repro.dta.extraction import DEFAULT_MIN_OCCURRENCES
+from repro.dta.lut import DEFAULT_MIN_OCCURRENCES
 from repro.flow.evaluate import DEFAULT_MAX_CYCLES
 from repro.sim.spec import DEFAULT_SPEC, get_pipeline_spec
 from repro.timing.profiles import DesignVariant

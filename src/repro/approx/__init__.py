@@ -9,11 +9,15 @@ counts which cycles violate timing and models the resulting bit errors on
 the affected results.
 """
 
-from repro.approx.violations import OverscalingReport
-from repro.approx.errors import approximate_value, error_magnitude_bits
+from repro._lazy import lazy_exports
 
 __all__ = [
     "OverscalingReport",
     "approximate_value",
     "error_magnitude_bits",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "violations": ("OverscalingReport",),
+    "errors": ("approximate_value", "error_magnitude_bits"),
+})

@@ -100,22 +100,13 @@ import json
 import pathlib
 import sys
 
-from repro.api import Session, result_from_row
-from repro.asm import disassemble_program
-from repro.dta.lut import DelayLUT
-from repro.ml.model import (
-    ModelError,
-    is_learned_spec,
-    validate_policy_specs,
-)
-from repro.sim import vector
 from repro.sim.spec import PIPELINE_VARIANTS, get_pipeline_spec
-from repro.timing.design import build_design
 from repro.timing.profiles import DesignVariant
-from repro.timing.sta import run_sta
-from repro.timing.wall import wall_profile
-from repro.utils.units import ps_to_mhz
-from repro.workloads import WorkloadError, all_kernels, resolve_program
+
+# Everything else is imported inside the command that uses it: a
+# process runs one command, and a warm ``repro sweep`` must not pay for
+# the simulator, the characterisation flow or the ML trainer
+# (``tests/test_import_discipline.py`` holds the line).
 
 
 def _load_program(spec):
@@ -125,12 +116,16 @@ def _load_program(spec):
     :class:`~repro.workloads.WorkloadError`, which ``main`` turns into a
     friendly message (listing the bundled kernels) and a nonzero exit.
     """
+    from repro.workloads import resolve_program
+
     return resolve_program(spec)
 
 
 def _build(args):
     """Design at the (variant, voltage, pipeline-spec) point named on
     the command line."""
+    from repro.timing.design import build_design
+
     return build_design(
         DesignVariant(args.variant), voltage=args.voltage,
         pipeline_spec=getattr(args, "pipeline_spec", None),
@@ -143,6 +138,9 @@ def _session(args, store=None, announce=True, **kwargs):
     Prints the on-the-fly characterisation notice when neither a LUT
     file nor a store will provide the delay LUT.
     """
+    from repro.api import Session
+    from repro.dta.lut import DelayLUT
+
     lut = None
     if getattr(args, "lut", None):
         lut = DelayLUT.from_json(pathlib.Path(args.lut).read_text())
@@ -194,6 +192,8 @@ def _add_design_arguments(parser):
 
 def cmd_kernels(args):
     """List the bundled workload kernels (name, category, description)."""
+    from repro.workloads import all_kernels
+
     print(f"{'name':14s} {'category':8s} description")
     for kernel in all_kernels():
         print(f"{kernel.name:14s} {kernel.category:8s} {kernel.description}")
@@ -202,6 +202,8 @@ def cmd_kernels(args):
 
 def cmd_asm(args):
     """Assemble a program and print its disassembly listing."""
+    from repro.asm import disassemble_program
+
     program = _load_program(args.program)
     print(f"# {program.name}: {program.size_words} words, "
           f"entry {program.entry:#x}")
@@ -212,6 +214,8 @@ def cmd_asm(args):
 def cmd_run(args):
     """Run a program on the cycle-accurate pipeline of the selected
     spec; print its instruction and cycle counts, CPI and registers."""
+    from repro.sim import vector
+
     program = _load_program(args.program)
     run = vector.simulate(program, spec=args.pipeline_spec)
     regs = run.state.regs
@@ -231,6 +235,10 @@ def cmd_run(args):
 def cmd_sta(args):
     """Static timing analysis of the design's synthetic netlist: the
     critical path, the per-stage wall profile and the clock bound."""
+    from repro.timing.sta import run_sta
+    from repro.timing.wall import wall_profile
+    from repro.utils.units import ps_to_mhz
+
     design = _build(args)
     report = run_sta(design.netlist)
     print(report.summary())
@@ -260,6 +268,9 @@ def cmd_characterize(args):
 def cmd_evaluate(args):
     """Evaluate one program under one clock policy with ground-truth
     safety replay; exit 1 when any timing violation is recorded."""
+    from repro.api import result_from_row
+    from repro.ml.model import validate_policy_specs
+
     program = _load_program(args.program)   # fail fast on a bad spec
     validate_policy_specs([args.policy])    # ... and on a bad model file
     session = _session(args)
@@ -293,6 +304,8 @@ def cmd_sweep(args):
     axes by default, or the parallel grid runner with ``--grid``."""
     if args.grid:
         return _run_grid_sweep(args)
+    from repro.ml.model import validate_policy_specs
+
     if (args.resume or args.jobs != 1 or args.json or args.trace
             or args.progress):
         print("--resume/--jobs/--json/--trace/--progress require a "
@@ -374,7 +387,9 @@ def cmd_profile(args):
     :mod:`repro.obs.metrics` registry, so cache hits and simulation
     counts reflect the whole run even under ``--jobs``.
     """
+    from repro.api import Session
     from repro.lab.scenario import ScenarioError, ScenarioGrid
+    from repro.ml.model import validate_policy_specs
     from repro.obs import metrics as obs_metrics
     from repro.obs.export import summary_rows
     from repro.utils.tables import format_table
@@ -415,7 +430,9 @@ def cmd_profile(args):
 
 def _run_grid_sweep(args):
     """Scenario-grid mode: the parallel runner + artifact store."""
+    from repro.api import Session
     from repro.lab.scenario import ScenarioError, ScenarioGrid
+    from repro.ml.model import validate_policy_specs
     from repro.utils.tables import format_table
 
     if (args.programs or args.policy or args.generator or args.margin
@@ -520,6 +537,7 @@ def cmd_train(args):
     frequency.  ``--report`` writes the train+eval metrics as JSON
     (the CI ``ml-smoke`` artifact, ``BENCH_train.json``).
     """
+    from repro.api import Session
     from repro.lab.scenario import ScenarioError, ScenarioGrid
     from repro.ml.train import TrainerConfig, train_policy
     from repro.utils.tables import format_table
@@ -627,6 +645,8 @@ def _policy_arg(value):
     """Argparse type for ``--policy``: a registry name or a
     ``learned:<model.npz>`` spec (the file itself is validated later,
     via :func:`repro.ml.model.validate_policy_specs`)."""
+    from repro.ml.model import is_learned_spec
+
     if value in _POLICY_CHOICES or is_learned_spec(value):
         return value
     raise argparse.ArgumentTypeError(
@@ -658,6 +678,8 @@ def parse_size(text):
 def cmd_store_gc(args):
     """LRU store eviction: keep the most recently used artifacts within
     the size budget (artifact loads refresh their mtime)."""
+    from repro.api import Session
+
     try:
         budget = parse_size(args.max_size)
     except ValueError as error:
@@ -792,6 +814,7 @@ def cmd_stream(args):
     """
     if args.url:
         return _remote_stream(args)
+    from repro.ml.model import validate_policy_specs
     from repro.stream import StreamingSession, kernel_source, random_source
 
     validate_policy_specs(args.policy or [])
@@ -1210,17 +1233,32 @@ def build_parser():
     return parser
 
 
+#: ``(module, exception)`` pairs ``main`` reports as one ``error:``
+#: line with exit code 2: an unknown program spec, and a missing or
+#: corrupt learned-policy model (which fails fast, before simulation,
+#: naming the offending path).
+_INPUT_ERRORS = (
+    ("repro.workloads", "WorkloadError"),
+    ("repro.ml.model", "ModelError"),
+)
+
+
+def _input_errors():
+    """The :data:`_INPUT_ERRORS` types whose module is loaded.  An
+    exception can only come from a module that ran, so looking them up
+    here, when one propagates, never imports a module for them."""
+    return tuple(
+        getattr(sys.modules[module], name)
+        for module, name in _INPUT_ERRORS if module in sys.modules
+    )
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WorkloadError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except ModelError as error:
-        # learned-policy specs fail fast (before simulation), naming
-        # the offending model path
+    except _input_errors() as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -14,21 +14,7 @@
   and an optional safety margin into the per-cycle period decision.
 """
 
-from repro.clocking.controller import ClockAdjustmentController
-from repro.clocking.generator import (
-    ClockGeneratorError,
-    IdealClockGenerator,
-    MultiPLLClockGenerator,
-    TunableRingOscillator,
-)
-from repro.clocking.policies import (
-    ExOnlyLutPolicy,
-    GeniePolicy,
-    InstructionLutPolicy,
-    LearnedPolicy,
-    StaticClockPolicy,
-    TwoClassPolicy,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ClockAdjustmentController",
@@ -43,3 +29,15 @@ __all__ = [
     "GeniePolicy",
     "LearnedPolicy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "controller": ("ClockAdjustmentController",),
+    "generator": (
+        "ClockGeneratorError", "IdealClockGenerator",
+        "MultiPLLClockGenerator", "TunableRingOscillator",
+    ),
+    "policies": (
+        "ExOnlyLutPolicy", "GeniePolicy", "InstructionLutPolicy",
+        "LearnedPolicy", "StaticClockPolicy", "TwoClassPolicy",
+    ),
+})

@@ -20,7 +20,6 @@ Every policy offers two equivalent entry points:
 
 import numpy as np
 
-from repro.dta.extraction import attribute_cycle
 from repro.sim.trace import Stage
 from repro.timing.profiles import BUBBLE_CLASS
 
@@ -52,6 +51,8 @@ class InstructionLutPolicy:
         self.lut = lut
 
     def period_for(self, record):
+        from repro.dta.extraction import attribute_cycle
+
         classes = attribute_cycle(record)
         return max(
             self.lut.entry(classes[stage], stage) for stage in Stage
@@ -89,6 +90,8 @@ class ExOnlyLutPolicy:
         return floor if floor > 0 else self.lut.static_period_ps
 
     def period_for(self, record):
+        from repro.dta.extraction import attribute_cycle
+
         ex_cls = attribute_cycle(record)[Stage.EX]
         return max(
             self.lut.entry(ex_cls, Stage.EX),
@@ -150,6 +153,8 @@ class TwoClassPolicy:
         )
 
     def period_for(self, record):
+        from repro.dta.extraction import attribute_cycle
+
         classes = attribute_cycle(record)
         if any(self._is_slow(classes[stage]) for stage in Stage):
             return self.slow_period_ps

@@ -6,7 +6,11 @@ instruction-based dynamic clock adjustment (or any of the baseline
 policies) and derive speed and energy numbers.
 """
 
-from repro.core.dca import DynamicClockAdjustment
-from repro.core.config import DcaConfig
+from repro._lazy import lazy_exports
 
 __all__ = ["DynamicClockAdjustment", "DcaConfig"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "dca": ("DynamicClockAdjustment",),
+    "config": ("DcaConfig",),
+})

@@ -27,7 +27,6 @@ from repro.clocking.policies import (
     TwoClassPolicy,
 )
 from repro.core.config import DcaConfig
-from repro.flow.characterize import _characterize_impl
 from repro.timing.design import build_design
 from repro.utils.units import ps_to_mhz
 
@@ -60,6 +59,8 @@ class DynamicClockAdjustment:
                 seed=self.config.seed,
             )
         if characterization is None:
+            from repro.flow.characterize import _characterize_impl
+
             characterization = _characterize_impl(
                 self.design, programs=programs,
                 min_occurrences=self.config.min_occurrences,

@@ -28,14 +28,7 @@ bit-identity reference for this path; they live in the test oracle
 (``tests/oracle.py``), not here.
 """
 
-from repro.dta.compiled import (
-    CompiledTrace,
-    compile_trace,
-    get_compiled_trace,
-    worst_per_cycle,
-)
-from repro.dta.gatesim import DtaResult, run_dta
-from repro.dta.lut import DelayLUT
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DtaResult",
@@ -46,3 +39,12 @@ __all__ = [
     "get_compiled_trace",
     "worst_per_cycle",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "compiled": (
+        "CompiledTrace", "compile_trace", "get_compiled_trace",
+        "worst_per_cycle",
+    ),
+    "gatesim": ("DtaResult", "run_dta"),
+    "lut": ("DelayLUT",),
+})

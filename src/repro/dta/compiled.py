@@ -518,10 +518,9 @@ def get_compiled_trace(program, design, max_cycles=4_000_000):
     cycle limit); every configuration of a sweep shares the result.
 
     Simulation runs on the two-phase vector engine
-    (:mod:`repro.sim.vector`).
+    (:mod:`repro.sim.vector`), imported only on a miss: rehydrating
+    traces from the store needs no simulator.
     """
-    from repro.sim import vector
-
     global _simulations
 
     key = (_program_key(program), _design_key(design), max_cycles)
@@ -533,6 +532,8 @@ def get_compiled_trace(program, design, max_cycles=4_000_000):
     if _store is not None:
         compiled = _store.load_compiled_trace(program, design, max_cycles)
     if compiled is None:
+        from repro.sim import vector
+
         spec = design.pipeline_spec
         with obs_span("dta.compile", program=program.name):
             run = vector.simulate(program, max_cycles=max_cycles, spec=spec)

@@ -15,13 +15,10 @@ characterization could be performed ... are represented ... with the
 worst-case clock period timings from static timing analysis").
 """
 
-from repro.dta.lut import DelayLUT
+from repro.dta.lut import DEFAULT_MIN_OCCURRENCES, DelayLUT
 from repro.sim.trace import Stage
 from repro.timing.excitation import driver_view
 from repro.timing.profiles import BUBBLE_CLASS
-
-#: Default threshold for trusting a class's characterisation.
-DEFAULT_MIN_OCCURRENCES = 30
 
 
 def attribute_cycle(record):

@@ -14,6 +14,10 @@ from repro.sim.trace import Stage
 from repro.timing.profiles import BUBBLE_CLASS
 from repro.utils.tables import format_table
 
+#: Default threshold for trusting a class's characterisation: classes
+#: seen fewer times in EX keep the static period.
+DEFAULT_MIN_OCCURRENCES = 30
+
 
 @dataclass
 class DelayLUT:

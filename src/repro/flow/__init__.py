@@ -9,11 +9,15 @@
   used by the bench harnesses.
 """
 
-from repro.flow.characterize import CharacterizationResult
-from repro.flow.evaluate import EvaluationResult, SweepConfig
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CharacterizationResult",
     "EvaluationResult",
     "SweepConfig",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "characterize": ("CharacterizationResult",),
+    "evaluate": ("EvaluationResult", "SweepConfig"),
+})

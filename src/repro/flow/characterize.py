@@ -19,19 +19,16 @@ regardless of completion order — the merged LUT is bit-identical to the
 serial in-process result.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.dta.lut import DEFAULT_MIN_OCCURRENCES
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import span as obs_span
-from repro.dta.extraction import (
-    DEFAULT_MIN_OCCURRENCES,
-    extract_lut_arrays,
-    merge_luts,
-)
-from repro.dta.gatesim import run_dta
-from repro.workloads.suite import characterization_suite
+
+# The gate-sim, the extraction, the suite generator and the process
+# pool are imported where they run: a warm sweep imports this module
+# for CharacterizationResult alone.
 
 
 @dataclass
@@ -73,6 +70,9 @@ def characterize_program(program, design,
     Returns ``(lut, num_cycles, run)`` — ``run`` is a
     :class:`CharacterizationRun` when ``keep_run`` is set, else ``None``.
     """
+    from repro.dta.extraction import extract_lut_arrays
+    from repro.dta.gatesim import run_dta
+
     with obs_span("characterize.program", program=program.name):
         dta, compiled = run_dta(program, design, sim_period_ps=sim_period_ps)
         lut = extract_lut_arrays(
@@ -188,7 +188,11 @@ def _characterize_impl(design, programs=None,
         are read from / written through its ``charlut`` cache, so a killed
         characterisation recomputes only the missing batches.
     """
+    from repro.dta.extraction import merge_luts
+
     if programs is None:
+        from repro.workloads.suite import characterization_suite
+
         programs = characterization_suite()
     programs = list(programs)
     jobs = max(1, int(jobs))
@@ -203,6 +207,8 @@ def _characterize_impl(design, programs=None,
     cycle_counts = [0] * len(programs)
 
     if jobs > 1 and len(programs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         from repro.dta.lut import DelayLUT
 
         store_root = str(store.root) if store is not None else None

@@ -7,24 +7,7 @@ mnemonics to the *timing classes* used by the delay-prediction LUT of the
 paper (e.g. ``l.add`` and ``l.addi`` share the class ``l.add(i)``).
 """
 
-from repro.isa.classes import timing_class, all_timing_classes
-from repro.isa.encoding import decode, encode
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import (
-    Format,
-    InstructionKind,
-    InstructionSpec,
-    SPECS,
-    spec_for,
-)
-from repro.isa.registers import (
-    REG_COUNT,
-    REG_LINK,
-    REG_SP,
-    REG_ZERO,
-    parse_register,
-    register_name,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Instruction",
@@ -44,3 +27,16 @@ __all__ = [
     "parse_register",
     "register_name",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "classes": ("timing_class", "all_timing_classes"),
+    "encoding": ("decode", "encode"),
+    "instruction": ("Instruction",),
+    "opcodes": (
+        "Format", "InstructionKind", "InstructionSpec", "SPECS", "spec_for",
+    ),
+    "registers": (
+        "REG_COUNT", "REG_LINK", "REG_SP", "REG_ZERO", "parse_register",
+        "register_name",
+    ),
+})

@@ -17,9 +17,7 @@ The lab turns one-shot in-process evaluation into an experiment system:
   a manifest, and emits JSON/CSV for dashboards.
 """
 
-from repro.lab.runner import SweepRunner, SweepRunResult
-from repro.lab.scenario import ConfigSpec, DesignPoint, ScenarioGrid
-from repro.lab.store import ArtifactStore, StoreStats
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ArtifactStore",
@@ -30,3 +28,9 @@ __all__ = [
     "SweepRunner",
     "SweepRunResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "runner": ("SweepRunner", "SweepRunResult"),
+    "scenario": ("ConfigSpec", "DesignPoint", "ScenarioGrid"),
+    "store": ("ArtifactStore", "StoreStats"),
+})

@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.api.frame import EVALUATION_SCHEMA, ResultFrame
-from repro.lab.jobqueue import ShardPool
 from repro.lab.scenario import ScenarioGrid, materialize_configs
 from repro.lab.store import ArtifactStore, StoreStats
 from repro.obs import metrics as obs_metrics
@@ -495,7 +494,10 @@ class SweepRunner:
         ``repro sweep --progress``.
         """
         start = time.perf_counter()
-        stats = StoreStats() if self.store is not None else None
+        stats = None
+        if self.store is not None:
+            stats = StoreStats()
+            self.store.stats.reset()   # count this run's traffic only
         simulations = 0
 
         completed = self._load_manifest() if resume else {}
@@ -524,9 +526,7 @@ class SweepRunner:
             on_unit(resumed, len(units))
 
         self.warm_luts()
-        if stats is not None:
-            stats.merge(self.store.stats)
-            self.store.stats.reset()
+        self._absorb_store_stats(stats)
 
         if pending:
             done_state = {"done": resumed, "total": len(units)}
@@ -553,6 +553,8 @@ class SweepRunner:
                     # spans onto the parent timeline
                     obs_metrics.merge(obs["counters"])
                     obs_trace.merge_worker_spans(obs["spans"])
+            # the unit checkpoints went through the parent's store
+            self._absorb_store_stats(stats)
 
         with obs_span("sweep.merge", units=len(units)):
             rows = self._merge(completed)
@@ -571,6 +573,8 @@ class SweepRunner:
             manifest_path=self.manifest_path,
         )
         if self.store is not None:
+            # written after the stats it carries, so it is the one store
+            # write the run's own counters never include
             self.store.save_result(
                 f"sweep:{self.grid.fingerprint()}", result.to_dict()
             )
@@ -579,6 +583,17 @@ class SweepRunner:
             if self.store_budget_bytes is not None:
                 self.store.gc(max_bytes=self.store_budget_bytes)
         return result
+
+    def _absorb_store_stats(self, stats):
+        """Move the parent store's counters into the run's ``stats``.
+
+        Units run against their own store handle (see
+        :func:`_worker_init`) and ship per-batch deltas; the parent's
+        handle counts the manifest loads, the LUT warm-up and the unit
+        checkpoints (:meth:`_checkpoint_units`)."""
+        if stats is not None:
+            stats.merge(self.store.stats)
+            self.store.stats.reset()
 
     @staticmethod
     def _grouped(pending):
@@ -618,6 +633,8 @@ class SweepRunner:
 
     def _run_parallel(self, pending, completed, progress, jobs,
                       unit_done=None):
+        from repro.lab.jobqueue import ShardPool
+
         store_root = str(self.store.root) if self.store is not None else None
         # shard each design point's units into ~jobs batches, so every
         # worker gets one _evaluate_batch call per (design point, shard)

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dta.compiled import CompiledTrace
-from repro.dta.extraction import DEFAULT_MIN_OCCURRENCES
-from repro.dta.lut import DelayLUT
+from repro.dta.lut import DEFAULT_MIN_OCCURRENCES, DelayLUT
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
 

@@ -27,31 +27,7 @@ Train one from the command line::
         --store .repro-store --out model.npz --report BENCH_train.json
 """
 
-from repro.ml.features import (
-    DEFAULT_WINDOW,
-    FEATURE_SPEC_VERSION,
-    FeatureMatrix,
-    OnlineFeatureExtractor,
-    class_vocabulary,
-    extract_features,
-    feature_names,
-)
-from repro.ml.model import (
-    LEARNED_PREFIX,
-    MODEL_SCHEMA_VERSION,
-    LearnedModel,
-    ModelError,
-    is_learned_spec,
-    load_model,
-    load_policy_model,
-    validate_policy_specs,
-)
-from repro.ml.train import (
-    TrainerConfig,
-    TrainingOutcome,
-    get_or_train_model,
-    train_policy,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -74,3 +50,19 @@ __all__ = [
     "get_or_train_model",
     "train_policy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "features": (
+        "DEFAULT_WINDOW", "FeatureMatrix", "OnlineFeatureExtractor",
+        "class_vocabulary", "extract_features", "feature_names",
+    ),
+    "model": (
+        "FEATURE_SPEC_VERSION", "LEARNED_PREFIX", "MODEL_SCHEMA_VERSION",
+        "LearnedModel", "ModelError", "is_learned_spec", "load_model",
+        "load_policy_model", "validate_policy_specs",
+    ),
+    "train": (
+        "TrainerConfig", "TrainingOutcome", "get_or_train_model",
+        "train_policy",
+    ),
+})

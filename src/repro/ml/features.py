@@ -30,12 +30,10 @@ including its own shift-register window state).
 import numpy as np
 
 from repro.isa.opcodes import SPECS, InstructionKind
+# the layout version of the features built here: bump it on any change
+from repro.ml.model import FEATURE_SPEC_VERSION  # noqa: F401
 from repro.sim.trace import Stage
 from repro.timing.profiles import BUBBLE_CLASS
-
-#: Bump when the feature layout changes — serialized models carry it and
-#: refuse to deploy against a different extraction.
-FEATURE_SPEC_VERSION = 1
 
 #: Default recent-window length (cycles of history).
 DEFAULT_WINDOW = 8

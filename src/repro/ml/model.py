@@ -34,15 +34,18 @@ discarded and recomputed (:func:`repro.ml.train.get_or_train_model`).
 import io
 import json
 import pathlib
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.features import FEATURE_SPEC_VERSION
-
 #: Bump when the artifact layout or the predictor semantics change.
 MODEL_SCHEMA_VERSION = 1
+
+#: Bump when the feature layout of :mod:`repro.ml.features` changes —
+#: serialized models carry it and refuse to deploy against a different
+#: extraction.  It lives here, not there, so that validating a policy
+#: list (every CLI sweep) never imports the feature extractor.
+FEATURE_SPEC_VERSION = 1
 
 #: Policy-spec prefix deploying a model file.
 LEARNED_PREFIX = "learned:"
@@ -183,6 +186,8 @@ class LearnedModel:
         timestamps, no compression) makes byte-stability an explicit
         contract rather than a numpy implementation detail.
         """
+        import zipfile
+
         header = json.dumps(
             self._header(), sort_keys=True, separators=(",", ":")
         )

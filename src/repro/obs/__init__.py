@@ -16,25 +16,7 @@ Entry points: ``Session(telemetry=...)``, ``repro sweep --trace`` /
 ``--progress``, and ``repro profile <grid>``.
 """
 
-from repro.obs import metrics
-from repro.obs.export import (
-    chrome_trace,
-    summary_csv,
-    summary_rows,
-    telemetry_frame,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.host import host_metadata
-from repro.obs.progress import UnitProgress
-from repro.obs.trace import (
-    Tracer,
-    get_tracer,
-    is_enabled,
-    merge_worker_spans,
-    set_tracer,
-    span,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Tracer",
@@ -53,3 +35,17 @@ __all__ = [
     "host_metadata",
     "UnitProgress",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "metrics": ("metrics",),
+    "export": (
+        "chrome_trace", "summary_csv", "summary_rows", "telemetry_frame",
+        "validate_chrome_trace", "write_chrome_trace",
+    ),
+    "host": ("host_metadata",),
+    "progress": ("UnitProgress",),
+    "trace": (
+        "Tracer", "get_tracer", "is_enabled", "merge_worker_spans",
+        "set_tracer", "span",
+    ),
+})

@@ -11,9 +11,7 @@ conventional core's throughput.  This package provides:
 - :mod:`repro.power.energy` — energy metrics for whole program runs.
 """
 
-from repro.power.energy import program_energy_pj
-from repro.power.model import PowerModel
-from repro.power.vfs import VoltageScalingResult, scale_voltage_iso_throughput
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PowerModel",
@@ -21,3 +19,9 @@ __all__ = [
     "VoltageScalingResult",
     "program_energy_pj",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "energy": ("program_energy_pj",),
+    "model": ("PowerModel",),
+    "vfs": ("VoltageScalingResult", "scale_voltage_iso_throughput"),
+})

@@ -31,9 +31,7 @@ or programmatically::
     frame = client.wait_result(job["id"])
 """
 
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.jobs import JOB_KINDS, Job, JobRegistry, frame_cache_name
-from repro.serve.server import ServeConfig, SweepServer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "JOB_KINDS",
@@ -45,3 +43,9 @@ __all__ = [
     "SweepServer",
     "frame_cache_name",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "client": ("ServeClient", "ServeError"),
+    "jobs": ("JOB_KINDS", "Job", "JobRegistry", "frame_cache_name"),
+    "server": ("ServeConfig", "SweepServer"),
+})

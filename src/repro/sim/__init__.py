@@ -17,11 +17,7 @@ Two execution models are provided:
   ``.trace`` materialises the per-cycle records.
 """
 
-from repro.sim.iss import FunctionalSimulator, SimulationError
-from repro.sim.memory import Memory
-from repro.sim.state import ArchState
-from repro.sim.trace import CycleRecord, PIPELINE_STAGES, PipelineTrace, Stage
-from repro.sim.vector import simulate
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ArchState",
@@ -34,3 +30,11 @@ __all__ = [
     "Stage",
     "PIPELINE_STAGES",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "iss": ("FunctionalSimulator", "SimulationError"),
+    "memory": ("Memory",),
+    "state": ("ArchState",),
+    "trace": ("CycleRecord", "PIPELINE_STAGES", "PipelineTrace", "Stage"),
+    "vector": ("simulate",),
+})

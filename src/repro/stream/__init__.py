@@ -8,25 +8,7 @@ offline engine on any finite prefix.  See
 ARCHITECTURE.md ("Streaming mode") for the design.
 """
 
-from repro.stream.session import (
-    DEFAULT_MAX_WINDOWS,
-    DEFAULT_WINDOW_CYCLES,
-    StreamingSession,
-    WindowUpdate,
-)
-from repro.stream.sources import (
-    kernel_source,
-    ndjson_source,
-    program_from_record,
-    random_source,
-)
-from repro.stream.options import (
-    STREAM_SOURCES,
-    stream_fingerprint,
-    stream_source_for,
-    validate_stream_options,
-)
-from repro.stream.windows import TraceWindow, iter_windows, windows_from_sizes
+from repro._lazy import lazy_exports
 
 __all__ = [
     "StreamingSession",
@@ -45,3 +27,19 @@ __all__ = [
     "DEFAULT_WINDOW_CYCLES",
     "DEFAULT_MAX_WINDOWS",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "session": (
+        "DEFAULT_MAX_WINDOWS", "DEFAULT_WINDOW_CYCLES", "StreamingSession",
+        "WindowUpdate",
+    ),
+    "sources": (
+        "kernel_source", "ndjson_source", "program_from_record",
+        "random_source",
+    ),
+    "options": (
+        "STREAM_SOURCES", "stream_fingerprint", "stream_source_for",
+        "validate_stream_options",
+    ),
+    "windows": ("TraceWindow", "iter_windows", "windows_from_sizes"),
+})

@@ -3,7 +3,7 @@
 The paper extracts dynamic timing from a placed-and-routed 28 nm FDSOI
 netlist with SDF back-annotation.  Without a PDK, this package provides a
 *calibrated synthetic substitute* with the same interfaces and statistics
-(see DESIGN.md, substitution table):
+(see ARCHITECTURE.md, "Model substitutions"):
 
 - :mod:`repro.timing.profiles` — per (instruction class, pipeline stage)
   dynamic delay caps and data-dependent spreads for the two design variants
@@ -19,12 +19,7 @@ netlist with SDF back-annotation.  Without a PDK, this package provides a
   :class:`~repro.timing.design.ProcessorDesign`.
 """
 
-from repro.timing.design import DesignVariant, ProcessorDesign, build_design
-from repro.timing.excitation import ExcitationModel
-from repro.timing.library import CellLibrary, delay_scale_factor
-from repro.timing.netlist import SyntheticNetlist
-from repro.timing.profiles import DelayProfile, load_profile
-from repro.timing.sta import StaticTimingReport, run_sta
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DesignVariant",
@@ -39,3 +34,12 @@ __all__ = [
     "StaticTimingReport",
     "run_sta",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "profiles": ("DesignVariant", "DelayProfile", "load_profile"),
+    "design": ("ProcessorDesign", "build_design"),
+    "excitation": ("ExcitationModel",),
+    "library": ("CellLibrary", "delay_scale_factor"),
+    "netlist": ("SyntheticNetlist",),
+    "sta": ("StaticTimingReport", "run_sta"),
+})

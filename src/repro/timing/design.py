@@ -7,13 +7,12 @@ benches query its STA period and overheads.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.sim.spec import DEFAULT_SPEC, PipelineSpec, get_pipeline_spec
 from repro.timing.excitation import ExcitationModel
 from repro.timing.library import CellLibrary, REFERENCE_VOLTAGE
-from repro.timing.netlist import SyntheticNetlist
 from repro.timing.profiles import DelayProfile, DesignVariant, load_profile
-from repro.timing.sta import minimum_period
 
 
 @dataclass
@@ -22,13 +21,24 @@ class ProcessorDesign:
 
     variant: DesignVariant
     profile: DelayProfile
-    netlist: SyntheticNetlist
     library: CellLibrary
     excitation: ExcitationModel
     #: Microarchitecture the design is implemented as.  Part of the
     #: operating point: artifacts (traces, LUTs, models) are keyed per
     #: spec, and the default spec keeps the historical two-tuple keys.
     pipeline_spec: PipelineSpec = field(default_factory=lambda: DEFAULT_SPEC)
+    #: Root seed of the synthetic path population (:attr:`netlist`).
+    seed: int = None
+
+    @cached_property
+    def netlist(self):
+        """The synthetic netlist, built on first use from ``(profile,
+        seed)``.  Only the gate-sim endpoints, ``repro sta`` and
+        :attr:`sta_period_from_netlist_ps` read it; evaluation and
+        :attr:`static_period_ps` work from the profile alone."""
+        from repro.timing.netlist import SyntheticNetlist
+
+        return SyntheticNetlist(self.profile, seed=self.seed)
 
     @property
     def name(self):
@@ -55,6 +65,8 @@ class ProcessorDesign:
     @property
     def sta_period_from_netlist_ps(self):
         """The same bound, derived from the path population (must agree)."""
+        from repro.timing.sta import minimum_period
+
         return self.library.scale_delay(minimum_period(self.netlist))
 
     def at_voltage(self, voltage):
@@ -93,10 +105,10 @@ def build_design(variant=DesignVariant.CRITICAL_RANGE,
     design = ProcessorDesign(
         variant=variant,
         profile=profile,
-        netlist=SyntheticNetlist(profile, seed=seed),
         library=library,
         excitation=ExcitationModel(profile, library=library),
         pipeline_spec=spec,
+        seed=seed,
     )
     if len(_designs) >= _DESIGN_CAPACITY:
         _designs.clear()
@@ -106,6 +118,6 @@ def build_design(variant=DesignVariant.CRITICAL_RANGE,
 
 #: Built designs are deterministic in ``(variant, voltage, seed)`` and
 #: immutable once constructed, so the synthetic path population (the
-#: expensive part) is shared per process.
+#: expensive part, built on first use) is shared per process.
 _designs = {}
 _DESIGN_CAPACITY = 64

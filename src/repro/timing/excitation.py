@@ -4,7 +4,8 @@ This module answers the question the paper answers with SDF-annotated
 gate-level simulation: *given what is in flight in each pipeline stage in
 this cycle, what is the worst data-arrival delay in each endpoint group?*
 
-Model (documented simplifications, cf. DESIGN.md):
+Model (documented simplifications, cf. ARCHITECTURE.md, "Model
+substitutions"):
 
 - **EX group** delays are strongly instruction- and operand-dependent:
   ``delay = max - spread * (1 - criticality)`` where ``criticality`` is 1.0
@@ -71,7 +72,8 @@ def driver_view(record, stage):
     the EX-stage instruction, so the ADR group's delay — and its LUT
     attribution — keys on the EX occupant.  This mapping is shared by the
     DTA extraction and the clock controller, which makes the prediction
-    consistent with the measurement (see DESIGN.md).
+    consistent with the measurement (see ARCHITECTURE.md, "Model
+    substitutions").
     """
     if stage == Stage.ADR:
         return record.view(Stage.EX)

@@ -5,19 +5,7 @@ These helpers are deliberately dependency-light; everything above them in the
 stack (ISA, pipeline, timing model, DTA) builds on this module.
 """
 
-from repro.utils.bitops import (
-    bit,
-    bits,
-    mask,
-    popcount,
-    sign_extend,
-    to_signed32,
-    to_unsigned32,
-)
-from repro.utils.rng import RngStream, derive_seed
-from repro.utils.stats import Histogram, Summary, summarize
-from repro.utils.tables import format_table
-from repro.utils.units import mhz_to_ps, ps_to_mhz
+from repro._lazy import lazy_exports
 
 __all__ = [
     "bit",
@@ -36,3 +24,14 @@ __all__ = [
     "mhz_to_ps",
     "ps_to_mhz",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "bitops": (
+        "bit", "bits", "mask", "popcount", "sign_extend", "to_signed32",
+        "to_unsigned32",
+    ),
+    "rng": ("RngStream", "derive_seed"),
+    "stats": ("Histogram", "Summary", "summarize"),
+    "tables": ("format_table",),
+    "units": ("mhz_to_ps", "ps_to_mhz"),
+})

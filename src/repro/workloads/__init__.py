@@ -2,7 +2,8 @@
 
 The paper evaluates with CoreMark and BEEBS compiled by the OpenRISC GCC
 toolchain.  Without that toolchain we provide hand-written OR1K assembly
-kernels with the same instruction-mix characteristics (see DESIGN.md):
+kernels with the same instruction-mix characteristics (see
+ARCHITECTURE.md, "Model substitutions"):
 
 - :mod:`repro.workloads.kernels` — BEEBS-style single kernels (CRC, matrix
   multiply, sorts, searches, FIR, sieve, state machine, ...), each with a
@@ -17,16 +18,7 @@ kernels with the same instruction-mix characteristics (see DESIGN.md):
 
 import pathlib
 
-from repro.workloads.kernels import Kernel, all_kernels, get_kernel
-from repro.workloads.randomgen import (
-    generate_characterization_program,
-    program_stream,
-)
-from repro.workloads.suite import (
-    benchmark_suite,
-    characterization_suite,
-    suite_names,
-)
+from repro._lazy import lazy_exports
 
 
 class WorkloadError(Exception):
@@ -43,6 +35,7 @@ def resolve_program(spec):
     of a raw traceback.
     """
     from repro.asm import assemble
+    from repro.workloads.kernels import get_kernel
 
     path = pathlib.Path(spec)
     if path.suffix in (".s", ".asm") or path.exists():
@@ -63,6 +56,8 @@ def resolve_program(spec):
 
 
 def _kernel_names():
+    from repro.workloads.kernels import all_kernels
+
     return sorted(kernel.name for kernel in all_kernels())
 
 
@@ -78,3 +73,9 @@ __all__ = [
     "characterization_suite",
     "suite_names",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "kernels": ("Kernel", "all_kernels", "get_kernel"),
+    "randomgen": ("generate_characterization_program", "program_stream"),
+    "suite": ("benchmark_suite", "characterization_suite", "suite_names"),
+})

@@ -8,7 +8,6 @@ and the CLI).
 """
 
 from repro.workloads.kernels import all_kernels, get_kernel
-from repro.workloads.randomgen import generate_characterization_program
 
 #: Kernels shown on the Fig. 8 x-axis (our CoreMark + BEEBS equivalent).
 BENCHMARK_NAMES = (
@@ -64,6 +63,8 @@ def characterization_suite(seed=1, random_programs=2, length=1200,
     A mix of hand kernels and directed semi-random programs; the random
     programs guarantee worst-case pattern coverage for every class.
     """
+    from repro.workloads.randomgen import generate_characterization_program
+
     programs = [
         generate_characterization_program(
             seed=seed + index, length=length, repeats=repeats

@@ -2,7 +2,8 @@
 
 These are the acceptance tests of the reproduction: each checks one
 published result with an explicit tolerance.  Exact-number agreement is not
-expected (our substrate is a calibrated synthetic model, see DESIGN.md);
+expected (our substrate is a calibrated synthetic model, see
+ARCHITECTURE.md, "Model substitutions");
 the *shape* — who wins, by roughly what factor, in which stage — must hold.
 """
 

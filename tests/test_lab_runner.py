@@ -142,6 +142,45 @@ class TestSerialRun:
         assert cached["results"] == result.rows
 
 
+class TestStoreCounters:
+    """A run's store counters cover the parent's own store traffic —
+    the unit checkpoints, resumed-unit loads and LUT warm-up — besides
+    the per-batch deltas the units ship back."""
+
+    def test_result_writes_equal_units_run(self, seeded_store):
+        cold = _run(seeded_store)
+        assert cold.store_stats.get("result", "writes") == cold.units_run
+        clear_compiled_cache()
+        warm = _run(seeded_store)
+        assert warm.simulations == 0
+        assert warm.store_stats.get("result", "writes") == warm.units_run
+        assert warm.to_dict()["store"]["result"]["writes"] == 2
+
+    def test_parallel_checkpoints_counted(self, seeded_store):
+        runner = SweepRunner(GRID, store=seeded_store, jobs=2,
+                             parallel_threshold=0)
+        result = runner.run()
+        assert result.jobs_effective == 2
+        assert result.store_stats.get("result", "writes") == 2
+
+    def test_resumed_units_counted_as_result_hits(self, seeded_store):
+        _run(seeded_store)
+        resumed = _run(seeded_store, resume=True)
+        assert resumed.store_stats.get("result", "hits") == 2
+        assert resumed.store_stats.get("result", "writes") == 0
+
+    def test_stored_sweep_document_does_not_count_itself(self, tmp_path,
+                                                         seeded_store):
+        """The ``sweep:<fingerprint>`` document carries the counters, so
+        it is written after them and is the one write they leave out."""
+        result = _run(seeded_store)
+        cached = ArtifactStore(tmp_path / "store").load_result(
+            f"sweep:{GRID.fingerprint()}"
+        )
+        assert cached["store"] == result.store_stats.as_dict()
+        assert cached["store"]["result"]["writes"] == result.units_run
+
+
 class TestParallelRun:
     def test_parallel_bit_identical_to_serial(self, seeded_store):
         serial = _run(seeded_store)

@@ -130,3 +130,70 @@ class TestSdf:
             parse_sdf("not sdf at all")
         with pytest.raises(SdfError):
             parse_sdf("(DELAYFILE (SDFVERSION))")
+
+
+class TestLazyNetlist:
+    """``ProcessorDesign.netlist`` is built on first use: evaluation
+    never reads it, so a warm sweep never pays for the path
+    population."""
+
+    #: sha256 of the crc32 characterisation LUT JSON per variant,
+    #: recorded while the netlist was still built by ``build_design``.
+    CRC32_LUT_SHA256 = {
+        "critical_range": "e7ff2fb74e9628e907f9232a95b2c848"
+                          "320a72e98bf4b86768c787613e3d81cc",
+        "conventional": "101f7777bc5cbc1b3c3b6598bb2957c3"
+                        "68e063b550dfe4bbc9cb6d232bdbe70b",
+    }
+
+    @staticmethod
+    def _fresh(variant):
+        """An unshared design (``build_design`` caches per process)."""
+        import dataclasses
+
+        from repro.timing.design import build_design
+
+        return dataclasses.replace(build_design(variant))
+
+    def test_build_design_leaves_netlist_unbuilt(self):
+        design = self._fresh(DesignVariant.CRITICAL_RANGE)
+        assert design.static_period_ps == 2026.0
+        assert design.excitation is not None
+        assert "netlist" not in vars(design)
+
+    def test_netlist_built_once_from_profile_and_seed(self):
+        design = self._fresh(DesignVariant.CRITICAL_RANGE)
+        netlist = design.netlist
+        assert design.netlist is netlist
+        reference = SyntheticNetlist(design.profile, seed=design.seed)
+        assert ([p.delay_ps for p in netlist.paths]
+                == [p.delay_ps for p in reference.paths])
+
+    @pytest.mark.parametrize("variant", list(DesignVariant))
+    @pytest.mark.parametrize("voltage", [0.70, 0.90])
+    def test_sta_period_from_netlist_equals_static(self, variant, voltage):
+        from repro.timing.design import build_design
+
+        design = build_design(variant, voltage=voltage)
+        assert design.sta_period_from_netlist_ps == design.static_period_ps
+
+    @pytest.mark.parametrize("variant", list(DesignVariant))
+    def test_characterisation_builds_it_and_lut_bytes_unchanged(self,
+                                                                variant):
+        import hashlib
+
+        from repro.flow.characterize import characterize_program
+        from repro.workloads import get_kernel
+
+        design = self._fresh(variant)
+        lut, _, _ = characterize_program(get_kernel("crc32").program(),
+                                         design)
+        assert "netlist" in vars(design)
+        digest = hashlib.sha256(lut.to_json().encode()).hexdigest()
+        assert digest == self.CRC32_LUT_SHA256[variant.value]
+
+    def test_sta_command_builds_it(self, capsys):
+        from repro.cli import main
+
+        assert main(["sta", "--voltage", "0.75"]) == 0
+        assert "clock bound" in capsys.readouterr().out
