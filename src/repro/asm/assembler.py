@@ -25,7 +25,7 @@ from repro.asm.program import DATA_BASE, Program, TEXT_BASE
 from repro.isa.encoding import encode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Format, spec_for
-from repro.isa.registers import parse_register
+from repro.isa.registers import REG_COUNT, parse_register
 
 
 class AssemblerError(ValueError):
@@ -45,6 +45,15 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_.$][\w.$]*)"
     r"|(?P<op>[-+*()]))"
 )
+#: A plain integer literal, the common operand: evaluated by ``int`` alone.
+#: Decimals with a leading zero ("08") are left to the tokenizer, which
+#: reports them.
+_INT_LITERAL_RE = re.compile(
+    r"-?(?:0[xX][0-9a-fA-F]+|0[bB][01]+|[1-9][0-9]*|0+)"
+)
+#: Canonical register names; aliases and other spellings take
+#: :func:`~repro.isa.registers.parse_register`.
+_REGISTER_INDEX = {f"r{index}": index for index in range(REG_COUNT)}
 
 
 class _ExpressionEvaluator:
@@ -68,7 +77,13 @@ class _ExpressionEvaluator:
                 raise AssemblerError(f"cannot tokenize expression at {remainder!r}")
             index = match.end()
             if match.lastgroup == "num":
-                tokens.append(("num", int(match.group("num"), 0)))
+                literal = match.group("num")
+                try:
+                    tokens.append(("num", int(literal, 0)))
+                except ValueError:
+                    raise AssemblerError(
+                        f"invalid integer literal {literal!r}"
+                    ) from None
             elif match.lastgroup == "char":
                 literal = match.group("char")[1:-1]
                 value = ord(literal[-1]) if literal.startswith("\\") else ord(literal)
@@ -146,11 +161,18 @@ class _ExpressionEvaluator:
 
 
 def _evaluate(text, symbols):
+    if _INT_LITERAL_RE.fullmatch(text):
+        return int(text, 0)
     return _ExpressionEvaluator(text, symbols).evaluate()
 
 
 def _split_operands(text):
     """Split an operand string on top-level commas."""
+    if "(" not in text and ")" not in text:
+        operands = [operand.strip() for operand in text.split(",")]
+        if not operands[-1]:
+            operands.pop()
+        return operands
     operands = []
     depth = 0
     current = []
@@ -186,8 +208,8 @@ def _parse_lines(source):
     statements = []
     pending_labels = []
     for line_number, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#")[0].split(";")[0].strip()
-        while True:
+        line = raw.partition("#")[0].partition(";")[0].strip()
+        while ":" in line:
             match = _LABEL_RE.match(line)
             if not match:
                 break
@@ -211,6 +233,12 @@ def _parse_lines(source):
     return statements
 
 
+def _sole_operand(statement):
+    if len(statement.operands) != 1:
+        raise AssemblerError(f"{statement.mnemonic} needs one operand")
+    return statement.operands[0]
+
+
 def _statement_size(statement, symbols):
     """Size in bytes occupied by a statement (pass 1)."""
     mnemonic = statement.mnemonic
@@ -219,7 +247,7 @@ def _statement_size(statement, symbols):
     if mnemonic == ".word":
         return 4 * max(len(statement.operands), 1)
     if mnemonic == ".space":
-        return _evaluate(statement.operands[0], symbols)
+        return _evaluate(_sole_operand(statement), symbols)
     if mnemonic.startswith("."):
         return 0
     return 4
@@ -248,13 +276,13 @@ def assemble(source, name="program", entry_symbol=None):
         mnemonic = statement.mnemonic
         try:
             if mnemonic == ".org":
-                address = _evaluate(statement.operands[0], symbols)
+                address = _evaluate(_sole_operand(statement), symbols)
             elif mnemonic in (".text", ".data"):
                 section_addresses[current_section] = address
                 current_section = mnemonic
                 address = section_addresses[current_section]
             elif mnemonic == ".align":
-                alignment = _evaluate(statement.operands[0], symbols)
+                alignment = _evaluate(_sole_operand(statement), symbols)
                 if alignment <= 0 or alignment & (alignment - 1):
                     raise AssemblerError(f".align needs a power of two, got {alignment}")
                 address = (address + alignment - 1) & ~(alignment - 1)
@@ -288,7 +316,7 @@ def assemble(source, name="program", entry_symbol=None):
                     value = _evaluate(operand, symbols) & 0xFFFFFFFF
                     program.add_word(statement.address + 4 * offset, value)
             elif mnemonic == ".space":
-                size = _evaluate(statement.operands[0], symbols)
+                size = _evaluate(_sole_operand(statement), symbols)
                 for offset in range(0, size, 4):
                     program.add_word(statement.address + offset, 0)
             elif mnemonic.startswith("."):
@@ -300,7 +328,9 @@ def assemble(source, name="program", entry_symbol=None):
                 program.add_word(
                     statement.address, encode(instruction), instruction
                 )
-        except AssemblerError as err:
+        except ValueError as err:
+            # AssemblerError, or an encoder/image range check (EncodingError,
+            # a word assembled twice)
             raise AssemblerError(
                 str(err), statement.line_number, statement.text
             ) from None
@@ -328,12 +358,6 @@ def _parse_instruction(mnemonic, operands, address, symbols):
                 f"{mnemonic} expects {count} operand(s), got {len(operands)}"
             )
 
-    def reg(text):
-        try:
-            return parse_register(text)
-        except ValueError as err:
-            raise AssemblerError(str(err)) from None
-
     def value(text):
         return _evaluate(text, symbols)
 
@@ -349,7 +373,7 @@ def _parse_instruction(mnemonic, operands, address, symbols):
         return Instruction(mnemonic, imm=pc_relative(operands[0]))
     if fmt == Format.JR:
         expect(1)
-        return Instruction(mnemonic, rb=reg(operands[0]))
+        return Instruction(mnemonic, rb=_reg(operands[0]))
     if fmt == Format.NOP:
         if len(operands) not in (0, 1):
             raise AssemblerError("l.nop takes at most one operand")
@@ -357,37 +381,47 @@ def _parse_instruction(mnemonic, operands, address, symbols):
         return Instruction(mnemonic, imm=imm)
     if fmt == Format.MOVHI:
         expect(2)
-        return Instruction(mnemonic, rd=reg(operands[0]), imm=value(operands[1]))
+        return Instruction(mnemonic, rd=_reg(operands[0]), imm=value(operands[1]))
     if fmt == Format.LOAD:
         expect(2)
         imm, base = _parse_displacement(operands[1], symbols)
-        return Instruction(mnemonic, rd=reg(operands[0]), ra=base, imm=imm)
+        return Instruction(mnemonic, rd=_reg(operands[0]), ra=base, imm=imm)
     if fmt == Format.STORE:
         expect(2)
         imm, base = _parse_displacement(operands[0], symbols)
-        return Instruction(mnemonic, ra=base, rb=reg(operands[1]), imm=imm)
+        return Instruction(mnemonic, ra=base, rb=_reg(operands[1]), imm=imm)
     if fmt in (Format.ALU_IMM, Format.SHIFT_IMM):
         expect(3)
         return Instruction(
-            mnemonic, rd=reg(operands[0]), ra=reg(operands[1]),
+            mnemonic, rd=_reg(operands[0]), ra=_reg(operands[1]),
             imm=value(operands[2]),
         )
     if fmt == Format.SETFLAG_IMM:
         expect(2)
-        return Instruction(mnemonic, ra=reg(operands[0]), imm=value(operands[1]))
+        return Instruction(mnemonic, ra=_reg(operands[0]), imm=value(operands[1]))
     if fmt == Format.SETFLAG_REG:
         expect(2)
-        return Instruction(mnemonic, ra=reg(operands[0]), rb=reg(operands[1]))
+        return Instruction(mnemonic, ra=_reg(operands[0]), rb=_reg(operands[1]))
     if fmt == Format.ALU_REG:
         if spec.reads_rb:
             expect(3)
             return Instruction(
-                mnemonic, rd=reg(operands[0]), ra=reg(operands[1]),
-                rb=reg(operands[2]),
+                mnemonic, rd=_reg(operands[0]), ra=_reg(operands[1]),
+                rb=_reg(operands[2]),
             )
         expect(2)
-        return Instruction(mnemonic, rd=reg(operands[0]), ra=reg(operands[1]))
+        return Instruction(mnemonic, rd=_reg(operands[0]), ra=_reg(operands[1]))
     raise AssertionError(f"unhandled format {fmt}")
+
+
+def _reg(text):
+    index = _REGISTER_INDEX.get(text)
+    if index is not None:
+        return index
+    try:
+        return parse_register(text)
+    except ValueError as err:
+        raise AssemblerError(str(err)) from None
 
 
 def _parse_displacement(text, symbols):
@@ -396,8 +430,5 @@ def _parse_displacement(text, symbols):
     if not match:
         raise AssemblerError(f"expected displacement operand disp(reg), got {text!r}")
     disp_text = match.group(1).strip() or "0"
-    try:
-        base = parse_register(match.group(2))
-    except ValueError as err:
-        raise AssemblerError(str(err)) from None
+    base = _reg(match.group(2))
     return _evaluate(disp_text, symbols), base

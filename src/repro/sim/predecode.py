@@ -285,7 +285,8 @@ class DecodedImage:
     __slots__ = (
         "key", "built_at", "addrs", "instrs", "slots", "lookup", "sparse",
         "fast_ok", "class_names", "np_pc", "np_cls", "np_kind", "np_dest",
-        "np_src", "np_mnem", "memory_proto", "iss_results", "crit_cache",
+        "np_src", "np_mnem", "memory_proto", "iss_run", "iss_deferred",
+        "crit_cache",
     )
 
     def __init__(self, program, key=None):
@@ -379,7 +380,8 @@ class DecodedImage:
             self.fast_ok = False
         self.memory_proto = Memory("dmem")
         program.load_into(self.memory_proto)
-        self.iss_results = {}     # max_cycles -> IssData | _DEFERRED
+        self.iss_run = None       # the halted pass (IssData), once run
+        self.iss_deferred = 0     # largest budget known to defer
         self.crit_cache = {}      # EX criticality arrays (dta.compiled)
 
     def instruction_at(self, address):
@@ -436,23 +438,18 @@ _stats = {
     "iss_hits": 0,
 }
 
-#: Sentinel cached when a program's fast pass deferred: re-running the
-#: dispatch loop would defer again, so the caller goes straight to the
-#: object-layer ISS.
-_DEFERRED = object()
-
-
 def _clone_data(data, program, image):
     """Fresh :class:`IssData` view of a cached architectural result.
 
-    The ISS pass is a pure function of ``(program content, max_cycles)``,
-    so results are cached on the image; each caller gets its own copies of
-    the parts the downstream pipeline mutates or keeps (final memory,
-    architectural state, the intern list the reconstruction appends to).
-    The immutable columns — retired arrays, instruction list, store set —
-    are shared read-only.  Each clone points at ``image``; the cached copy
-    does not, so an image and its results form no reference cycle and
-    are freed as soon as the cache lets go of them.
+    The ISS pass is a pure function of the program content (see
+    :func:`collect`), so its result is cached on the image; each caller
+    gets its own copies of the parts the downstream pipeline mutates or
+    keeps (final memory, architectural state, the intern list the
+    reconstruction appends to).  The immutable columns — retired arrays,
+    instruction list, store set — are shared read-only.  Each clone
+    points at ``image``; the cached copy does not, so an image and its
+    results form no reference cycle and are freed as soon as the cache
+    lets go of them.
     """
     state = ArchState(entry=program.entry)
     state.regs = list(data.state.regs)
@@ -549,29 +546,34 @@ def collect(program, max_cycles):
     image cannot answer — the caller re-runs
     ``FunctionalSimulator`` which reproduces the behaviour bit-exactly.
 
-    Results are memoised per ``(program content, max_cycles)`` on the
-    shared image: the architectural pass is deterministic, so repeated
-    evaluations of the same kernel (characterisation then every config of
-    a sweep) execute once and clone the columns (:func:`_clone_data`).
+    The architectural pass is deterministic, so the halted run is kept on
+    the shared image with its step count (``state.instret``) and serves
+    every later budget it fits: a program is stepped once per process
+    however many budgets ask for it (characterisation simulates at
+    ``gatesim.MAX_CYCLES``, a sweep at its own ``max_cycles``), and each
+    caller gets cloned columns (:func:`_clone_data`).  A budget below the
+    step count is one the step loop would trip, so it defers and the
+    object ISS raises the budget error.  A deferred pass records its
+    budget; only a larger budget runs the loop again.
     """
     image = image_for(program)
     if not image.fast_ok:
         _stats["deferred_runs"] += 1
         return None
-    cached = image.iss_results.get(max_cycles)
-    if cached is not None:
+    run = image.iss_run
+    if run is not None or max_cycles <= image.iss_deferred:
         _stats["iss_hits"] += 1
-        if cached is _DEFERRED:
+        if run is None or max_cycles < run.state.instret:
             _stats["deferred_runs"] += 1
             return None
         _stats["fast_runs"] += 1
-        return _clone_data(cached, program, image)
+        return _clone_data(run, program, image)
     with obs_span("iss.collect", program=program.name):
         data = _collect_impl(image, program, max_cycles)
     if data is None:
-        image.iss_results[max_cycles] = _DEFERRED
+        image.iss_deferred = max_cycles
         return None
-    image.iss_results[max_cycles] = data
+    image.iss_run = data
     return _clone_data(data, program, image)
 
 

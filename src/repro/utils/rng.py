@@ -8,6 +8,7 @@ and every experiment is exactly reproducible from its configuration.
 """
 
 import hashlib
+from bisect import bisect_right
 
 import numpy as np
 
@@ -23,6 +24,62 @@ def derive_seed(root_seed, name):
     """
     digest = hashlib.sha256(f"{root_seed:#x}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def _kahan_sum(values):
+    """Compensated sum in numpy's order (``Generator.choice`` uses it to
+    check that probabilities sum to one)."""
+    total = values[0]
+    carry = 0.0
+    for value in values[1:]:
+        y = value - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
+
+
+class WeightedChoice:
+    """A fixed weighted choice over ``items``, validated once.
+
+    :meth:`RngStream.draw` on it consumes the stream exactly as
+    ``Generator.choice(len(items), p=p)`` does: one ``random()`` double
+    located in the normalised cumulative table with ``side="right"``.
+    ``p`` is checked as numpy checks it, raising the same
+    ``ValueError`` for a wrong shape or length, a NaN or negative entry,
+    or a sum that is not 1, but here at construction instead of per
+    draw.  Build tables for fixed mixes once, at module level.
+    """
+
+    __slots__ = ("items", "cdf")
+
+    def __init__(self, items, p):
+        self.items = tuple(items)
+        if not self.items:
+            raise ValueError(
+                "a must be a positive integer unless no samples are taken"
+            )
+        atol = np.sqrt(np.finfo(np.float64).eps)
+        if isinstance(p, np.ndarray) and np.issubdtype(p.dtype, np.floating):
+            atol = max(atol, np.sqrt(np.finfo(p.dtype).eps))
+        p = np.ascontiguousarray(p, dtype=np.float64)
+        if p.ndim != 1:
+            raise ValueError("p must be 1-dimensional")
+        if p.size != len(self.items):
+            raise ValueError("a and p must have same size")
+        p_sum = _kahan_sum(p.tolist())
+        if np.isnan(p_sum):
+            raise ValueError("Probabilities contain NaN")
+        if (p < 0).any():
+            raise ValueError("Probabilities are not non-negative")
+        if abs(p_sum - 1.0) > atol:
+            raise ValueError(
+                "Probabilities do not sum to 1. See Notes section of "
+                "docstring for more information."
+            )
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self.cdf = cdf.tolist()
 
 
 class RngStream:
@@ -66,8 +123,16 @@ class RngStream:
         return int(self._gen.integers(low, high))
 
     def choice(self, seq, p=None):
-        index = int(self._gen.choice(len(seq), p=p))
-        return seq[index]
+        """One element of ``seq``, drawn as ``Generator.choice`` draws it
+        (uniform ``integers(0, len(seq))``, or :class:`WeightedChoice`
+        when ``p`` is given)."""
+        if p is not None:
+            return self.draw(WeightedChoice(seq, p))
+        return seq[int(self._gen.integers(0, len(seq)))]
+
+    def draw(self, weighted):
+        """One item of a prebuilt :class:`WeightedChoice`."""
+        return weighted.items[bisect_right(weighted.cdf, self._gen.random())]
 
     def shuffle(self, items):
         """Shuffle a list in place."""

@@ -30,11 +30,12 @@ def resolve_program(spec):
 
     A spec is either the name of a bundled kernel or a path to a
     ``.s``/``.asm`` assembly file.  Unknown kernels and missing files
-    raise :class:`WorkloadError` with the list of bundled kernels, so
-    front ends (CLI, scenario grids) can report a friendly error instead
-    of a raw traceback.
+    raise :class:`WorkloadError` with the list of bundled kernels, and a
+    file that does not assemble raises it naming the file and the line,
+    so front ends (CLI, scenario grids) can report a friendly error
+    instead of a raw traceback.
     """
-    from repro.asm import assemble
+    from repro.asm import AssemblerError, assemble
     from repro.workloads.kernels import get_kernel
 
     path = pathlib.Path(spec)
@@ -44,7 +45,10 @@ def resolve_program(spec):
                 f"assembly file not found: {spec!r}\n"
                 f"(bundled kernels: {', '.join(_kernel_names())})"
             )
-        return assemble(path.read_text(), name=path.stem)
+        try:
+            return assemble(path.read_text(), name=path.stem)
+        except AssemblerError as error:
+            raise WorkloadError(f"cannot assemble {spec!r}: {error}") from None
     try:
         return get_kernel(spec).program()
     except KeyError:

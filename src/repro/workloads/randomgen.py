@@ -15,7 +15,7 @@ The generated program is plain OR1K assembly and runs on both simulators.
 from functools import lru_cache
 
 from repro.asm import assemble
-from repro.utils.rng import RngStream
+from repro.utils.rng import RngStream, WeightedChoice
 
 #: Registers reserved by the generator (never used as destinations).
 _REG_SCRATCH_BASE = 20     # scratch memory base
@@ -24,7 +24,8 @@ _REG_ALL_ONES = 22         # 0xFFFFFFFF
 _REG_ONE = 23              # constant 1 (worst-case divisor)
 _REG_REPEAT = 31           # outer repeat counter
 
-_GP_REGS = list(range(2, 16))    # general destinations/sources
+_GP_REGS = tuple(range(2, 16))   # general destinations/sources
+_SOURCE_REGS = _GP_REGS + (_REG_ALL_ONES,)
 
 #: Random-mix weights (loosely after embedded instruction mixes).
 _MIX = [
@@ -43,6 +44,13 @@ _MIX = [
     ("l.sfgtsi", 1), ("l.sfltui", 1),
     ("l.nop", 3),
 ]
+
+#: The mix as one validated cumulative table, drawn per instruction.
+_MIX_TOTAL = sum(weight for _, weight in _MIX)
+_MIX_CHOICE = WeightedChoice(
+    [mnemonic for mnemonic, _ in _MIX],
+    [weight / _MIX_TOTAL for _, weight in _MIX],
+)
 
 _SCRATCH_WORDS = 64
 
@@ -171,13 +179,10 @@ def _worst_pattern_idioms(out):
 
 
 def _random_instruction(out, rng):
-    weights = [w for _, w in _MIX]
-    total = sum(weights)
-    probabilities = [w / total for w in weights]
-    mnemonic = rng.choice([m for m, _ in _MIX], p=probabilities)
+    mnemonic = rng.draw(_MIX_CHOICE)
     rd = rng.choice(_GP_REGS)
-    ra = rng.choice(_GP_REGS + [_REG_ALL_ONES])
-    rb = rng.choice(_GP_REGS + [_REG_ALL_ONES])
+    ra = rng.choice(_SOURCE_REGS)
+    rb = rng.choice(_SOURCE_REGS)
 
     if mnemonic in ("l.lwz", "l.sw"):
         offset = 4 * rng.integers(0, _SCRATCH_WORDS)

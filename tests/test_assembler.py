@@ -9,6 +9,11 @@ from repro.asm import (
     disassemble,
     disassemble_program,
 )
+from repro.asm.assembler import (
+    _evaluate,
+    _ExpressionEvaluator,
+    _split_operands,
+)
 from repro.asm.program import DATA_BASE, Program
 from repro.isa.encoding import encode
 from repro.isa.instruction import Instruction
@@ -138,6 +143,11 @@ class TestAssemblyErrors:
         (".bogus 4", "unknown directive"),
         ("l.addi r1, r0, ((3)", "parenthes"),
         (".align 3\nl.nop", "power of two"),
+        ("l.addi r1, r0, 99999", "does not fit in 16 bits"),
+        ("l.addi r1, r0, 08", "invalid integer literal '08'"),
+        ("l.lwz r1, -08(r2)", "invalid integer literal '08'"),
+        (".org 0\nl.nop\n.org 0\nl.nop", "assembled twice"),
+        (".space", "needs one operand"),
     ])
     def test_error_cases(self, source, fragment):
         with pytest.raises(AssemblerError, match=fragment):
@@ -154,6 +164,57 @@ class TestAssemblyErrors:
     def test_misaligned_branch_target(self):
         with pytest.raises(AssemblerError, match="aligned"):
             assemble(".equ T, 0x102\nl.j T\n")
+
+
+class TestFastPaths:
+    """The integer-literal and no-parenthesis shortcuts give the general
+    path's operands, values and errors."""
+
+    @staticmethod
+    def _general_value(text, symbols):
+        try:
+            return _ExpressionEvaluator(text, symbols).evaluate()
+        except AssemblerError as err:
+            return str(err)
+
+    @staticmethod
+    def _general_split(text):
+        """The character-by-character splitter, written out."""
+        operands, depth, current = [], 0, []
+        for char in text:
+            depth += (char == "(") - (char == ")")
+            if char == "," and depth == 0:
+                operands.append("".join(current).strip())
+                current = []
+            else:
+                current.append(char)
+        tail = "".join(current).strip()
+        return operands + [tail] if tail else operands
+
+    @pytest.mark.parametrize("text", [
+        "0", "00", "7", "-7", "123", "-2048", "0x1F", "0XfF", "-0x10",
+        "0b101", "0B0", "08", "-08", "0x", "0b2", "1_000", "0o17", "+5",
+        "- 5", "5 ", "sym", "sym+4", "hi(sym)", "'a'", "4*3",
+    ])
+    def test_literal_matches_expression_path(self, text):
+        symbols = {"sym": 0x10004}
+        try:
+            fast = _evaluate(text, symbols)
+        except AssemblerError as err:
+            fast = str(err)
+        assert fast == self._general_value(text, symbols)
+
+    @pytest.mark.parametrize("text", [
+        "", " ", "r1", "r1, r2", " r1 ,r2 , 3 ", "a,,b", "a,", ",a", ",",
+        "a, b, ", "r1,r2,-1",
+    ])
+    def test_split_matches_general_path(self, text):
+        assert _split_operands(text) == self._general_split(text)
+
+    def test_error_line_number_for_encoder_range(self):
+        with pytest.raises(AssemblerError) as info:
+            assemble("l.nop\nl.addi r1, r0, 99999\n")
+        assert info.value.line_number == 2
 
 
 class TestProgramContainer:

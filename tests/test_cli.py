@@ -123,6 +123,26 @@ class TestProgramErrors:
         err = capsys.readouterr().err
         assert "assembly file not found" in err
 
+    def test_assembly_error_names_file_and_line(self, tmp_path, capsys):
+        source = tmp_path / "bad.s"
+        source.write_text("start:\n  l.addi r1, r0, 1\n  l.addi r2, r0, 08\n")
+        assert main(["run", str(source)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot assemble")
+        assert "bad.s" in err and "line 3" in err
+        assert "Traceback" not in err
+
+    def test_grid_assembly_error_exits_2(self, tmp_path, capsys):
+        source = tmp_path / "bad.s"
+        source.write_text("l.addi r1, r0, 99999\n")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(
+            {"policies": ["instruction"], "workloads": [str(source)]}
+        ))
+        assert main(["sweep", "--grid", str(grid)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot assemble" in err and "line 1" in err
+
     def test_evaluate_fails_fast_before_characterisation(self, capsys):
         assert main(["evaluate", "nosuchkernel"]) == 2
         captured = capsys.readouterr()
