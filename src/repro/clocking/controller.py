@@ -12,9 +12,13 @@ path, so the two evaluation engines report bit-identical aggregates.
 The array path splits a decision into the policy's *base* period vector
 (:class:`PolicyGather`, one gather per trace) and the per-configuration
 margin and generator applied on top of it, so configurations that share
-a policy share its gather.  Every period is checked finite and positive
-before it is granted: a NaN would otherwise compare false against every
-excited delay and report a fail-open "safe" run.
+a policy share its gather.  A :class:`BatchGather` lays the bases of a
+whole batch of traces end to end, so one controller decides a
+configuration over every program at once and
+:meth:`ControllerStats.from_segment` splits the aggregates back per
+program.  Every period is checked finite and positive before it is
+granted: a NaN would otherwise compare false against every excited delay
+and report a fail-open "safe" run.
 """
 
 import math
@@ -46,14 +50,23 @@ class ControllerStats:
         periods_ps = np.asarray(periods_ps, dtype=float)
         if periods_ps.size == 0:
             return cls()
+        return cls.from_segment(
+            periods_ps, float(periods_ps.min()), float(periods_ps.max())
+        )
+
+    @classmethod
+    def from_segment(cls, periods_ps, min_period_ps, max_period_ps):
+        """Aggregates of a non-empty contiguous view (numpy's pairwise sum
+        over it is bit-identical to summing a copy), given its extrema;
+        switches never cross the view's ends."""
         return cls(
             cycles=int(periods_ps.size),
             total_time_ps=float(periods_ps.sum()),
             switches=int(
                 np.count_nonzero(periods_ps[1:] != periods_ps[:-1])
             ),
-            min_period_ps=float(periods_ps.min()),
-            max_period_ps=float(periods_ps.max()),
+            min_period_ps=min_period_ps,
+            max_period_ps=max_period_ps,
         )
 
     @property
@@ -82,9 +95,8 @@ class PolicyGather:
     policies), checked finite and positive.  It is memoised for the last
     trace seen; the memo holds that trace, so an identity check can never
     match a different trace that reused a freed one's id.  Every
-    controller handed the same gather reads the same vector, which is how
-    a batch evaluation gathers each (policy, trace) pair once across all
-    of its margins and generators.
+    controller handed the same gather reads the same vector; a
+    :class:`BatchGather` holds one per trace of a batch.
     """
 
     def __init__(self, policy):
@@ -106,6 +118,43 @@ class PolicyGather:
         return self._base
 
 
+class BatchGather:
+    """One policy source's base period vector over one batch of traces
+    (``batch.traces``, cut at ``batch.bounds``), laid end to end.
+
+    ``make_policy`` is called once per trace, in order, so every program
+    starts from a fresh policy (the ``SweepConfig`` factory contract),
+    gathered and checked through its own :class:`PolicyGather` in
+    :attr:`gathers`; the bases are concatenated once.
+    """
+
+    #: One policy per trace, held by :attr:`gathers`.
+    policy = None
+
+    def __init__(self, make_policy):
+        self.make_policy = make_policy
+        self.gathers = []
+        self._base = None
+
+    def at(self, position):
+        """The :class:`PolicyGather` of the trace at ``position``; the
+        policies of every trace up to it are built first, in order."""
+        while len(self.gathers) <= position:
+            self.gathers.append(PolicyGather(self.make_policy()))
+        return self.gathers[position]
+
+    def periods_for(self, batch):
+        if self._base is None:
+            self._base = np.concatenate([
+                self.at(position).periods_for(trace)
+                for position, trace in enumerate(batch.traces)
+            ])
+            # one copy of the bases: each trace's memo becomes a view
+            for gather, (start, stop) in zip(self.gathers, batch.bounds):
+                gather._base = self._base[start:stop]
+        return self._base
+
+
 class ClockAdjustmentController:
     """Per-cycle period decision = quantize(policy period × (1 + margin)).
 
@@ -114,7 +163,8 @@ class ClockAdjustmentController:
     policy:
         A prediction policy (``period_for(record)``, and optionally the
         vectorized ``periods_for(compiled_trace)``), or a
-        :class:`PolicyGather` shared with other controllers.
+        :class:`PolicyGather` (one trace) or :class:`BatchGather` (a
+        batch of traces laid end to end) shared with other controllers.
     generator:
         Clock-generator model; ``None`` means ideal (continuous).
     margin_percent:
@@ -127,7 +177,7 @@ class ClockAdjustmentController:
             raise ValueError("margin cannot be negative")
         if not math.isfinite(margin_percent):
             raise ValueError(f"margin must be finite, got {margin_percent}")
-        if not isinstance(policy, PolicyGather):
+        if not isinstance(policy, (PolicyGather, BatchGather)):
             policy = PolicyGather(policy)
         self.gather = policy
         self.policy = policy.policy
@@ -159,9 +209,12 @@ class ClockAdjustmentController:
         vector and records the sequence for :attr:`stats`.  The base is
         already checked, and a finite margin of at least 1 keeps it
         finite and positive, so without a generator no second check is
-        needed.
+        needed.  Handed a :class:`BatchGather`, ``compiled_trace`` is the
+        whole batch and one call decides every program of it.
         """
-        periods = self.gather.periods_for(compiled_trace) * self.margin
+        periods = self.gather.periods_for(compiled_trace)
+        if self.margin != 1.0:   # x * 1.0 == x: no batch-wide copy
+            periods = periods * self.margin
         if self.generator is not None:
             if hasattr(self.generator, "quantize_up_array"):
                 periods = self.generator.quantize_up_array(periods)

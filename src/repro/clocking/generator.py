@@ -98,11 +98,14 @@ class TunableRingOscillator:
 
     def quantize_up_array(self, periods_ps):
         periods_ps = check_periods(periods_ps)
-        clamped = np.maximum(periods_ps, self.min_period_ps)
-        steps = np.ceil(
-            (clamped - self.min_period_ps) / self.step_ps - 1e-9
-        )
-        granted = self.min_period_ps + steps * self.step_ps
+        # the scalar arithmetic, in place: one allocation per call
+        granted = np.maximum(periods_ps, self.min_period_ps)
+        granted -= self.min_period_ps
+        granted /= self.step_ps
+        granted -= 1e-9
+        np.ceil(granted, out=granted)
+        granted *= self.step_ps
+        granted += self.min_period_ps
         over = granted > self.max_period_ps + 1e-9
         if over.any():
             worst = float(periods_ps[over].max())

@@ -13,15 +13,23 @@ Every policy offers two equivalent entry points:
 - ``periods_for(compiled_trace)`` — the whole trace at once, as a NumPy
   array, driven by the :class:`~repro.dta.compiled.CompiledTrace` class-id
   matrix.  LUT policies reduce to integer fancy-indexing into a
-  class×stage table; the genie reduces to a row-wise max of the compiled
-  delay matrix.  Results are bit-identical to the scalar path (same table
-  lookups, same float operations).
+  class×stage table gathered from the LUT's dense matrix
+  (:meth:`~repro.dta.lut.DelayLUT.dense`, built once per LUT; the ex-only
+  floor and the two-class fast period reduce over it too); the genie
+  reduces to a row-wise max of the compiled delay matrix.  Results are
+  bit-identical to the scalar path (same table values, same float
+  operations).
 """
 
 import numpy as np
 
 from repro.sim.trace import Stage
-from repro.timing.profiles import BUBBLE_CLASS
+
+
+def _worst(entries):
+    """Largest of ``entries`` and 0, skipping NaN entries as a running
+    ``max(worst, entry)`` from 0 does."""
+    return float(np.fmax.reduce(entries.ravel(), initial=0.0))
 
 
 class StaticClockPolicy:
@@ -59,7 +67,7 @@ class InstructionLutPolicy:
         )
 
     def periods_for(self, compiled_trace):
-        table = compiled_trace.class_table(self.lut.entry)
+        table = compiled_trace.class_table(self.lut)
         return compiled_trace.stage_periods(table).max(axis=1)
 
 
@@ -80,13 +88,11 @@ class ExOnlyLutPolicy:
         self.floor_ps = self._static_floor()
 
     def _static_floor(self):
-        floor = 0.0
-        floor_stages = (Stage.FE, Stage.DC, Stage.CTRL, Stage.WB)
-        for cls in list(self.lut.classes()) + [BUBBLE_CLASS]:
-            if not self.lut.is_characterized(cls):
-                continue   # never predicted for these stages anyway
-            for stage in floor_stages:
-                floor = max(floor, self.lut.entry(cls, stage))
+        # the characterised rows only: the others are never predicted for
+        # these stages anyway
+        _, matrix = self.lut.dense()
+        floor_stages = [Stage.FE, Stage.DC, Stage.CTRL, Stage.WB]
+        floor = _worst(matrix[:-1, floor_stages])
         return floor if floor > 0 else self.lut.static_period_ps
 
     def period_for(self, record):
@@ -105,7 +111,7 @@ class ExOnlyLutPolicy:
         # the LUT's class x stage table, shared with InstructionLutPolicy:
         # column 0 is the ADR group (every spec starts with it), column
         # ``ex`` the EX group
-        table = compiled_trace.class_table(self.lut.entry)
+        table = compiled_trace.class_table(self.lut)
         return np.maximum(
             np.maximum(table[ex_ids, ex], table[ex_ids, 0]), self.floor_ps
         )
@@ -134,16 +140,12 @@ class TwoClassPolicy:
 
     def _fast_period(self):
         """Worst LUT entry over every fast, characterised class and every
-        stage — the fast period must be safe for anything non-slow."""
-        worst = 0.0
-        for cls in list(self.lut.classes()) + [BUBBLE_CLASS]:
-            if cls in self.slow_classes:
-                continue
-            if not self.lut.is_characterized(cls):
-                # uncharacterised classes force the slow period at runtime
-                continue
-            for stage in Stage:
-                worst = max(worst, self.lut.entry(cls, stage))
+        stage — the fast period must be safe for anything non-slow
+        (uncharacterised classes force the slow period at runtime)."""
+        index, matrix = self.lut.dense()
+        fast = [row for cls, row in index.items()
+                if cls not in self.slow_classes]
+        worst = _worst(matrix[fast])
         return worst if worst > 0 else self.lut.static_period_ps
 
     def _is_slow(self, cls):

@@ -197,17 +197,20 @@ class CompiledTrace:
             self._cycle_max = cycle_max
         return self._cycle_max
 
-    def class_table(self, entry):
-        """``(num_classes, num_stages)`` table of ``entry(cls, stage)``.
+    def class_table(self, lut):
+        """``(num_classes, num_stages)`` table of ``lut.entry(cls, stage)``.
 
-        One column per spec stage; each is filled from its canonical
-        :class:`Stage` group, so ``entry`` never needs to know the spec.
+        A gather from the LUT's dense matrix (:meth:`~repro.dta.lut.
+        DelayLUT.dense`): one row per trace class, one column per spec
+        stage filled from its canonical :class:`Stage` group, so the LUT
+        never needs to know the spec.
         """
-        groups = [Stage(group) for group in self.pipeline_spec.group_of]
-        return np.array([
-            [entry(cls, stage) for stage in groups]
-            for cls in self.class_names
-        ], dtype=float)
+        index, matrix = lut.dense()
+        rows = np.array(
+            [index.get(cls, len(index)) for cls in self.class_names],
+            dtype=np.intp,
+        )
+        return matrix[rows[:, None], self.pipeline_spec.group_of]
 
     def stage_periods(self, table):
         """Gather a class×stage ``table`` along the trace: element

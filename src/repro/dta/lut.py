@@ -10,6 +10,8 @@ which is always safe.
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.sim.trace import Stage
 from repro.timing.profiles import BUBBLE_CLASS
 from repro.utils.tables import format_table
@@ -68,6 +70,36 @@ class DelayLUT:
     def bubble_period_ps(self):
         """Period bound applied for bubbles (flushed/stalled slots)."""
         return self.class_max(BUBBLE_CLASS)
+
+    def dense(self):
+        """The table as ``(index, matrix)``: row ``index[cls]`` of the
+        float matrix holds ``entry(cls, stage)`` per :class:`Stage` for
+        each characterised class (and the bubble), the last row the static
+        period :meth:`entry` gives any other class.
+
+        Built once while ``entries``, ``characterized`` and
+        ``static_period_ps`` stay the same objects, so change a LUT by
+        assigning new ones; copies and pickles drop the memo.
+        """
+        key = (self.entries, self.characterized, self.static_period_ps)
+        memo = self.__dict__.get("_dense")
+        if memo is None or any(a is not b for a, b in zip(memo[0], key)):
+            static = self.static_period_ps
+            index = {cls: row for row, cls in enumerate(dict.fromkeys(
+                cls for cls in self.classes() + [BUBBLE_CLASS]
+                if cls in self.characterized
+            ))}
+            rows = [[self.entries.get(cls, {}).get(stage, static)
+                     for stage in Stage] for cls in index]
+            matrix = np.array(rows + [[static] * len(Stage)], dtype=float)
+            matrix.flags.writeable = False
+            memo = self.__dict__["_dense"] = (key, index, matrix)
+        return memo[1], memo[2]
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_dense", None)
+        return state
 
     # -- serialisation -------------------------------------------------------
 

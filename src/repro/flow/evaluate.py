@@ -9,18 +9,29 @@ errors).
 
 The engine is built around the compiled-trace artifact
 (:mod:`repro.dta.compiled`): the pipeline is simulated once per
-(program, design) and frozen into NumPy matrices.  A batch then does
-each piece of work at the level it depends on:
+(program, design) and frozen into NumPy matrices.  A batch lays its
+programs' traces end to end (:class:`TraceBatch`) and does each piece of
+work at the level it depends on:
 
-- per (policy source, program): the policy is built once and its base
-  period vector gathered once (:class:`~repro.clocking.controller.
-  PolicyGather`), shared by every configuration naming that source;
-- per program: the per-cycle genie bound ``cycle_max_delays``, computed
-  once and cached on the trace;
-- per (config, program): margin multiply, generator quantisation, the
-  period statistics, and a 1-D safety prefilter against that bound —
-  only cycles that fail it are expanded into per-stage
-  :class:`TimingViolation` records.
+- per (policy source, program): a fresh policy is built and its base
+  period vector gathered and checked once; the bases of one source are
+  concatenated once (:class:`~repro.clocking.controller.BatchGather`)
+  and shared by every configuration naming that source;
+- per batch: the per-cycle genie bound ``cycle_max_delays`` of every
+  trace, concatenated once;
+- per configuration, over the whole batch at once: margin multiply,
+  generator quantisation and the finite/positive checks
+  (:meth:`~repro.clocking.controller.ClockAdjustmentController.
+  periods_for`), ``reduceat`` extrema, and the 1-D safety prefilter
+  ``bound > periods + tol``;
+- per (config, program): :func:`evaluate_compiled` finishes the row
+  from the program's segment — the pairwise sum and switch count of its
+  contiguous view, and per-stage :class:`TimingViolation` records only
+  for a program the prefilter flagged.
+
+A configuration that cannot be decided is replayed program by program,
+so the error is the first failing program's, naming its own periods.
+
 :class:`repro.api.Session` is the entry point (``Session.evaluate`` for
 the columnar ``ResultFrame``, ``Session.evaluate_results`` for the
 ``[config][program]`` grid of :class:`EvaluationResult` objects).  The
@@ -29,13 +40,15 @@ original per-record loop survives only as the test oracle
 this engine bit-identical to.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.clocking.controller import (
+    BatchGather,
     ClockAdjustmentController,
-    PolicyGather,
+    ControllerStats,
 )
 from repro.dta.compiled import get_compiled_trace
 from repro.obs.trace import span as obs_span
@@ -126,13 +139,19 @@ class SweepConfig:
     """One configuration of a batch evaluation sweep.
 
     ``policy`` and ``generator`` may be instances or zero-argument
-    factories; factories are called once per program so that stateful
-    policies start fresh on every program.  Within one batch, configs
-    that hold the *same* ``policy`` object share it: the factory is
-    called once per program for all of them, and the policy's period
+    factories.  A policy factory is called once per program so that
+    stateful policies start fresh on every program.  Within one batch,
+    configs that hold the *same* ``policy`` object share it: the factory
+    is called once per program for all of them, and the policy's period
     vector is gathered once per program and reused under each config's
     margin and generator (:func:`repro.lab.scenario.materialize_configs`
     builds configs that share one factory per policy name).
+
+    A config is decided in one pass over the whole batch, which relies
+    on the generator's ``quantize_up_array`` being element-wise: the
+    generator is made once per config and quantises every program's
+    periods in one call.  A generator offering only scalar
+    ``quantize_up`` is made afresh for each program instead.
     """
 
     policy: object
@@ -180,22 +199,13 @@ def scan_violations(trace, periods, first_cycle=0):
     return violations
 
 
-def evaluate_compiled(compiled, design, policy, generator=None,
-                      margin_percent=0.0, check_safety=True):
-    """Evaluate one compiled trace under one configuration (array path).
-
-    ``policy`` may be a :class:`~repro.clocking.controller.PolicyGather`
-    shared with other configurations of the same batch, which then
-    reuse its gathered period vector.
-    """
-    controller = ClockAdjustmentController(
-        policy, generator=generator, margin_percent=margin_percent
-    )
-    periods = controller.periods_for(compiled)
-    violations = scan_violations(compiled, periods) if check_safety else []
-
-    stats = controller.stats
-    policy = controller.policy
+def evaluate_compiled(compiled, design, policy, segment):
+    """Finish one (config, program) row from its decided ``segment``:
+    the program's view of the batch-wide periods, their batch-reduced
+    extrema, and whether the batch prefilter flagged a cycle, which
+    alone expands per-stage violations (:func:`scan_violations`)."""
+    periods, low, high, unsafe = segment
+    stats = ControllerStats.from_segment(periods, low, high)
     return EvaluationResult(
         program_name=compiled.program_name,
         policy_name=getattr(policy, "name", type(policy).__name__),
@@ -206,19 +216,105 @@ def evaluate_compiled(compiled, design, policy, generator=None,
         min_period_ps=stats.min_period_ps,
         max_period_ps=stats.max_period_ps,
         switch_rate=stats.switch_rate,
-        violations=violations,
+        violations=scan_violations(compiled, periods) if unsafe else [],
     )
+
+
+class TraceBatch:
+    """Compiled traces laid end to end: program ``k`` owns cycles
+    ``offsets[k]:offsets[k + 1]`` of every batch-wide vector (a pipeline
+    run has at least one cycle, so no segment is empty)."""
+
+    def __init__(self, traces):
+        self.traces = traces
+        self.offsets = np.cumsum([0] + [t.num_cycles for t in traces])
+        self.bounds = list(zip(self.offsets[:-1].tolist(),
+                               self.offsets[1:].tolist()))
+        self._bound = None
+
+    def segments(self, periods, check_safety):
+        """``periods`` cut into ``(view, min, max, unsafe)`` per program:
+        one ``reduceat`` per extremum, and one safety prefilter of the
+        whole vector against the per-cycle bound ``cycle_max_delays``
+        (concatenated once per batch)."""
+        periods = np.asarray(periods, dtype=float)
+        starts = self.offsets[:-1]
+        unsafe = [False] * len(self.traces)
+        if check_safety:
+            if self._bound is None:
+                self._bound = np.concatenate(
+                    [trace.cycle_max_delays() for trace in self.traces]
+                )
+            over = self._bound > periods + VIOLATION_TOLERANCE_PS
+            unsafe = np.logical_or.reduceat(over, starts).tolist()
+        return [
+            (periods[start:stop], low, high, flagged)
+            for (start, stop), low, high, flagged in zip(
+                self.bounds,
+                np.minimum.reduceat(periods, starts).tolist(),
+                np.maximum.reduceat(periods, starts).tolist(),
+                unsafe,
+            )
+        ]
+
+
+class _PerProgramGrants:
+    """A generator offering only scalar ``quantize_up``, over a batch: a
+    fresh instance per program (the factory contract) grants that
+    program's periods in order."""
+
+    def __init__(self, first, config, bounds):
+        self.first, self.config, self.bounds = first, config, bounds
+
+    def quantize_up_array(self, periods_ps):
+        granted = []
+        for position, (start, stop) in enumerate(self.bounds):
+            generator = (self.config.make_generator() if position
+                         else self.first)
+            granted.extend(generator.quantize_up(period)
+                           for period in periods_ps[start:stop].tolist())
+        return np.array(granted, dtype=float)
+
+
+def _evaluate_config(batch, design, config, gather):
+    """One configuration's row: decided once over the whole batch (a
+    failed decision is replayed per program), then finished per
+    program."""
+    try:
+        generator = config.make_generator()
+        if not (generator is None
+                or hasattr(generator, "quantize_up_array")):
+            generator = _PerProgramGrants(generator, config, batch.bounds)
+        periods = ClockAdjustmentController(
+            gather, generator=generator,
+            margin_percent=config.margin_percent,
+        ).periods_for(batch)
+    except Exception:
+        # whatever failed, the per-program replay raises the error that
+        # comes first in program order; the batch's own error otherwise
+        for position, trace in enumerate(batch.traces):
+            ClockAdjustmentController(
+                gather.at(position), generator=config.make_generator(),
+                margin_percent=config.margin_percent,
+            ).periods_for(trace)
+        raise
+    return [
+        evaluate_compiled(trace, design, program.policy, segment)
+        for trace, program, segment in zip(
+            batch.traces, gather.gathers,
+            batch.segments(periods, config.check_safety))
+    ]
 
 
 def _evaluate_batch(programs, design, configs,
                     max_cycles=DEFAULT_MAX_CYCLES):
-    """The batch engine: trace once, gather once, vectorize everywhere.
+    """The batch engine: trace once, gather once, decide once per config.
 
     Each program is simulated and compiled at most once (and reused from
     the module-level cache across calls).  Each policy source is built
-    and gathered once per program; each :class:`SweepConfig` then costs
-    only its margin, quantisation, statistics and safety prefilter per
-    program.  Returns the ``[config][program]`` result grid.
+    and gathered once per program; each :class:`SweepConfig` is then
+    decided once over the whole batch and split back per program.
+    Returns the ``[config][program]`` result grid.
 
     This is the engine :class:`repro.api.Session` runs on.
     """
@@ -226,36 +322,31 @@ def _evaluate_batch(programs, design, configs,
     configs = list(configs)
     with obs_span("evaluate.batch", programs=len(programs),
                   configs=len(configs)):
-        compiled = [
+        batch = TraceBatch([
             get_compiled_trace(program, design, max_cycles=max_cycles)
             for program in programs
-        ]
-        # (id(source), position) -> (source, PolicyGather); the entry
-        # holds the source, so no other object can take its id while
-        # this memo lives
+        ])
+        if not programs:
+            return [[] for _ in configs]
+        # id(source) -> BatchGather, dropped after the source's last
+        # config (``configs`` holds every source, so no id is recycled
+        # while the batch runs); a policy-major grid keeps one batch-wide
+        # base alive at a time
+        uses = Counter(id(config.policy) for config in configs)
         gathers = {}
         results = []
         for index, config in enumerate(configs):
-            row = []
+            key = id(config.policy)
+            if key not in gathers:
+                gathers[key] = BatchGather(config.make_policy)
             with obs_span("evaluate.config",
                           label=config.label or f"config-{index}"):
-                for position, trace in enumerate(compiled):
-                    key = (id(config.policy), position)
-                    entry = gathers.get(key)
-                    if entry is None:
-                        entry = gathers[key] = (
-                            config.policy,
-                            PolicyGather(config.make_policy()),
-                        )
-                    row.append(
-                        evaluate_compiled(
-                            trace, design, entry[1],
-                            generator=config.make_generator(),
-                            margin_percent=config.margin_percent,
-                            check_safety=config.check_safety,
-                        )
-                    )
-            results.append(row)
+                results.append(
+                    _evaluate_config(batch, design, config, gathers[key])
+                )
+            uses[key] -= 1
+            if not uses[key]:
+                del gathers[key]
     return results
 
 

@@ -25,9 +25,8 @@ whole-program window.
 
 import numpy as np
 
-#: Class tables one window pass keeps (one per ``entry`` callable, i.e.
-#: one per LUT) before it starts over, so the memo stays bounded whatever
-#: callables its callers pass.
+#: Class tables one window pass keeps (one per LUT) before it starts
+#: over, so the memo stays bounded whatever LUTs its callers pass.
 TABLE_MEMO_CAP = 16
 
 
@@ -103,18 +102,20 @@ class TraceWindow:
             self.start_cycle:self.stop_cycle
         ]
 
-    def class_table(self, entry):
-        """``(num_classes, num_stages)`` table of ``entry(cls, stage)``
+    def class_table(self, lut):
+        """``(num_classes, num_stages)`` table of ``lut.entry(cls, stage)``
         with one column per pipeline-spec stage (read-only, built once
         per window pass)."""
-        table = self._tables.get(entry)
-        if table is None:
+        # keyed by identity (a LUT is not hashable); the entry holds the
+        # LUT, so its id cannot be recycled while the memo lives
+        memo = self._tables.get(id(lut))
+        if memo is None:
             if len(self._tables) >= TABLE_MEMO_CAP:
                 self._tables.clear()
-            table = self.parent.class_table(entry)
+            table = self.parent.class_table(lut)
             table.flags.writeable = False
-            self._tables[entry] = table
-        return table
+            memo = self._tables[id(lut)] = (lut, table)
+        return memo[1]
 
     def stage_periods(self, table):
         """Gather a class×stage ``table`` along the window's cycles."""

@@ -8,6 +8,10 @@ to the per-record reference in ``tests/oracle.py`` — periods, aggregate
 stats, and violations.
 """
 
+import copy
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -189,6 +193,194 @@ class TestBatchEngine:
         batch = evaluate_one(program, policy, check_safety=False)
         assert scalar.total_time_ps == batch.total_time_ps
         assert scalar.switch_rate == batch.switch_rate
+
+
+class OddPolicy:
+    """Scalar-only policy: no ``periods_for``, so every program is gathered
+    record by record."""
+
+    name = "odd"
+
+    def __init__(self, period_ps):
+        self.period_ps = period_ps
+
+    def period_for(self, record):
+        return self.period_ps + (record.cycle % 2)
+
+
+class FirstGrantSlowGenerator:
+    """Offers only the scalar ``quantize_up``, and grants the first
+    request of each instance one ring tap slower: an instance carried
+    from one program into the next would show in its first period."""
+
+    def __init__(self):
+        self.ring = TunableRingOscillator()
+        self.grants = 0
+
+    def quantize_up(self, period_ps):
+        granted = self.ring.quantize_up(period_ps)
+        self.grants += 1
+        return granted + (self.ring.step_ps if self.grants == 1 else 0.0)
+
+
+class TestBatchBoundaries:
+    """One configuration is decided once over every program of the batch
+    laid end to end; nothing may leak across a program boundary."""
+
+    #: The shortest kernel (129 cycles) next to a 3085-cycle one, the
+    #: same program twice, and a mid-length program last (the only one
+    #: whose excited paths outrun 80 % of the static period).
+    PROGRAMS = ("fib", "crc32", "fib", "matmult")
+
+    def _configs(self, design, lut):
+        static = design.static_period_ps
+        instruction = functools.partial(InstructionLutPolicy, lut)
+        # a different constant period per program: every boundary
+        # changes the period, no program ever switches inside itself
+        per_program = itertools.cycle(
+            [static * 0.90, static * 0.95, static * 0.85, static]
+        )
+        return [
+            SweepConfig(policy=instruction, check_safety=True),
+            SweepConfig(policy=instruction, generator=TunableRingOscillator,
+                        margin_percent=5.0, check_safety=False),
+            SweepConfig(policy=instruction,
+                        generator=MultiPLLClockGenerator(),
+                        check_safety=True),
+            SweepConfig(policy=lambda: StaticClockPolicy(next(per_program)),
+                        check_safety=True),
+            SweepConfig(policy=lambda: OddPolicy(static),
+                        generator=FirstGrantSlowGenerator,
+                        check_safety=False),
+            SweepConfig(policy=lambda: StaticClockPolicy(static * 0.80),
+                        check_safety=True),
+            SweepConfig(policy=lambda: StaticClockPolicy(static * 0.80),
+                        check_safety=False),
+            SweepConfig(policy=lambda: GeniePolicy(design.excitation),
+                        generator=TunableRingOscillator(),
+                        check_safety=True),
+        ]
+
+    def test_batch_matches_oracle_grid(self, design, lut):
+        programs = [get_kernel(name).program() for name in self.PROGRAMS]
+        batch = Session.for_design(design).evaluate_results(
+            programs, self._configs(design, lut)
+        )
+        reference = oracle.evaluate_grid(
+            programs, design, self._configs(design, lut)
+        )
+        assert [len(row) for row in batch] == [len(programs)] * len(batch)
+        for batch_row, reference_row in zip(batch, reference):
+            for ours, expected in zip(batch_row, reference_row):
+                oracle.assert_results_identical(expected, ours)
+        # the cases are live: per-program periods differ at every
+        # boundary yet never switch inside a program; the overscaled
+        # static clock violates in some programs next to clean ones, and
+        # only where safety is checked
+        assert all(result.switch_rate == 0.0 for result in batch[3])
+        assert len({result.max_period_ps for result in batch[3]}) == 4
+        assert [result.is_safe for result in batch[5]] == [
+            True, True, True, False
+        ]
+        assert all(result.is_safe for result in batch[6])
+
+
+class TestFactoryContract:
+    """``SweepConfig`` factories: a fresh policy per program, built and
+    gathered once per (policy source, program) whatever the number of
+    configs sharing the source."""
+
+    def test_factory_called_once_per_program(self, design, lut):
+        made = []
+        gathered = []
+
+        class CountingPolicy(InstructionLutPolicy):
+            def periods_for(self, compiled_trace):
+                gathered.append((id(self), compiled_trace.program_name))
+                return super().periods_for(compiled_trace)
+
+        def factory():
+            made.append(CountingPolicy(lut))
+            return made[-1]
+
+        other_calls = []
+
+        def other():
+            other_calls.append(None)
+            return StaticClockPolicy(design.static_period_ps)
+
+        programs = [get_kernel(name).program()
+                    for name in ("fib", "crc16", "fib")]
+        configs = [
+            SweepConfig(policy=factory, generator=generator,
+                        margin_percent=margin, check_safety=False)
+            for generator in (None, TunableRingOscillator())
+            for margin in (0.0, 5.0)
+        ] + [SweepConfig(policy=other, check_safety=False)]
+        grid = Session.for_design(design).evaluate_results(programs,
+                                                           configs)
+        assert len(made) == len(programs)
+        assert len({id(policy) for policy in made}) == len(programs)
+        assert gathered == [(id(policy), program.name)
+                            for policy, program in zip(made, programs)]
+        assert len(other_calls) == len(programs)
+        assert [len(row) for row in grid] == [3] * len(configs)
+
+    @staticmethod
+    def _lut_configs(lut):
+        return [
+            SweepConfig(policy=functools.partial(cls, lut),
+                        check_safety=True)
+            for cls in (InstructionLutPolicy, ExOnlyLutPolicy,
+                        TwoClassPolicy)
+        ]
+
+    def _assert_fresh(self, design, lut, programs, grid):
+        """``grid`` equals a fresh Session and the oracle over a copy of
+        ``lut``: a copy carries no derived table, so it builds its own."""
+        fresh = copy.deepcopy(lut)
+        expected = Session.for_design(design, lut=fresh).evaluate_results(
+            programs, self._lut_configs(fresh)
+        )
+        reference = oracle.evaluate_grid(programs, design,
+                                         self._lut_configs(fresh))
+        for row, expected_row, reference_row in zip(grid, expected,
+                                                    reference):
+            for ours, want, slow in zip(row, expected_row, reference_row):
+                oracle.assert_results_identical(want, ours)
+                oracle.assert_results_identical(slow, ours)
+
+    def test_luts_never_share_derived_tables(self, design, lut):
+        programs = [get_kernel(name).program()
+                    for name in ("fib", "crc16")]
+        other = copy.deepcopy(lut)
+        other.entries = {
+            cls: {stage: delay * 1.03 for stage, delay in row.items()}
+            for cls, row in lut.entries.items()
+        }
+        session = Session.for_design(design, lut=lut)
+        grids = {}
+        for name, table in (("lut", lut), ("other", other),
+                            ("lut again", lut)):
+            grids[name] = session.evaluate_results(
+                programs, self._lut_configs(table)
+            )
+            self._assert_fresh(design, table, programs, grids[name])
+        assert (grids["lut"][1][0].total_time_ps
+                != grids["other"][1][0].total_time_ps)
+
+        # replacing a LUT's entries after use drops its derived tables
+        before = grids["other"]
+        other.entries = {
+            cls: {stage: delay * 1.07 for stage, delay in row.items()}
+            for cls, row in lut.entries.items()
+        }
+        after = session.evaluate_results(programs,
+                                         self._lut_configs(other))
+        self._assert_fresh(design, other, programs, after)
+        for row_before, row_after in zip(before, after):
+            assert (row_before[0].total_time_ps
+                    != row_after[0].total_time_ps)
 
 
 class TestOverscalingEquivalence:

@@ -219,3 +219,123 @@ class TestResultAccounting:
         assert "fib" in table and "Speedup" in table
         comparison = render_policy_comparison({"lut": results})
         assert "crc16" in comparison
+
+
+class _ConstantPolicy:
+    """Requests one fixed period every cycle (no range check, so NaN and
+    negative periods reach the engine)."""
+
+    name = "constant"
+
+    def __init__(self, period_ps):
+        self.period_ps = period_ps
+
+    def period_for(self, record):
+        return self.period_ps
+
+    def periods_for(self, compiled_trace):
+        import numpy as np
+
+        return np.full(compiled_trace.num_cycles, self.period_ps)
+
+
+def _one_per_program(*periods):
+    """A policy factory handing out one constant policy per call, in
+    program order."""
+    policies = iter([_ConstantPolicy(period) for period in periods])
+    return lambda: next(policies)
+
+
+class TestBatchErrorSemantics:
+    """A batch that cannot be evaluated raises the error of its first
+    failing (config, program) in config-major order, naming that
+    program's own worst period."""
+
+    PROGRAMS = ("fib", "crc16", "gcd")
+
+    def _run(self, design, lut, configs):
+        programs = [get_kernel(name).program() for name in self.PROGRAMS]
+        return Session.for_design(design, lut=lut).evaluate_results(
+            programs, configs
+        )
+
+    def test_pll_overflow_names_first_failing_config(self, design, lut):
+        from repro.clocking.generator import ClockGeneratorError
+
+        session = Session.for_design(design, lut=lut)
+        with pytest.raises(ClockGeneratorError) as caught:
+            session.evaluate(["crc32"], policies=["instruction", "static"],
+                             margins=[0, 10], generators=["pll"])
+        assert str(caught.value) == (
+            "period 2228.6 ps exceeds the slowest PLL (2040.8 ps)"
+        )
+
+    def test_pll_overflow_names_the_program_worst(self, design, lut):
+        from repro.clocking.generator import (
+            ClockGeneratorError,
+            MultiPLLClockGenerator,
+        )
+
+        configs = [
+            SweepConfig(policy=lambda: InstructionLutPolicy(lut),
+                        generator=MultiPLLClockGenerator()),
+            SweepConfig(policy=_one_per_program(1500.0, 2100.0, 2300.0),
+                        generator=MultiPLLClockGenerator()),
+        ]
+        with pytest.raises(ClockGeneratorError) as caught:
+            self._run(design, lut, configs)
+        assert str(caught.value) == (
+            "period 2100.0 ps exceeds the slowest PLL (2040.8 ps)"
+        )
+
+    def test_ring_overflow_names_the_program_worst(self, design, lut):
+        from repro.clocking.generator import ClockGeneratorError
+
+        configs = [SweepConfig(policy=_one_per_program(2450.0, 2500.0,
+                                                       1000.0),
+                               generator=TunableRingOscillator)]
+        with pytest.raises(ClockGeneratorError) as caught:
+            self._run(design, lut, configs)
+        assert str(caught.value) == (
+            "period 2450.0 ps exceeds the oscillator range (max 2400.0 ps)"
+        )
+
+    @pytest.mark.parametrize("margin, message", [
+        (-1.0, "margin cannot be negative"),
+        (float("nan"), "margin must be finite, got nan"),
+    ])
+    def test_bad_margin(self, design, lut, margin, message):
+        session = Session.for_design(design, lut=lut)
+        with pytest.raises(ValueError) as caught:
+            session.evaluate(["crc32"], policies=["instruction"],
+                             margins=[0.0, margin])
+        assert str(caught.value) == message
+
+    def test_invalid_base_names_first_bad_program(self, design, lut):
+        from repro.clocking.generator import ClockGeneratorError
+
+        configs = [SweepConfig(
+            policy=_one_per_program(1500.0, float("nan"), -5.0),
+        )]
+        with pytest.raises(ClockGeneratorError) as caught:
+            self._run(design, lut, configs)
+        assert str(caught.value) == "invalid period nan"
+
+    def test_quantisation_error_before_a_later_invalid_base(self, design,
+                                                            lut):
+        """The first program's grant fails before the second program's
+        base is ever checked."""
+        from repro.clocking.generator import (
+            ClockGeneratorError,
+            MultiPLLClockGenerator,
+        )
+
+        configs = [SweepConfig(
+            policy=_one_per_program(2100.0, float("nan"), 1500.0),
+            generator=MultiPLLClockGenerator(),
+        )]
+        with pytest.raises(ClockGeneratorError) as caught:
+            self._run(design, lut, configs)
+        assert str(caught.value) == (
+            "period 2100.0 ps exceeds the slowest PLL (2040.8 ps)"
+        )

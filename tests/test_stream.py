@@ -332,30 +332,45 @@ class TestUnseenProgramWindows:
         )
         assert frame.to_json() == offline.to_json()
 
-    def test_lut_lookups_do_not_grow_with_windows(self, session, programs,
-                                                  monkeypatch):
-        """Class tables are built once per (trace, policy) and sliced per
-        window: single-cycle windows make exactly the LUT lookups one
-        whole-program window makes."""
+    @staticmethod
+    def _count_lut_work(monkeypatch):
+        """Record every class table gathered from a LUT and every
+        per-cell ``DelayLUT.entry`` lookup."""
+        from repro.dta.compiled import CompiledTrace
         from repro.dta.lut import DelayLUT
 
-        session.lut
-        lookups = []
+        work = {"tables": 0, "lookups": 0}
+        class_table = CompiledTrace.class_table
         entry = DelayLUT.entry
 
+        def counting_class_table(self, lut):
+            work["tables"] += 1
+            return class_table(self, lut)
+
         def counting_entry(self, cls, stage):
-            lookups.append(cls)
+            work["lookups"] += 1
             return entry(self, cls, stage)
 
+        monkeypatch.setattr(CompiledTrace, "class_table",
+                            counting_class_table)
         monkeypatch.setattr(DelayLUT, "entry", counting_entry)
+        return work
+
+    def test_lut_lookups_do_not_grow_with_windows(self, session, programs,
+                                                  monkeypatch):
+        """Class tables are gathered once per (trace, LUT) and sliced per
+        window: single-cycle windows gather exactly the tables, and make
+        exactly the LUT lookups, one whole-program window makes."""
+        session.lut
+        work = self._count_lut_work(monkeypatch)
         counts = {}
         for window in (None, 256, 7, 1):
-            lookups.clear()
+            work.update(tables=0, lookups=0)
             StreamingSession(session, window_cycles=window).evaluate(
                 programs, policies=["instruction", "ex-only"]
             )
-            counts[window] = len(lookups)
-        assert counts[None] > 0
+            counts[window] = dict(work)
+        assert counts[None]["tables"] > 0
         assert counts[1] == counts[7] == counts[256] == counts[None]
 
     def test_lut_lookups_stay_flat_across_many_configs(
@@ -363,26 +378,18 @@ class TestUnseenProgramWindows:
         """Every LUT policy of every config shares one class table per
         trace, so a grid larger than the window memo still builds it
         once per window pass."""
-        from repro.dta.lut import DelayLUT
-
         session.lut
-        lookups = []
-        entry = DelayLUT.entry
-
-        def counting_entry(self, cls, stage):
-            lookups.append(cls)
-            return entry(self, cls, stage)
-
-        monkeypatch.setattr(DelayLUT, "entry", counting_entry)
+        work = self._count_lut_work(monkeypatch)
         counts = {}
         for window in (None, 1):
-            lookups.clear()
+            work.update(tables=0, lookups=0)
             StreamingSession(session, window_cycles=window).evaluate(
                 programs, policies=["instruction", "ex-only"],
                 generators=["ideal", "ring"], margins=[0, 2, 4, 6, 8],
             )
-            counts[window] = len(lookups)
-        assert counts[1] == counts[None] > 0
+            counts[window] = dict(work)
+        assert counts[None]["tables"] > 0
+        assert counts[1] == counts[None]
 
 
 class TestStreamingAdapt:
