@@ -26,12 +26,11 @@ __all__ = [
     "Instruction",
     "encode",
     "decode",
-    "FunctionalSimulator",
     "simulate",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "asm": ("Program", "ProgramBuilder", "assemble", "disassemble"),
     "isa": ("Instruction", "decode", "encode"),
-    "sim": ("FunctionalSimulator", "simulate"),
+    "sim": ("simulate",),
 })

@@ -213,11 +213,14 @@ def cmd_asm(args):
 
 def cmd_run(args):
     """Run a program on the cycle-accurate pipeline of the selected
-    spec; print its instruction and cycle counts, CPI and registers."""
+    spec, within the cycle budget ``evaluate`` and ``sweep`` use; print
+    its instruction and cycle counts, CPI and registers."""
+    from repro.flow.evaluate import DEFAULT_MAX_CYCLES
     from repro.sim import vector
 
     program = _load_program(args.program)
-    run = vector.simulate(program, spec=args.pipeline_spec)
+    run = vector.simulate(program, max_cycles=DEFAULT_MAX_CYCLES,
+                          spec=args.pipeline_spec)
     regs = run.state.regs
     print(f"{program.name}: {run.num_retired} instructions, "
           f"{run.num_cycles} cycles "
@@ -1240,6 +1243,7 @@ def build_parser():
 _INPUT_ERRORS = (
     ("repro.workloads", "WorkloadError"),
     ("repro.ml.model", "ModelError"),
+    ("repro.sim.predecode", "SimulationError"),
 )
 
 

@@ -2,7 +2,7 @@
 
 This package provides the ISA substrate for the reproduction: register
 definitions, instruction specifications with their real 32-bit encodings,
-an encoder/decoder pair, executable semantics, and the mapping from
+an encoder/decoder pair, and the mapping from
 mnemonics to the *timing classes* used by the delay-prediction LUT of the
 paper (e.g. ``l.add`` and ``l.addi`` share the class ``l.add(i)``).
 """

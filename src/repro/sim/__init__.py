@@ -6,15 +6,16 @@ tightly-coupled single-cycle SRAMs for instructions and data, full operand
 forwarding, a one-cycle load-use interlock, a single-cycle 32x32 multiplier
 and branch delay slots.
 
-Two execution models are provided:
-
-- :class:`~repro.sim.iss.FunctionalSimulator` — a fast architectural ISS used
-  as the golden reference;
-- :func:`~repro.sim.vector.simulate` — the cycle-accurate pipeline of any
-  :class:`~repro.sim.spec.PipelineSpec`, whose per-cycle stage occupancy
-  (which instruction is in flight in each stage, ``I_s[t]`` in the paper)
-  feeds the dynamic timing analysis and the clock-adjustment controller;
-  ``.trace`` materialises the per-cycle records.
+One execution model is provided: :func:`~repro.sim.vector.simulate`, the
+cycle-accurate pipeline of any :class:`~repro.sim.spec.PipelineSpec`.  It
+runs the dispatch-table ISS (:func:`repro.sim.predecode.collect`) once
+and reconstructs the pipeline from that pass; its per-cycle stage
+occupancy (which instruction is in flight in each stage, ``I_s[t]`` in
+the paper) feeds the dynamic timing analysis and the clock-adjustment
+controller, ``.trace`` materialises the per-cycle records, and
+``.state``, ``.memory`` and ``.retired`` are the architectural result.
+Every execution fault raises :class:`SimulationError`.  The reference
+semantics the ISS is held to live in the test oracle (``tests/oracle.py``).
 """
 
 from repro._lazy import lazy_exports
@@ -22,7 +23,6 @@ from repro._lazy import lazy_exports
 __all__ = [
     "ArchState",
     "Memory",
-    "FunctionalSimulator",
     "simulate",
     "SimulationError",
     "PipelineTrace",
@@ -32,8 +32,8 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "iss": ("FunctionalSimulator", "SimulationError"),
     "memory": ("Memory",),
+    "predecode": ("SimulationError",),
     "state": ("ArchState",),
     "trace": ("CycleRecord", "PIPELINE_STAGES", "PipelineTrace", "Stage"),
     "vector": ("simulate",),

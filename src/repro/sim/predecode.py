@@ -1,12 +1,12 @@
-"""Pre-decoded program images and a dispatch-table ISS fast path.
+"""Pre-decoded program images and the dispatch-table ISS.
 
-The object-layer :class:`~repro.sim.iss.FunctionalSimulator` pays for every
-retired instruction: a ``spec_for`` dict lookup per ``Instruction`` property,
-a :func:`~repro.isa.semantics.compute` call with its mnemonic string
-comparisons, and a ``ComputeResult`` allocation.  Profiling a cold sweep puts
-that object layer at ~65 % of ``vector.simulate``.
-
-This module removes it from the hot path:
+:func:`collect` is the package's one architectural simulator: every
+pipeline run (:func:`repro.sim.vector.simulate`) starts with one pass of
+it.  The reference semantics it is held to — an object-layer
+``FunctionalSimulator`` that looks up each ``Instruction``'s spec and
+evaluates a per-mnemonic ``compute`` per retired instruction — live in
+the test oracle (``tests/oracle.py``), and ``tests/test_iss.py`` compares
+the two field by field.
 
 - :class:`DecodedImage` decodes a program **once** into a dense
   struct-of-arrays image: per text word a dispatch id, register indices,
@@ -16,8 +16,7 @@ This module removes it from the hot path:
   vectorized pipeline reconstruction (timing-class id, kind code, hazard
   ports) and by the EX replay (mnemonic id) is stored as NumPy columns,
   gathered per run by fancy indexing.  Images live in a
-  per-program-content LRU shared by every simulator instance, replacing
-  the per-instance decode caches.
+  per-program-content LRU shared by every caller.
 
 - The decode is **table-driven**, because an unseen program pays it on
   every run: one row per :data:`SPECS` mnemonic (op id, immediate rule,
@@ -26,17 +25,19 @@ This module removes it from the hot path:
   column is array arithmetic over them, and the slot tuples are zipped
   from the columns.  The image's memory snapshot is one bulk page fill
   (:meth:`~repro.sim.memory.Memory.store_words`).  The per-instruction
-  reference encoder lives in the test oracle (``tests/oracle.py``).
+  reference encoder lives in the test oracle.
 
 - :func:`collect` is a dispatch-table step loop over the image: plain int
   compares on the dispatch id, list-indexed register file, no ``isa``
-  object attribute ever touched.  It produces the exact
-  :class:`IssData` that ``vector.reconstruct`` consumes.  Any condition
-  the object ISS would turn into an error or that the image cannot
-  represent (fetch outside the decoded text, misaligned access, control in
-  a delay slot, budget overrun) makes :func:`collect` return ``None`` and
-  the caller re-runs the object-layer ISS, which owns all rare paths —
-  bit-identity by construction.
+  object attribute touched.  It produces the :class:`IssData` that
+  ``vector.reconstruct`` consumes, and raises :class:`SimulationError`,
+  with the reference's text, for every fault: a misaligned fetch, load,
+  store or jump-register target, a control transfer in a delay slot, an
+  undecodable word, an instruction outside the dispatch table and a
+  budget overrun.  A fetch outside the dense text (sparse text, a jump
+  into a data word, an empty program) decodes the run's memory on demand
+  into a per-run extension (:class:`_RunText`); the shared image is never
+  written, and only that miss branch pays for it.
 """
 
 import time
@@ -47,6 +48,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from repro.isa.encoding import EncodingError, decode
 from repro.isa.opcodes import (
     KIND_CODE,
     MNEMONIC_ID,
@@ -60,7 +62,15 @@ from repro.sim.memory import Memory
 from repro.sim.state import ArchState
 
 _MASK = 0xFFFFFFFF
-_HALT_NOP_CODE = 0x1          # matches repro.sim.iss.HALT_NOP_CODE
+
+#: ``l.nop`` immediate that terminates simulation (the mor1kx simulation
+#: environment's idiom).
+HALT_NOP_CODE = 0x1
+
+
+class SimulationError(RuntimeError):
+    """Raised for invalid execution (bad fetch, control in delay slot...)."""
+
 
 #: Largest text word index served by the dense address -> slot table.
 _MAX_DENSE_WORDS = 1 << 20
@@ -152,9 +162,10 @@ _STORE_OPS = {"l.sw": OP_SW, "l.sb": OP_SB, "l.sh": OP_SH}
 
 def _dispatch_row(spec):
     """``(op, aux rule, aux constant, aux2 rule)`` of one mnemonic, or
-    ``None`` when the dispatch table does not cover it (its fetches defer
-    to the object ISS).  ``l.nop`` decodes as :data:`OP_NOP`; the image
-    build turns the halt immediate into :data:`OP_HALT`."""
+    ``None`` when the dispatch table does not cover it (executing it
+    raises :class:`SimulationError`).  ``l.nop`` decodes as
+    :data:`OP_NOP`; the image build turns the halt immediate into
+    :data:`OP_HALT`."""
     mnemonic = spec.mnemonic
     kind = spec.kind
     if kind == InstructionKind.NOP:
@@ -257,6 +268,76 @@ _FIELDS = attrgetter("mnemonic", "rd", "ra", "rb", "imm")
 MNEMONIC_DTYPE = np.int8
 
 
+def _decode(addrs, instrs):
+    """Table-driven decode of the text ``instrs`` at ``addrs``: the slot
+    tuples and the metadata columns ``(pc, cls, kind, dest, src, mnem)``,
+    ``cls`` holding :data:`_CLASSES` indices (``-1`` outside the table)."""
+    count = len(addrs)
+    if count:
+        mnemonics, rd, ra, rb, imms = zip(*map(_FIELDS, instrs))
+    else:
+        mnemonics = rd = ra = rb = imms = ()
+    mnem = np.fromiter(
+        map(MNEMONIC_ID.get, mnemonics, repeat(-1)),
+        dtype=MNEMONIC_DTYPE, count=count,
+    )
+    pc = np.array(addrs, dtype=np.int64)
+    imm = np.array(imms, dtype=np.int64)
+    table = _TABLE
+
+    op = table["op"][mnem]
+    op[(op == OP_NOP) & (imm == HALT_NOP_CODE)] = OP_HALT
+    word = imm & _MASK
+    aux_rule = table["aux_rule"][mnem]
+    aux = np.select(
+        [aux_rule == _AUX_WORD, aux_rule == _AUX_LOW16,
+         aux_rule == _AUX_SEXT16, aux_rule == _AUX_SHAMT,
+         aux_rule == _AUX_HIGH16, aux_rule == _AUX_CONST,
+         aux_rule == _AUX_IMM, aux_rule == _AUX_TARGET],
+        [word, imm & 0xFFFF,
+         (((imm & 0xFFFF) ^ 0x8000) - 0x8000) & _MASK, imm & 0x1F,
+         (imm & 0xFFFF) << 16, table["aux_const"][mnem],
+         imm, (pc + (imm << 2)) & _MASK],
+        0,
+    )
+    aux2_rule = table["aux2_rule"][mnem]
+    aux2 = np.select(
+        [aux2_rule == _AUX2_SIGNED, aux2_rule == _AUX2_UNSIGNED,
+         aux2_rule == _AUX2_LINK],
+        [(word ^ 0x80000000) - 0x80000000, word, (pc + 8) & _MASK],
+        0,
+    )
+    reads_rb = table["reads_rb"][mnem]
+    bmask = word.astype(object)
+    bmask[reads_rb] = None
+    slots = list(zip(
+        op.tolist(), rd, ra, rb, aux.tolist(), aux2.tolist(),
+        bmask.tolist(), table["is_ctrl"][mnem].tolist(),
+    ))
+    for index in np.flatnonzero(op < 0).tolist():
+        slots[index] = None
+    dest = np.where(table["writes_rd"][mnem], np.array(rd, dtype=np.int64), -1)
+    src = (
+        np.where(table["reads_ra"][mnem],
+                 np.left_shift(1, np.array(ra, dtype=np.int64)), 0)
+        | np.where(reads_rb, np.left_shift(1, np.array(rb, dtype=np.int64)), 0)
+    )
+    return slots, pc, table["cls"][mnem], table["kind"][mnem], dest, src, mnem
+
+
+def _intern(cls, class_names):
+    """Ids into ``class_names`` of the :data:`_CLASSES` indices ``cls``,
+    appending the classes it lacks in first-seen order."""
+    unique, first = np.unique(cls[cls >= 0], return_index=True)
+    remap = np.full(len(_CLASSES) + 1, -1, dtype=np.int64)
+    for index in unique[np.argsort(first)].tolist():
+        name = _CLASSES[index]
+        if name not in class_names:
+            class_names.append(name)
+        remap[index] = class_names.index(name)
+    return remap[cls]
+
+
 class DecodedImage:
     """Struct-of-arrays decode of one program's text section.
 
@@ -267,10 +348,12 @@ class DecodedImage:
     the static EX-datapath ``b`` operand (``imm & 0xFFFFFFFF``) for
     immediate forms, ``None`` when the operand comes from ``rB`` at run
     time.  ``lookup`` maps ``pc >> 2`` to the slot index (``-1`` for data
-    words).  The NumPy metadata columns are indexed by slot and gathered
-    per run; timing classes are interned in decode (address) order —
-    consumers that need a canonical order re-intern
-    (``compile_vector_run`` does so in first-encounter row-major order).
+    words) when the text fits the dense table; otherwise it is ``None``
+    and ``sparse`` maps each text address to its slot.  The NumPy
+    metadata columns are indexed by slot and gathered per run; timing
+    classes are interned in decode (address) order — consumers that need
+    a canonical order re-intern (``compile_vector_run`` does so in
+    first-encounter row-major order).
 
     The decode is table-driven: every column is a gather from the
     per-mnemonic rows of :data:`SPECS` plus array arithmetic on the
@@ -284,9 +367,8 @@ class DecodedImage:
 
     __slots__ = (
         "key", "built_at", "addrs", "instrs", "slots", "lookup", "sparse",
-        "fast_ok", "class_names", "np_pc", "np_cls", "np_kind", "np_dest",
-        "np_src", "np_mnem", "memory_proto", "iss_run", "iss_deferred",
-        "crit_cache",
+        "class_names", "np_pc", "np_cls", "np_kind", "np_dest", "np_src",
+        "np_mnem", "memory_proto", "iss_run", "crit_cache",
     )
 
     def __init__(self, program, key=None):
@@ -295,75 +377,14 @@ class DecodedImage:
         instructions = program.instructions
         addrs = sorted(instructions)
         self.addrs = addrs
-        self.instrs = instrs = list(map(instructions.__getitem__, addrs))
-        count = len(addrs)
-        if count:
-            mnemonics, rd, ra, rb, imms = zip(*map(_FIELDS, instrs))
-        else:
-            mnemonics = rd = ra = rb = imms = ()
-        mnem = np.fromiter(
-            map(MNEMONIC_ID.get, mnemonics, repeat(-1)),
-            dtype=MNEMONIC_DTYPE, count=count,
-        )
-        pc = np.array(addrs, dtype=np.int64)
-        imm = np.array(imms, dtype=np.int64)
-        table = _TABLE
-
-        op = table["op"][mnem]
-        op[(op == OP_NOP) & (imm == _HALT_NOP_CODE)] = OP_HALT
-        word = imm & _MASK
-        aux_rule = table["aux_rule"][mnem]
-        aux = np.select(
-            [aux_rule == _AUX_WORD, aux_rule == _AUX_LOW16,
-             aux_rule == _AUX_SEXT16, aux_rule == _AUX_SHAMT,
-             aux_rule == _AUX_HIGH16, aux_rule == _AUX_CONST,
-             aux_rule == _AUX_IMM, aux_rule == _AUX_TARGET],
-            [word, imm & 0xFFFF,
-             (((imm & 0xFFFF) ^ 0x8000) - 0x8000) & _MASK, imm & 0x1F,
-             (imm & 0xFFFF) << 16, table["aux_const"][mnem],
-             imm, (pc + (imm << 2)) & _MASK],
-            0,
-        )
-        aux2_rule = table["aux2_rule"][mnem]
-        aux2 = np.select(
-            [aux2_rule == _AUX2_SIGNED, aux2_rule == _AUX2_UNSIGNED,
-             aux2_rule == _AUX2_LINK],
-            [(word ^ 0x80000000) - 0x80000000, word, (pc + 8) & _MASK],
-            0,
-        )
-        reads_rb = table["reads_rb"][mnem]
-        bmask = word.astype(object)
-        bmask[reads_rb] = None
-        slots = list(zip(
-            op.tolist(), rd, ra, rb, aux.tolist(), aux2.tolist(),
-            bmask.tolist(), table["is_ctrl"][mnem].tolist(),
-        ))
-        for index in np.flatnonzero(op < 0).tolist():
-            slots[index] = None
-        self.slots = slots
-
-        # timing classes, interned in address order
-        cls = table["cls"][mnem]
-        known = cls >= 0
-        unique, first = np.unique(cls[known], return_index=True)
-        unique = unique[np.argsort(first)]
-        remap = np.full(len(_CLASSES) + 1, -1, dtype=np.int64)
-        remap[unique] = np.arange(len(unique))
-        self.class_names = [_CLASSES[index] for index in unique.tolist()]
+        self.instrs = list(map(instructions.__getitem__, addrs))
+        (self.slots, pc, cls, self.np_kind, self.np_dest, self.np_src,
+         self.np_mnem) = _decode(addrs, self.instrs)
         self.np_pc = pc
-        self.np_cls = remap[cls]
-        self.np_kind = table["kind"][mnem]
-        self.np_dest = np.where(
-            table["writes_rd"][mnem], np.array(rd, dtype=np.int64), -1
-        )
-        self.np_src = (
-            np.where(table["reads_ra"][mnem],
-                     np.left_shift(1, np.array(ra, dtype=np.int64)), 0)
-            | np.where(reads_rb,
-                       np.left_shift(1, np.array(rb, dtype=np.int64)), 0)
-        )
-        self.np_mnem = mnem
+        self.class_names = []
+        self.np_cls = _intern(cls, self.class_names)
 
+        count = len(addrs)
         if count and 0 <= addrs[0] and (addrs[-1] >> 2) < _MAX_DENSE_WORDS:
             # the highest address of each word wins, as in address order
             words = pc >> 2
@@ -373,29 +394,13 @@ class DecodedImage:
             lookup[words[last]] = np.flatnonzero(last)
             self.lookup = lookup.tolist()
             self.sparse = None
-            self.fast_ok = True
         else:
             self.lookup = None
             self.sparse = dict(zip(addrs, range(count)))
-            self.fast_ok = False
         self.memory_proto = Memory("dmem")
         program.load_into(self.memory_proto)
         self.iss_run = None       # the halted pass (IssData), once run
-        self.iss_deferred = 0     # largest budget known to defer
         self.crit_cache = {}      # EX criticality arrays (dta.compiled)
-
-    def instruction_at(self, address):
-        """Text instruction at ``address``, or ``None`` for non-text words."""
-        lookup = self.lookup
-        if lookup is not None:
-            word = address >> 2
-            if 0 <= word < len(lookup):
-                index = lookup[word]
-                if index >= 0:
-                    return self.instrs[index]
-            return None
-        index = self.sparse.get(address, -1)
-        return self.instrs[index] if index >= 0 else None
 
 
 @dataclass
@@ -434,7 +439,6 @@ _stats = {
     "images_built": 0,
     "image_hits": 0,
     "fast_runs": 0,
-    "deferred_runs": 0,
     "iss_hits": 0,
 }
 
@@ -538,43 +542,84 @@ def image_for(program):
 
 
 def collect(program, max_cycles):
-    """One fast architectural pass; ``None`` defers to the object-layer ISS.
+    """The architectural pass of ``program`` within ``max_cycles`` steps,
+    as :class:`IssData`; raises :class:`SimulationError` for every fault
+    (see the module docstring).
 
-    The deferral cases (fetch outside the decoded text, misaligned access,
-    control transfer in a delay slot, step budget exceeded, uncovered
-    mnemonic) are exactly the paths where the object ISS raises or where the
-    image cannot answer — the caller re-runs
-    ``FunctionalSimulator`` which reproduces the behaviour bit-exactly.
+    The step cap equals the cycle budget: the pipeline retires at most
+    one instruction per cycle, so a pass overrunning ``max_cycles`` steps
+    implies the pipeline would overrun ``max_cycles`` cycles too.
 
-    The architectural pass is deterministic, so the halted run is kept on
-    the shared image with its step count (``state.instret``) and serves
-    every later budget it fits: a program is stepped once per process
-    however many budgets ask for it (characterisation simulates at
+    The pass is deterministic, so the halted run is kept on the shared
+    image with its step count (``state.instret``) and serves every later
+    budget it fits: a program is stepped once per process however many
+    budgets ask for it (characterisation simulates at
     ``gatesim.MAX_CYCLES``, a sweep at its own ``max_cycles``), and each
     caller gets cloned columns (:func:`_clone_data`).  A budget below the
-    step count is one the step loop would trip, so it defers and the
-    object ISS raises the budget error.  A deferred pass records its
-    budget; only a larger budget runs the loop again.
+    step count raises the budget error a fresh pass would, read off the
+    cached program counters without stepping.
     """
     image = image_for(program)
-    if not image.fast_ok:
-        _stats["deferred_runs"] += 1
-        return None
     run = image.iss_run
-    if run is not None or max_cycles <= image.iss_deferred:
+    if run is None:
+        with obs_span("iss.collect", program=program.name):
+            run = image.iss_run = _collect_impl(image, program, max_cycles)
+    else:
         _stats["iss_hits"] += 1
-        if run is None or max_cycles < run.state.instret:
-            _stats["deferred_runs"] += 1
-            return None
-        _stats["fast_runs"] += 1
-        return _clone_data(run, program, image)
-    with obs_span("iss.collect", program=program.name):
-        data = _collect_impl(image, program, max_cycles)
-    if data is None:
-        image.iss_deferred = max_cycles
-        return None
-    image.iss_run = data
-    return _clone_data(data, program, image)
+        if max_cycles < run.state.instret:
+            raise _overrun(max_cycles, int(run.pcs[max(max_cycles, 0)]))
+    _stats["fast_runs"] += 1
+    return _clone_data(run, program, image)
+
+
+def _overrun(max_cycles, pc):
+    return SimulationError(
+        f"exceeded {max_cycles} cycles without halting (pc={pc:#010x})"
+    )
+
+
+def _misaligned(size, address):
+    return SimulationError(f"misaligned {size}-byte access at {address:#010x}")
+
+
+class _RunText:
+    """The words one run fetches outside the image's dense text, decoded
+    on demand the way the reference fetch does: sparse text first, then
+    the run's current memory.  Decoded slots extend a per-run copy of the
+    image's slot list (``slots``, copied on the first decode); the shared
+    image is never written."""
+
+    __slots__ = ("image", "memory", "slots", "index", "instrs")
+
+    def __init__(self, image, memory):
+        self.image = image
+        self.memory = memory
+        self.slots = image.slots
+        self.index = {}           # address -> slot index past the image's
+        self.instrs = []          # the decoded words, in ``index`` order
+
+    def fetch(self, pc):
+        """Slot index of the instruction fetched at ``pc``."""
+        if pc & 3:
+            raise SimulationError(f"misaligned fetch at {pc:#010x}")
+        sparse = self.image.sparse
+        index = sparse.get(pc) if sparse else None
+        if index is None:
+            index = self.index.get(pc)
+        if index is None:
+            word = self.memory.load_word(pc)
+            try:
+                instruction = decode(word)
+            except EncodingError as err:
+                raise SimulationError(
+                    f"cannot decode word {word:#010x} at {pc:#010x}: {err}"
+                ) from err
+            if self.slots is self.image.slots:
+                self.slots = list(self.slots)
+            index = self.index[pc] = len(self.slots)
+            self.slots.append(_decode([pc], [instruction])[0][0])
+            self.instrs.append(instruction)
+        return index
 
 
 def _collect_impl(image, program, max_cycles):
@@ -589,7 +634,8 @@ def _collect_impl(image, program, max_cycles):
     pending = 0
     in_ds = False
     steps = 0
-    lookup = image.lookup
+    text = _RunText(image, memory)
+    lookup = image.lookup or ()
     nwords = len(lookup)
     slots = image.slots
     retired_idx = []
@@ -604,24 +650,26 @@ def _collect_impl(image, program, max_cycles):
 
     while True:
         if steps >= max_cycles:
-            _stats["deferred_runs"] += 1
-            return None       # the object ISS reproduces the budget error
+            raise _overrun(max_cycles, pc)
         word = pc >> 2
         if pc & 3 or word >= nwords:
-            _stats["deferred_runs"] += 1
-            return None
-        index = lookup[word]
+            index = -1
+        else:
+            index = lookup[word]
         if index < 0:
-            _stats["deferred_runs"] += 1
-            return None
+            index = text.fetch(pc)
+            slots = text.slots
         slot = slots[index]
         if slot is None:
-            _stats["deferred_runs"] += 1
-            return None
+            raise SimulationError(
+                f"unsupported instruction {image.instrs[index].mnemonic} "
+                f"at {pc:#010x}"
+            )
         op, rd, ra, rb, aux, aux2, bmask, is_ctrl = slot
         if in_ds and is_ctrl:
-            _stats["deferred_runs"] += 1
-            return None       # control in delay slot: the object ISS raises
+            raise SimulationError(
+                f"control-transfer instruction in delay slot at {pc:#010x}"
+            )
         a = regs[ra]
         b = regs[rb] if bmask is None else bmask
         append_idx(index)
@@ -695,15 +743,13 @@ def _collect_impl(image, program, max_cycles):
         elif op == OP_LWZ:
             addr = (a + aux) & _MASK
             if addr & 3:
-                _stats["deferred_runs"] += 1
-                return None
+                raise _misaligned(4, addr)
             if rd:
                 regs[rd] = load(addr, 4)
         elif op == OP_SW:
             addr = (a + aux) & _MASK
             if addr & 3:
-                _stats["deferred_runs"] += 1
-                return None
+                raise _misaligned(4, addr)
             store(addr, b, 4)
             store_words.add(addr)
         elif op == OP_NOP:
@@ -725,8 +771,7 @@ def _collect_impl(image, program, max_cycles):
             continue
         elif op == OP_JR:
             if b & 3:
-                _stats["deferred_runs"] += 1
-                return None
+                raise _misaligned(4, b)
             ctrl_rows.append((steps - 1, b))
             pending = b
             in_ds = True
@@ -734,8 +779,7 @@ def _collect_impl(image, program, max_cycles):
             continue
         elif op == OP_JALR:
             if b & 3:
-                _stats["deferred_runs"] += 1
-                return None
+                raise _misaligned(4, b)
             ctrl_rows.append((steps - 1, b))
             regs[link] = aux2
             pending = b
@@ -859,15 +903,13 @@ def _collect_impl(image, program, max_cycles):
         elif op == OP_LHZ:
             addr = (a + aux) & _MASK
             if addr & 1:
-                _stats["deferred_runs"] += 1
-                return None
+                raise _misaligned(2, addr)
             if rd:
                 regs[rd] = load(addr, 2)
         elif op == OP_LHS:
             addr = (a + aux) & _MASK
             if addr & 1:
-                _stats["deferred_runs"] += 1
-                return None
+                raise _misaligned(2, addr)
             half = load(addr, 2)
             if rd:
                 regs[rd] = (half - 0x10000 if half & 0x8000 else half) & _MASK
@@ -877,13 +919,9 @@ def _collect_impl(image, program, max_cycles):
         elif op == OP_SH:
             addr = (a + aux) & _MASK
             if addr & 1:
-                _stats["deferred_runs"] += 1
-                return None
+                raise _misaligned(2, addr)
             store(addr, b & 0xFFFF, 2)
             store_words.add(addr & ~3)
-        else:
-            _stats["deferred_runs"] += 1
-            return None       # unreachable: every op id is handled above
 
         if in_ds:
             pc = pending
@@ -892,18 +930,28 @@ def _collect_impl(image, program, max_cycles):
             pc += 4
 
     _stats["iss_seconds"] += time.perf_counter() - start
-    _stats["fast_runs"] += 1
     return _package(
-        image, program, memory, regs, flag, carry, pc,
+        image, text, program, memory, regs, flag, carry, pc,
         retired_idx, a_list, b_list, ctrl_rows, store_words,
     )
 
 
-def _package(image, program, memory, regs, flag, carry, pc,
+def _package(image, text, program, memory, regs, flag, carry, pc,
              retired_idx, a_list, b_list, ctrl_rows, store_words):
     count = len(retired_idx)
     index = np.array(retired_idx, dtype=np.int64)
-    pcs = image.np_pc[index]
+    columns = (image.np_pc, image.np_cls, image.np_kind, image.np_dest,
+               image.np_src, image.np_mnem)
+    image_instrs = image.instrs
+    class_names = list(image.class_names)
+    if text.instrs:
+        # words decoded on demand: their columns follow the image's
+        _, pc_col, cls, kind, dest, src, mnem = _decode(list(text.index),
+                                                        text.instrs)
+        extra = (pc_col, _intern(cls, class_names), kind, dest, src, mnem)
+        columns = [np.concatenate(pair) for pair in zip(columns, extra)]
+        image_instrs = image_instrs + text.instrs
+    pcs, cls, kind, dest, src, mnem = (column[index] for column in columns)
     taken = np.zeros(count, dtype=bool)
     targets = np.zeros(count, dtype=np.int64)
     if ctrl_rows:
@@ -912,7 +960,6 @@ def _package(image, program, memory, regs, flag, carry, pc,
         target = rows[:, 1]
         taken[where] = target >= 0
         targets[where] = np.maximum(target, 0)
-    image_instrs = image.instrs
     instrs = [image_instrs[i] for i in retired_idx]
     state = ArchState(entry=program.entry)
     state.regs = regs
@@ -930,12 +977,12 @@ def _package(image, program, memory, regs, flag, carry, pc,
         b_vals=np.array(b_list, dtype=np.uint64),
         taken=taken,
         targets=targets,
-        cls=image.np_cls[index],
-        kind=image.np_kind[index],
-        dest=image.np_dest[index],
-        src=image.np_src[index],
-        mnem=image.np_mnem[index],
+        cls=cls,
+        kind=kind,
+        dest=dest,
+        src=src,
+        mnem=mnem,
         store_words=store_words,
-        class_names=list(image.class_names),
+        class_names=class_names,
         image=None,
     )

@@ -1,4 +1,4 @@
-"""Architectural state shared by the functional ISS and the pipeline model."""
+"""Architectural state of the ISS pass and the pipeline model."""
 
 from repro.isa.registers import REG_COUNT, REG_ZERO
 from repro.utils.bitops import to_unsigned32

@@ -10,11 +10,12 @@ cycle-stepping reference in ``tests/oracle.py`` by
 ``tests/test_sim_equivalence.py`` and ``tests/test_pipeline_spec.py``)
 in two phases:
 
-1. **ISS pass** — one architectural run of the
-   :class:`~repro.sim.iss.FunctionalSimulator` with an observer collecting
-   per-instruction arrays: program counters, EX operand values (the
-   effective datapath ``b`` after the operand mux), branch outcomes and
-   instruction metadata (timing class, hazard ports, divider membership).
+1. **ISS pass** — one architectural run of the dispatch-table ISS
+   (:func:`repro.sim.predecode.collect`, the package's only one) over the
+   program's pre-decoded image, collecting per-instruction arrays:
+   program counters, EX operand values (the effective datapath ``b``
+   after the operand mux), branch outcomes and instruction metadata
+   (timing class, hazard ports, divider membership).
 
 2. **Array pass** — the cycle-accurate structure is reconstructed with
    NumPy.  The pipeline is rigid (the whole front end stalls as a unit, EX
@@ -32,8 +33,8 @@ in two phases:
 The reconstruction is exact only when fetched words are immutable over the
 run, so a program that stores into a fetched address (self-modifying
 code, wrong-path fetches into freshly written data) raises
-:class:`~repro.sim.iss.SimulationError` naming the address; ISS errors
-propagate unchanged.
+:class:`~repro.sim.predecode.SimulationError` naming the address; ISS
+errors propagate unchanged.
 
 Consumers that only need arrays (the compiled-trace engine, the
 characterisation flow) read the cycle/slot arrays directly and never pay
@@ -48,8 +49,7 @@ from repro.isa.encoding import EncodingError, decode
 from repro.isa.opcodes import KIND_CODE, MNEMONIC_ID, InstructionKind
 from repro.obs.trace import span as obs_span
 from repro.sim import predecode
-from repro.sim.iss import HALT_NOP_CODE, FunctionalSimulator, SimulationError
-from repro.sim.predecode import IssData
+from repro.sim.predecode import HALT_NOP_CODE, SimulationError
 from repro.sim.spec import get_pipeline_spec
 from repro.sim.trace import (
     BUBBLE_VIEW,
@@ -61,9 +61,6 @@ from repro.sim.trace import (
 _DIV_CODE = KIND_CODE[InstructionKind.DIV]
 _MUL_CODE = KIND_CODE[InstructionKind.MUL]
 _LOAD_CODE = KIND_CODE[InstructionKind.LOAD]
-_STORE_CODE = KIND_CODE[InstructionKind.STORE]
-
-_WORD_MASK = 0xFFFFFFFF
 
 #: Hard cap on simulated cycles.
 DEFAULT_MAX_CYCLES = 50_000_000
@@ -252,114 +249,15 @@ def simulate(program, div_latency=None, max_cycles=DEFAULT_MAX_CYCLES,
         raise ValueError("div_latency must be at least 1 cycle")
     with obs_span("sim.vector", program=program.name):
         data = predecode.collect(program, max_cycles)
-        if data is None:
-            with obs_span("iss.object", program=program.name):
-                data = _collect_iss(program, max_cycles)
         return reconstruct(program, div_latency, max_cycles, data, spec)
-
-
-# -- phase 1: the ISS pass ----------------------------------------------------
-
-
-def _collect_iss(program, max_cycles):
-    """Run the object-layer functional simulator, collecting columnar data.
-
-    This is the slow-path twin of :func:`repro.sim.predecode.collect`: it
-    owns every rare case the pre-decoded loop defers (fetches outside the
-    decoded text, semantics errors, budget overruns) and produces the same
-    :class:`~repro.sim.predecode.IssData`.
-
-    The step cap equals the cycle budget: the pipeline retires at most one
-    instruction per cycle, so an ISS overrunning ``max_cycles`` steps
-    implies the pipeline would overrun ``max_cycles`` cycles too.
-    """
-    pcs, instrs, a_vals, b_vals = [], [], [], []
-    takens, targets, metas = [], [], []
-    store_words = set()
-    meta_cache = {}
-    intern = {}
-    class_names = []
-
-    def meta_for(instruction):
-        meta = meta_cache.get(instruction)
-        if meta is None:
-            spec = instruction.spec
-            cls = instruction.timing_class
-            cls_id = intern.get(cls)
-            if cls_id is None:
-                cls_id = intern[cls] = len(class_names)
-                class_names.append(cls)
-            dest = instruction.destination_register()
-            source_mask = 0
-            for register in instruction.source_registers():
-                source_mask |= 1 << register
-            meta = (
-                cls_id,
-                KIND_CODE[spec.kind],
-                -1 if dest is None else dest,
-                source_mask,
-                spec.reads_rb,
-                instruction.imm & _WORD_MASK,
-                MNEMONIC_ID[instruction.mnemonic],
-            )
-            meta_cache[instruction] = meta
-        return meta
-
-    def observer(pc, instruction, a, b, result):
-        meta = meta_for(instruction)
-        pcs.append(pc)
-        instrs.append(instruction)
-        a_vals.append(a)
-        b_vals.append(b if meta[4] else meta[5])
-        takens.append(bool(result.branch_taken))
-        targets.append(result.branch_target if result.branch_taken else 0)
-        metas.append(meta)
-        if meta[1] == _STORE_CODE:
-            first = result.mem_addr & ~3
-            last = (result.mem_addr + result.mem_size - 1) & ~3
-            store_words.add(first)
-            if last != first:
-                store_words.add(last)
-
-    simulator = FunctionalSimulator(program, observer=observer)
-    steps = 0
-    while not simulator.halted:
-        if steps >= max_cycles:
-            # the pipeline retires at most one instruction per cycle, so
-            # the pipeline provably exceeds the budget too
-            raise SimulationError(
-                f"exceeded {max_cycles} cycles without halting "
-                f"(pc={simulator.state.pc:#010x})"
-            )
-        simulator.step()
-        steps += 1
-    meta_matrix = np.array(metas, dtype=np.int64)       # (N, 7)
-    return IssData(
-        state=simulator.state,
-        memory=simulator.memory,
-        retired=list(simulator.retired),
-        pcs=np.array(pcs, dtype=np.int64),
-        instrs=instrs,
-        a_vals=np.array(a_vals, dtype=np.uint64),
-        b_vals=np.array(b_vals, dtype=np.uint64),
-        taken=np.array(takens, dtype=bool),
-        targets=np.array(targets, dtype=np.int64),
-        cls=meta_matrix[:, 0],
-        kind=meta_matrix[:, 1],
-        dest=meta_matrix[:, 2],
-        src=meta_matrix[:, 3],
-        mnem=meta_matrix[:, 6].astype(predecode.MNEMONIC_DTYPE),
-        store_words=store_words,
-        class_names=class_names,
-        image=simulator._image,
-    )
 
 
 # -- phase 2: array reconstruction -------------------------------------------
 
 
 def reconstruct(program, div_latency, max_cycles, data, spec):
-    """Array pass: the pipeline run of an ISS pass's :class:`IssData`
+    """Array pass: the pipeline run of an ISS pass's
+    :class:`~repro.sim.predecode.IssData`
     (:func:`simulate` owns the argument checks)."""
     instrs = data.instrs
     targets = data.targets

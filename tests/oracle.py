@@ -14,6 +14,12 @@ Nothing in ``src/`` imports this module; it is the only home of these
 loops.  Tests import it as ``oracle`` (``tests/`` is on ``sys.path`` under
 pytest); scripts outside ``tests/`` load it by file path.
 
+- :func:`compute` / :func:`load_extract` — the executable semantics of
+  the implemented ORBIS32 subset, one instruction at a time;
+- :class:`FunctionalSimulator` (with :func:`run_program`) — the
+  object-layer ISS over them, and :func:`iss_data`, its run in the
+  columnar form ``repro.sim.predecode.collect`` produces (the reference
+  for that dispatch-table ISS);
 - :class:`PipelineSimulator` — the cycle-stepping pipeline, one clock
   at a time (the reference for ``repro.sim.vector``);
 - :func:`evaluate_program` — one program under one clock policy;
@@ -72,12 +78,11 @@ from repro.flow.evaluate import (
 from repro.isa.encoding import EncodingError, decode
 from repro.isa.opcodes import KIND_CODE, MNEMONIC_ID, SPECS, InstructionKind
 from repro.isa.registers import REG_LINK
-from repro.isa.semantics import compute, load_extract
 from repro.sim import vector
-from repro.sim.iss import HALT_NOP_CODE, SimulationError
 from repro.sim.memory import Memory
 from repro.sim.spec import get_pipeline_spec
 from repro.sim import predecode as _pd
+from repro.sim.predecode import HALT_NOP_CODE, SimulationError
 from repro.sim.state import ArchState
 from repro.sim.trace import (
     BUBBLE_VIEW,
@@ -87,8 +92,484 @@ from repro.sim.trace import (
     StageView,
 )
 from repro.timing.profiles import BUBBLE_CLASS
-from repro.utils.bitops import sign_extend, to_signed32
+from repro.utils.bitops import (
+    mask,
+    rotate_right32,
+    sign_extend,
+    to_signed32,
+    to_unsigned32,
+)
 from repro.workloads.suite import characterization_suite
+
+
+# -- the object-layer ISS -----------------------------------------------------
+#
+# The reference for ``repro.sim.predecode.collect``: one ``Instruction`` per
+# fetch, one ``compute`` call per retired instruction.  ``compute`` and
+# ``load_extract`` are the executable semantics of the implemented ORBIS32
+# subset, written as pure functions over operand values so that
+# :class:`FunctionalSimulator` and the cycle-stepping
+# :class:`PipelineSimulator` share one implementation.  All register values
+# are unsigned 32-bit Python ints.
+
+
+class SemanticsError(ValueError):
+    """Raised for semantically invalid execution (e.g. misaligned access)."""
+
+
+@dataclass
+class ComputeResult:
+    """Outcome of the execute-stage computation of one instruction.
+
+    Attributes
+    ----------
+    value:
+        Result to write back to ``rd`` (``None`` if no register result or if
+        it comes from memory).
+    flag:
+        New SR flag value (``None`` if unchanged).
+    carry:
+        New SR carry value (``None`` if unchanged).
+    mem_addr / mem_size:
+        Effective address and access width in bytes for loads/stores.
+    store_value:
+        Value (already truncated to width) for stores.
+    branch_taken / branch_target:
+        Control-transfer decision; ``branch_taken`` is ``None`` for
+        non-control instructions.
+    link_value:
+        Return address written to the link register by ``l.jal``/``l.jalr``.
+    """
+
+    value: int = None
+    flag: bool = None
+    carry: bool = None
+    mem_addr: int = None
+    mem_size: int = 0
+    store_value: int = None
+    branch_taken: bool = None
+    branch_target: int = None
+    link_value: int = None
+
+
+_LOAD_SIZES = {
+    "l.lwz": 4, "l.lbz": 1, "l.lbs": 1, "l.lhz": 2, "l.lhs": 2,
+}
+_STORE_SIZES = {"l.sw": 4, "l.sb": 1, "l.sh": 2}
+
+#: Size of one instruction and of the branch-delay-slot offset, in bytes.
+INSTRUCTION_BYTES = 4
+
+
+def compute(instruction, a, b, flag, carry, pc):
+    """Evaluate ``instruction`` with operand values ``a`` (rA) and ``b`` (rB).
+
+    ``flag`` and ``carry`` are the current SR bits; ``pc`` is the address of
+    the instruction itself (used for pc-relative control transfers and link
+    values).  Immediates are taken from the instruction; for immediate forms
+    the ``b`` argument is ignored.
+    """
+    mnemonic = instruction.mnemonic
+    spec = instruction.spec
+    kind = spec.kind
+    imm = instruction.imm
+
+    if kind == InstructionKind.NOP:
+        return ComputeResult()
+
+    if kind == InstructionKind.ALU:
+        return _compute_alu(mnemonic, a, b, imm, flag, carry)
+    if kind == InstructionKind.SHIFT:
+        return _compute_shift(mnemonic, a, b, imm)
+    if kind == InstructionKind.MUL:
+        return _compute_mul(mnemonic, a, b, imm)
+    if kind == InstructionKind.DIV:
+        return _compute_div(mnemonic, a, b)
+    if kind == InstructionKind.MOVE:
+        return _compute_move(mnemonic, a, imm, flag, b)
+    if kind == InstructionKind.SETFLAG:
+        rhs = b if instruction.spec.fmt.name == "SETFLAG_REG" else imm
+        return ComputeResult(flag=_compare(mnemonic, a, rhs))
+    if kind == InstructionKind.LOAD:
+        addr = to_unsigned32(a + imm)
+        size = _LOAD_SIZES[mnemonic]
+        _check_alignment(addr, size)
+        return ComputeResult(mem_addr=addr, mem_size=size)
+    if kind == InstructionKind.STORE:
+        addr = to_unsigned32(a + imm)
+        size = _STORE_SIZES[mnemonic]
+        _check_alignment(addr, size)
+        return ComputeResult(
+            mem_addr=addr, mem_size=size, store_value=b & mask(8 * size)
+        )
+    if kind == InstructionKind.JUMP:
+        target = to_unsigned32(pc + (imm << 2))
+        link = None
+        if mnemonic == "l.jal":
+            link = to_unsigned32(pc + 2 * INSTRUCTION_BYTES)
+        return ComputeResult(
+            branch_taken=True, branch_target=target, link_value=link
+        )
+    if kind == InstructionKind.JUMP_REG:
+        _check_alignment(b, 4)
+        link = None
+        if mnemonic == "l.jalr":
+            link = to_unsigned32(pc + 2 * INSTRUCTION_BYTES)
+        return ComputeResult(
+            branch_taken=True, branch_target=to_unsigned32(b), link_value=link
+        )
+    if kind == InstructionKind.BRANCH:
+        taken = flag if mnemonic == "l.bf" else not flag
+        target = to_unsigned32(pc + (imm << 2))
+        return ComputeResult(branch_taken=taken, branch_target=target)
+    raise AssertionError(f"unhandled kind {kind}")
+
+
+def _compute_alu(mnemonic, a, b, imm, flag, carry):
+    if mnemonic == "l.addi":
+        b = imm
+    elif mnemonic == "l.andi":
+        b = imm & 0xFFFF
+    elif mnemonic == "l.ori":
+        b = imm & 0xFFFF
+    elif mnemonic == "l.xori":
+        b = sign_extend(imm, 16)
+
+    if mnemonic in ("l.add", "l.addi"):
+        total = to_unsigned32(a) + to_unsigned32(b)
+        return ComputeResult(
+            value=to_unsigned32(total), carry=total > mask(32)
+        )
+    if mnemonic == "l.addc":
+        total = to_unsigned32(a) + to_unsigned32(b) + (1 if carry else 0)
+        return ComputeResult(
+            value=to_unsigned32(total), carry=total > mask(32)
+        )
+    if mnemonic == "l.sub":
+        total = to_unsigned32(a) - to_unsigned32(b)
+        return ComputeResult(value=to_unsigned32(total), carry=total < 0)
+    if mnemonic in ("l.and", "l.andi"):
+        return ComputeResult(value=to_unsigned32(a & b))
+    if mnemonic in ("l.or", "l.ori"):
+        return ComputeResult(value=to_unsigned32(a | b))
+    if mnemonic in ("l.xor", "l.xori"):
+        return ComputeResult(value=to_unsigned32(a ^ b))
+    if mnemonic == "l.cmov":
+        return ComputeResult(value=to_unsigned32(a if flag else b))
+    raise AssertionError(f"unhandled ALU mnemonic {mnemonic}")
+
+
+def _compute_shift(mnemonic, a, b, imm):
+    amount = (imm if mnemonic.endswith("i") else b) & 0x1F
+    a = to_unsigned32(a)
+    if mnemonic in ("l.sll", "l.slli"):
+        return ComputeResult(value=to_unsigned32(a << amount))
+    if mnemonic in ("l.srl", "l.srli"):
+        return ComputeResult(value=a >> amount)
+    if mnemonic in ("l.sra", "l.srai"):
+        return ComputeResult(value=to_unsigned32(to_signed32(a) >> amount))
+    if mnemonic in ("l.ror", "l.rori"):
+        return ComputeResult(value=rotate_right32(a, amount))
+    raise AssertionError(f"unhandled shift mnemonic {mnemonic}")
+
+
+def _compute_mul(mnemonic, a, b, imm):
+    if mnemonic == "l.muli":
+        b = imm
+    if mnemonic == "l.mulu":
+        product = to_unsigned32(a) * to_unsigned32(b)
+    else:
+        product = to_signed32(a) * to_signed32(b)
+    return ComputeResult(value=to_unsigned32(product))
+
+
+def _compute_div(mnemonic, a, b):
+    # Division by zero does not trap in our configuration (no exception
+    # unit); the quotient is architecturally undefined and we define it as
+    # all-ones, which is what the mor1kx serial divider produces.
+    if to_unsigned32(b) == 0:
+        return ComputeResult(value=mask(32))
+    if mnemonic == "l.divu":
+        return ComputeResult(value=to_unsigned32(a) // to_unsigned32(b))
+    quotient = abs(to_signed32(a)) // abs(to_signed32(b))
+    if (to_signed32(a) < 0) != (to_signed32(b) < 0):
+        quotient = -quotient
+    return ComputeResult(value=to_unsigned32(quotient))
+
+
+def _compute_move(mnemonic, a, imm, flag, b):
+    if mnemonic == "l.movhi":
+        return ComputeResult(value=to_unsigned32((imm & 0xFFFF) << 16))
+    if mnemonic == "l.exths":
+        return ComputeResult(value=to_unsigned32(sign_extend(a, 16)))
+    if mnemonic == "l.extbs":
+        return ComputeResult(value=to_unsigned32(sign_extend(a, 8)))
+    if mnemonic == "l.exthz":
+        return ComputeResult(value=a & 0xFFFF)
+    if mnemonic == "l.extbz":
+        return ComputeResult(value=a & 0xFF)
+    if mnemonic == "l.ff1":
+        a = to_unsigned32(a)
+        if a == 0:
+            return ComputeResult(value=0)
+        return ComputeResult(value=(a & -a).bit_length())
+    raise AssertionError(f"unhandled move mnemonic {mnemonic}")
+
+
+def _compare(mnemonic, a, rhs):
+    # mnemonic is e.g. "l.sfgts" / "l.sfgtsi" -> base "gts"
+    base = mnemonic.replace("l.sf", "")
+    if base.endswith("i"):
+        base = base[:-1]
+    signed = base.endswith("s") or base in ("eq", "ne")
+    if signed:
+        lhs, val = to_signed32(a), to_signed32(rhs)
+    else:
+        lhs, val = to_unsigned32(a), to_unsigned32(rhs)
+    if base == "eq":
+        return lhs == val
+    if base == "ne":
+        return lhs != val
+    if base in ("gtu", "gts"):
+        return lhs > val
+    if base in ("geu", "ges"):
+        return lhs >= val
+    if base in ("ltu", "lts"):
+        return lhs < val
+    if base in ("leu", "les"):
+        return lhs <= val
+    raise AssertionError(f"unhandled comparison {mnemonic}")
+
+
+def load_extract(mnemonic, raw):
+    """Apply width/extension rules to raw little-pattern memory data.
+
+    ``raw`` is the unsigned value of the loaded bytes (1, 2 or 4 bytes wide,
+    already assembled by the memory model).
+    """
+    if mnemonic == "l.lwz":
+        return to_unsigned32(raw)
+    if mnemonic == "l.lbz":
+        return raw & 0xFF
+    if mnemonic == "l.lbs":
+        return to_unsigned32(sign_extend(raw, 8))
+    if mnemonic == "l.lhz":
+        return raw & 0xFFFF
+    if mnemonic == "l.lhs":
+        return to_unsigned32(sign_extend(raw, 16))
+    raise AssertionError(f"not a load mnemonic: {mnemonic}")
+
+
+def _check_alignment(addr, size):
+    if size > 1 and addr % size != 0:
+        raise SemanticsError(
+            f"misaligned {size}-byte access at {addr:#010x}"
+        )
+
+
+#: Hard cap on executed instructions, to catch runaway programs in tests.
+DEFAULT_MAX_STEPS = 20_000_000
+
+
+class FunctionalSimulator:
+    """Architectural ISS over a program image, one instruction per
+    :meth:`step`, with OR1K delay-slot behaviour.  ``l.nop 0x1`` halts.
+
+    Program text wins over memory content at a fetch; any other word is
+    decoded from the current data memory (unified address space, like
+    the paper's tightly-coupled instruction/data SRAM pair mapped in one
+    space).  ``memory`` optionally replaces the program image; the
+    optional ``observer(pc, instruction, a, b, result)`` is called once
+    per retired instruction with the operand values read before
+    execution (:func:`iss_data` collects the columnar pass through it).
+    """
+
+    def __init__(self, program, memory=None, observer=None):
+        self.program = program
+        if memory is None:
+            memory = Memory("dmem")
+            program.load_into(memory)
+        self.memory = memory
+        self.state = ArchState(entry=program.entry)
+        self.halted = False
+        self.retired = []            # (pc, Instruction) in retirement order
+        self._decode_cache = {}      # memory-resident (non-text) words only
+        self._pending_target = None  # branch target to apply after the slot
+        self._in_delay_slot = False
+        self.observer = observer
+
+    def fetch(self, address):
+        if address % 4:
+            raise SimulationError(f"misaligned fetch at {address:#010x}")
+        instruction = self.program.instructions.get(address)
+        if instruction is not None:
+            return instruction
+        cached = self._decode_cache.get(address)
+        if cached is not None:
+            return cached
+        word = self.memory.load_word(address)
+        try:
+            instruction = decode(word)
+        except Exception as err:
+            raise SimulationError(
+                f"cannot decode word {word:#010x} at {address:#010x}: {err}"
+            ) from err
+        self._decode_cache[address] = instruction
+        return instruction
+
+    def step(self):
+        """Execute one instruction; returns the retired Instruction."""
+        if self.halted:
+            raise SimulationError("simulator is halted")
+        state = self.state
+        pc = state.pc
+        instruction = self.fetch(pc)
+
+        if self._in_delay_slot and instruction.is_control:
+            raise SimulationError(
+                f"control-transfer instruction in delay slot at {pc:#010x}"
+            )
+
+        a = state.read_reg(instruction.ra)
+        b = state.read_reg(instruction.rb)
+        result = compute(instruction, a, b, state.flag, state.carry, pc)
+        if self.observer is not None:
+            self.observer(pc, instruction, a, b, result)
+        self._apply(instruction, result)
+        self.retired.append((pc, instruction))
+        state.instret += 1
+
+        if (
+            instruction.mnemonic == "l.nop"
+            and instruction.imm == HALT_NOP_CODE
+        ):
+            self.halted = True
+            return instruction
+
+        # -- program counter update with delay-slot semantics ---------------
+        if self._in_delay_slot:
+            state.pc = self._pending_target
+            self._pending_target = None
+            self._in_delay_slot = False
+        elif instruction.is_control and result.branch_taken:
+            self._pending_target = result.branch_target
+            self._in_delay_slot = True
+            state.pc = pc + 4
+        else:
+            state.pc = pc + 4
+        return instruction
+
+    def _apply(self, instruction, result):
+        state = self.state
+        kind = instruction.kind
+        if kind == InstructionKind.LOAD:
+            raw = self.memory.load(result.mem_addr, result.mem_size)
+            state.write_reg(
+                instruction.rd, load_extract(instruction.mnemonic, raw)
+            )
+        elif kind == InstructionKind.STORE:
+            self.memory.store(result.mem_addr, result.store_value,
+                              result.mem_size)
+        elif result.value is not None:
+            state.write_reg(instruction.rd, result.value)
+        if result.link_value is not None:
+            state.write_reg(REG_LINK, result.link_value)
+        if result.flag is not None:
+            state.flag = result.flag
+        if result.carry is not None:
+            state.carry = result.carry
+
+    def run(self, max_steps=DEFAULT_MAX_STEPS):
+        """Run until halt; returns the number of retired instructions."""
+        steps = 0
+        while not self.halted:
+            if steps >= max_steps:
+                raise SimulationError(
+                    f"exceeded {max_steps} steps without halting "
+                    f"(pc={self.state.pc:#010x})"
+                )
+            self.step()
+            steps += 1
+        return steps
+
+    def retired_trace(self):
+        """The program trace L[t] as a list of Instructions."""
+        return [instruction for _, instruction in self.retired]
+
+
+def run_program(program, max_steps=DEFAULT_MAX_STEPS):
+    """Run a program functionally; returns the halted simulator."""
+    simulator = FunctionalSimulator(program)
+    simulator.run(max_steps=max_steps)
+    return simulator
+
+
+def iss_data(program, max_cycles):
+    """The :class:`~repro.sim.predecode.IssData` of one
+    :class:`FunctionalSimulator` run within ``max_cycles`` steps, the
+    reference for ``repro.sim.predecode.collect``.  Timing classes are
+    interned in retirement order (``collect`` interns in image order), so
+    compare them by name."""
+    pcs, instrs, a_vals, b_vals = [], [], [], []
+    takens, targets, metas = [], [], []
+    store_words = set()
+    class_names = []
+
+    def observer(pc, instruction, a, b, result):
+        spec = instruction.spec
+        cls = instruction.timing_class
+        if cls not in class_names:
+            class_names.append(cls)
+        dest = instruction.destination_register()
+        source_mask = 0
+        for register in instruction.source_registers():
+            source_mask |= 1 << register
+        pcs.append(pc)
+        instrs.append(instruction)
+        a_vals.append(a)
+        b_vals.append(b if spec.reads_rb else instruction.imm & 0xFFFFFFFF)
+        takens.append(bool(result.branch_taken))
+        targets.append(result.branch_target if result.branch_taken else 0)
+        metas.append((
+            class_names.index(cls), KIND_CODE[spec.kind],
+            -1 if dest is None else dest, source_mask,
+            MNEMONIC_ID[instruction.mnemonic],
+        ))
+        if spec.kind == InstructionKind.STORE:
+            first = result.mem_addr & ~3
+            last = (result.mem_addr + result.mem_size - 1) & ~3
+            store_words.update((first, last))
+
+    simulator = FunctionalSimulator(program, observer=observer)
+    steps = 0
+    while not simulator.halted:
+        if steps >= max_cycles:
+            raise SimulationError(
+                f"exceeded {max_cycles} cycles without halting "
+                f"(pc={simulator.state.pc:#010x})"
+            )
+        simulator.step()
+        steps += 1
+    meta = np.array(metas, dtype=np.int64)
+    return _pd.IssData(
+        state=simulator.state,
+        memory=simulator.memory,
+        retired=list(simulator.retired),
+        pcs=np.array(pcs, dtype=np.int64),
+        instrs=instrs,
+        a_vals=np.array(a_vals, dtype=np.uint64),
+        b_vals=np.array(b_vals, dtype=np.uint64),
+        taken=np.array(takens, dtype=bool),
+        targets=np.array(targets, dtype=np.int64),
+        cls=meta[:, 0],
+        kind=meta[:, 1],
+        dest=meta[:, 2],
+        src=meta[:, 3],
+        mnem=meta[:, 4].astype(_pd.MNEMONIC_DTYPE),
+        store_words=store_words,
+        class_names=class_names,
+        image=None,
+    )
 
 
 # -- the cycle-stepping pipeline ---------------------------------------------
@@ -1066,7 +1547,6 @@ class ReferenceImage:
     np_mnem: object
     lookup: list
     sparse: dict
-    fast_ok: bool
     memory_proto: Memory
 
 
@@ -1122,6 +1602,5 @@ def reference_image(program):
         addrs=addrs, instrs=instrs, slots=slots, class_names=class_names,
         np_pc=np.array(addrs, dtype=np.int64), np_cls=np_cls,
         np_kind=np_kind, np_dest=np_dest, np_src=np_src, np_mnem=np_mnem,
-        lookup=lookup, sparse=sparse, fast_ok=lookup is not None,
-        memory_proto=memory,
+        lookup=lookup, sparse=sparse, memory_proto=memory,
     )

@@ -7,7 +7,35 @@ fine — update the snapshot deliberately in the same PR that makes them.
 
 import inspect
 
+import repro
 import repro.api as api
+import repro.sim
+
+#: The top-level package's lazy re-exports.  ``FunctionalSimulator`` left
+#: with the object ISS: ``simulate(program)`` returns the architectural
+#: ``.state``, ``.memory`` and ``.retired``.
+EXPECTED_REPRO_ALL = [
+    "__version__",
+    "assemble",
+    "disassemble",
+    "Program",
+    "ProgramBuilder",
+    "Instruction",
+    "encode",
+    "decode",
+    "simulate",
+]
+
+EXPECTED_SIM_ALL = [
+    "ArchState",
+    "Memory",
+    "simulate",
+    "SimulationError",
+    "PipelineTrace",
+    "CycleRecord",
+    "Stage",
+    "PIPELINE_STAGES",
+]
 
 EXPECTED_ALL = [
     "Session",
@@ -102,6 +130,15 @@ def test_all_contract():
 def test_everything_in_all_exists():
     for name in api.__all__:
         assert hasattr(api, name), name
+
+
+def test_package_all_snapshots():
+    assert list(repro.__all__) == EXPECTED_REPRO_ALL
+    assert list(repro.sim.__all__) == EXPECTED_SIM_ALL
+    for package in (repro, repro.sim):
+        for name in package.__all__:
+            assert hasattr(package, name), (package.__name__, name)
+    assert repro.sim.SimulationError.__module__ == "repro.sim.predecode"
 
 
 def test_session_signatures():

@@ -150,6 +150,44 @@ class TestProgramErrors:
         assert "characterising" not in captured.err   # failed fast
 
 
+class TestRuntimeFaults:
+    """A program that faults while it runs exits 2 with the fault text,
+    never a traceback, from every command that simulates it."""
+
+    MESSAGE = "error: misaligned 4-byte access at 0x00000002"
+
+    @pytest.fixture
+    def faulty(self, tmp_path):
+        source = tmp_path / "faulty.s"
+        source.write_text("l.addi r1, r0, 2\nl.lwz r2, 0(r1)\nl.nop 0x1\n")
+        return str(source)
+
+    @pytest.fixture
+    def lut_file(self, tmp_path, lut):
+        path = tmp_path / "lut.json"
+        path.write_text(lut.to_json())
+        return str(path)
+
+    def test_run(self, faulty, capsys):
+        assert main(["run", faulty]) == 2
+        assert capsys.readouterr().err == self.MESSAGE + "\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep", "stream"])
+    def test_commands_with_a_lut(self, command, faulty, lut_file, capsys):
+        assert main([command, faulty, "--lut", lut_file]) == 2
+        err = capsys.readouterr().err
+        assert self.MESSAGE in err.splitlines()
+        assert "Traceback" not in err
+
+    def test_runaway_loop_exits_after_one_pass(self, tmp_path, capsys):
+        source = tmp_path / "loop.s"
+        source.write_text("loop:\n  l.j loop\n  l.nop\n")
+        assert main(["run", str(source)]) == 2
+        assert capsys.readouterr().err == (
+            "error: exceeded 4000000 cycles without halting (pc=0x00000000)\n"
+        )
+
+
 class TestGridSweep:
     def test_grid_end_to_end_with_resume_and_jobs(self, tmp_path, capsys,
                                                   design, lut):

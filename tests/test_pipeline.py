@@ -3,12 +3,12 @@
 import pytest
 
 from repro.asm import assemble
-from repro.sim.iss import FunctionalSimulator, SimulationError
+from repro.sim import SimulationError
 from repro.sim.trace import Stage
 from repro.workloads import all_kernels
 from repro.workloads.randomgen import generate_characterization_program
 
-from oracle import PipelineSimulator
+from oracle import FunctionalSimulator, PipelineSimulator
 
 
 def cosim(source, **pipe_kwargs):

@@ -45,7 +45,6 @@ def assert_images_equal(program):
     assert image.class_names == reference.class_names
     assert image.lookup == reference.lookup
     assert image.sparse == reference.sparse
-    assert image.fast_ok == reference.fast_ok
     assert image.memory_proto._pages == reference.memory_proto._pages
     return image
 
@@ -111,7 +110,7 @@ def test_directed_program_covers_every_mnemonic():
 
 def test_sparse_addresses():
     """Text beyond the dense lookup range decodes through the sparse map
-    and never takes the fast dispatch loop."""
+    (the step loop fetches it through its miss branch)."""
     program = Program(name="sparse")
     base = (_MAX_DENSE_WORDS + 3) * 4
     for offset, instruction in enumerate((
@@ -123,13 +122,13 @@ def test_sparse_addresses():
     program.add_word(0x100, encode(Instruction("l.ori", rd=1, imm=7)),
                      Instruction("l.ori", rd=1, imm=7))
     image = assert_images_equal(program)
-    assert image.fast_ok is False
-    assert image.instruction_at(base + 4) == Instruction("l.j", imm=-1)
+    assert image.lookup is None
+    assert image.instrs[image.sparse[base + 4]] == Instruction("l.j", imm=-1)
 
 
 def test_empty_program():
     image = assert_images_equal(Program(name="empty"))
-    assert image.slots == [] and image.fast_ok is False
+    assert image.slots == [] and image.lookup is None
 
 
 def test_unaligned_text_keeps_address_order():

@@ -1,16 +1,14 @@
-"""Semantics tests: every instruction kind, plus property checks."""
+"""Semantics tests of the oracle's ``compute``: every instruction kind,
+plus property checks."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.isa.instruction import Instruction
-from repro.isa.semantics import (
-    SemanticsError,
-    compute,
-    load_extract,
-)
 from repro.utils.bitops import to_signed32, to_unsigned32
+
+from oracle import SemanticsError, compute, load_extract
 
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 

@@ -38,7 +38,7 @@ import repro
 from repro.asm import assemble
 from repro.dta.compiled import compile_trace, compile_vector_run
 from repro.sim import vector
-from repro.sim.iss import SimulationError
+from repro.sim import SimulationError
 from repro.timing.design import build_design
 from repro.workloads.kernels import all_kernels
 from repro.workloads.randomgen import generate_characterization_program
@@ -310,13 +310,44 @@ class TestFailClosed:
 
 
 class TestOneSimulator:
-    """The package ships exactly one pipeline engine: no module under
-    ``src/repro`` defines or imports a cycle-stepping pipeline."""
+    """The package ships exactly one pipeline engine and one ISS: no
+    module under ``src/repro`` defines or imports a cycle-stepping
+    pipeline or the object-layer ISS, and the dispatch loop never hands
+    a run back to another engine."""
 
     SOURCE_ROOT = pathlib.Path(repro.__file__).parent
 
     def test_no_pipeline_module(self):
         assert importlib.util.find_spec("repro.sim.pipeline") is None
+
+    @pytest.mark.parametrize("module", ["repro.sim.iss",
+                                        "repro.isa.semantics"])
+    def test_no_object_iss_module(self, module):
+        assert importlib.util.find_spec(module) is None
+
+    def test_no_object_iss(self):
+        offenders = []
+        for path in sorted(self.SOURCE_ROOT.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) \
+                        and node.name == "FunctionalSimulator":
+                    offenders.append(f"{path.name}: defines {node.name}")
+                elif isinstance(node, ast.ImportFrom) and any(
+                        alias.name == "compute" for alias in node.names):
+                    offenders.append(f"{path.name}: imports compute from "
+                                     f"{node.module}")
+                elif isinstance(node, ast.FunctionDef) \
+                        and node.name == "collect":
+                    for inner in ast.walk(node):
+                        if isinstance(inner, ast.Return) and (
+                                inner.value is None
+                                or (isinstance(inner.value, ast.Constant)
+                                    and inner.value.value is None)):
+                            offenders.append(
+                                f"{path.name}:{inner.lineno}: collect "
+                                "returns None")
+        assert not offenders, offenders
 
     def test_no_cycle_stepping_engine(self):
         offenders = []

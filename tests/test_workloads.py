@@ -3,7 +3,8 @@
 import pytest
 
 from repro.isa.classes import all_timing_classes
-from repro.sim.iss import FunctionalSimulator
+from repro.sim import simulate
+from repro.sim.state import ArchState
 from repro.workloads import all_kernels, get_kernel
 from repro.workloads.coremark import coremark_reference
 from repro.workloads.randomgen import (
@@ -43,17 +44,14 @@ class TestKernelRegistry:
 
     def test_verify_state_rejects_wrong_value(self):
         kernel = get_kernel("fib")
-        simulator = FunctionalSimulator(kernel.program())
         with pytest.raises(AssertionError, match="r11"):
-            kernel.verify_state(simulator.state)   # not yet run
+            kernel.verify_state(ArchState())       # not yet run
 
 
 class TestKernelExecution:
     @pytest.mark.parametrize("kernel", all_kernels(), ids=lambda k: k.name)
     def test_golden_reference(self, kernel):
-        simulator = FunctionalSimulator(kernel.program())
-        simulator.run()
-        kernel.verify_state(simulator.state)
+        kernel.verify_state(simulate(kernel.program()).state)
 
     def test_coremark_reference_value(self):
         assert 0 <= coremark_reference() <= 0xFFFF
@@ -91,11 +89,9 @@ class TestRandomGenerator:
         program = generate_characterization_program(
             seed=4, length=200, repeats=2
         )
-        iss = FunctionalSimulator(program)
-        iss.run()
         pipe = PipelineSimulator(program)
         pipe.run()
-        assert iss.state.regs == pipe.state.regs
+        assert simulate(program).state.regs == pipe.state.regs
 
     def test_covers_every_timing_class(self):
         """The directed generator must exercise every LUT class (this is
