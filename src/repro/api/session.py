@@ -16,7 +16,7 @@ entry points.  A :class:`Session` owns that context once:
 
 Methods return a columnar :class:`~repro.api.frame.ResultFrame` (see its
 module docstring); ``characterize`` returns the merged
-:class:`~repro.flow.characterize.CharacterizationResult` since a LUT is
+:class:`~repro.dta.lut.CharacterizationResult` since a LUT is
 not tabular.  Each workflow has one production path, the compiled-trace
 array engine; the per-record reference loops it is held bit-identical to
 live in the test oracle (``tests/oracle.py``).
@@ -256,7 +256,7 @@ class Session:
         """The session's cached characterisation (computed on first use)."""
         if self._characterization is None:
             if self._lut is not None:
-                from repro.flow.characterize import CharacterizationResult
+                from repro.dta.lut import CharacterizationResult
 
                 self._characterization = CharacterizationResult(
                     design=self.design, lut=self._lut
@@ -342,7 +342,7 @@ class Session:
         """Characterise the session's design point.
 
         Returns the merged
-        :class:`~repro.flow.characterize.CharacterizationResult` and
+        :class:`~repro.dta.lut.CharacterizationResult` and
         caches it on the session when called with default arguments.
 
         ``via_store`` controls the merged-LUT store fast path: ``None``

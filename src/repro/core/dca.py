@@ -42,7 +42,7 @@ class DynamicClockAdjustment:
         ideal clock generator).
     characterization:
         Optional pre-computed
-        :class:`~repro.flow.characterize.CharacterizationResult` to reuse
+        :class:`~repro.dta.lut.CharacterizationResult` to reuse
         (characterisation is the expensive step).
     """
 
@@ -83,7 +83,7 @@ class DynamicClockAdjustment:
             return GeniePolicy(self.design.excitation)
         if name == "static":
             return StaticClockPolicy(self.design.static_period_ps)
-        from repro.ml.model import is_learned_spec
+        from repro.ml import is_learned_spec
 
         if is_learned_spec(name):
             # trained ML-DFS predictor: "learned:<model.npz>" deploys a

@@ -133,10 +133,14 @@ class CompiledTrace:
                 self._delays = self._compute_delays()
         return self._delays
 
-    def _compute_delays(self):
+    def _compute_delays(self, excitation=None, ex_cells=None):
+        """The delay matrix from ``excitation`` (default: the trace's
+        own model).  ``ex_cells``, a stored EX column, stands in for the
+        EX replay: the store rebuilds only the fixed-delay columns."""
         spec = self.pipeline_spec
         ex = spec.ex_index
-        tables = self.excitation.group_tables(self.class_names)
+        excitation = excitation or self.excitation
+        tables = excitation.group_tables(self.class_names)
         delays = np.empty((self.num_cycles, spec.num_stages), dtype=float)
 
         for index, group in enumerate(spec.group_of):
@@ -162,6 +166,9 @@ class CompiledTrace:
         adr = np.where(self.stall, tables["hold"], adr)
         delays[:, 0] = adr
 
+        if ex_cells is not None:
+            delays[:, ex] = ex_cells
+            return delays
         # EX: operand-dependent — replay the excitation model only where
         # an instruction actually computes this cycle.
         ex_column = np.where(
@@ -176,7 +183,7 @@ class CompiledTrace:
         if self.ex_replay is not None:
             delays[active, ex] = self.ex_replay(active)
         else:
-            column_delay = self.excitation.column_delay
+            column_delay = excitation.column_delay
             records = self.trace.records
             for index in active:
                 delays[index, ex] = column_delay(

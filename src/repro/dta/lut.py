@@ -103,8 +103,9 @@ class DelayLUT:
 
     # -- serialisation -------------------------------------------------------
 
-    def to_json(self):
-        payload = {
+    def to_dict(self):
+        """JSON-ready payload (``to_json`` text, before encoding)."""
+        return {
             "static_period_ps": self.static_period_ps,
             "min_occurrences": self.min_occurrences,
             "source": self.source,
@@ -115,11 +116,12 @@ class DelayLUT:
                 for cls, row in self.entries.items()
             },
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
+    def from_dict(cls, payload):
         lut = cls(
             static_period_ps=payload["static_period_ps"],
             min_occurrences=payload.get("min_occurrences", 0),
@@ -138,6 +140,10 @@ class DelayLUT:
             for cls_name, row in payload.get("entries", {}).items()
         }
         return lut
+
+    @classmethod
+    def from_json(cls, text):
+        return cls.from_dict(json.loads(text))
 
     # -- reporting -------------------------------------------------------------
 
@@ -164,3 +170,27 @@ class DelayLUT:
             rows,
             title=title,
         )
+
+
+@dataclass
+class CharacterizationResult:
+    """Merged characterisation of one design.
+
+    Built by :mod:`repro.flow.characterize`; defined beside the LUT so
+    that wrapping a stored LUT imports no characterisation code.
+    """
+
+    design: object
+    lut: object                       # merged DelayLUT
+    runs: list = field(default_factory=list)
+    total_cycles: int = 0
+
+    @property
+    def num_runs(self):
+        return len(self.runs)
+
+    def run_named(self, program_name):
+        for run in self.runs:
+            if run.program_name == program_name:
+                return run
+        raise KeyError(f"no characterisation run named {program_name!r}")

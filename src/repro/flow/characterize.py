@@ -19,16 +19,16 @@ regardless of completion order — the merged LUT is bit-identical to the
 serial in-process result.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.dta.lut import DEFAULT_MIN_OCCURRENCES
+from repro.dta.lut import DEFAULT_MIN_OCCURRENCES, CharacterizationResult
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import span as obs_span
 
 # The gate-sim, the extraction, the suite generator and the process
-# pool are imported where they run: a warm sweep imports this module
-# for CharacterizationResult alone.
+# pool are imported where they run.  CharacterizationResult lives in
+# repro.dta.lut, so a warm sweep never imports this module.
 
 
 @dataclass
@@ -40,26 +40,6 @@ class CharacterizationRun:
     dta: object           # DtaResult
     compiled: object      # CompiledTrace (per-cycle class attribution)
     lut: object           # per-run DelayLUT
-
-
-@dataclass
-class CharacterizationResult:
-    """Merged characterisation of one design."""
-
-    design: object
-    lut: object                       # merged DelayLUT
-    runs: list = field(default_factory=list)
-    total_cycles: int = 0
-
-    @property
-    def num_runs(self):
-        return len(self.runs)
-
-    def run_named(self, program_name):
-        for run in self.runs:
-            if run.program_name == program_name:
-                return run
-        raise KeyError(f"no characterisation run named {program_name!r}")
 
 
 def characterize_program(program, design,

@@ -138,16 +138,15 @@ def _context_for(design_point):
         return context
 
     from repro.core import DcaConfig, DynamicClockAdjustment
-    from repro.flow.characterize import (
-        CharacterizationResult,
-        _characterize_impl,
-    )
+    from repro.dta.lut import CharacterizationResult
 
     design = design_point.build()
     store = _WORKER["store"]
     if store is not None:
         lut = store.get_lut(design)
     else:
+        from repro.flow.characterize import _characterize_impl
+
         lut = _characterize_impl(design, keep_runs=False).lut
     dca = DynamicClockAdjustment(
         config=DcaConfig(variant=design.variant,
@@ -262,6 +261,9 @@ class SweepRunResult:
     parallel_fallback: bool = False
     store_stats: StoreStats = None
     manifest_path: pathlib.Path = None
+    #: ``grid.fingerprint()`` as of the run (the files the grid names
+    #: included); ``None`` digests the grid on demand.
+    fingerprint: str = None
     _rows: list = field(default=None, repr=False, compare=False)
 
     @classmethod
@@ -280,7 +282,7 @@ class SweepRunResult:
     def to_dict(self):
         return {
             "grid": self.grid.to_dict(),
-            "fingerprint": self.grid.fingerprint(),
+            "fingerprint": self.fingerprint or self.grid.fingerprint(),
             "results": self.rows,
             "seconds": self.seconds,
             "jobs": self.jobs,
@@ -360,13 +362,25 @@ class SweepRunner:
             PARALLEL_MIN_UNITS if parallel_threshold is None
             else parallel_threshold
         )
-        if manifest_path is None and store is not None:
-            manifest_path = (
-                store.root / "manifests" / f"{grid.fingerprint()}.json"
-            )
-        self.manifest_path = (
-            pathlib.Path(manifest_path) if manifest_path else None
-        )
+        self._manifest_path = manifest_path
+        self._fingerprint = None
+
+    @property
+    def fingerprint(self):
+        """``grid.fingerprint()``, digested once per run (each
+        :meth:`_execute` re-digests, so an edited workload file is seen);
+        the manifest, every unit checkpoint and the merged document share
+        it."""
+        if self._fingerprint is None:
+            self._fingerprint = self.grid.fingerprint()
+        return self._fingerprint
+
+    @property
+    def manifest_path(self):
+        path = self._manifest_path
+        if path is None and self.store is not None:
+            path = self.store.root / "manifests" / f"{self.fingerprint}.json"
+        return pathlib.Path(path) if path else None
 
     # -- units ---------------------------------------------------------------
 
@@ -392,7 +406,7 @@ class SweepRunner:
     _STORE_REF = "$store"
 
     def _unit_result_name(self, unit_id):
-        return f"unit:{self.grid.fingerprint()}:{unit_id}"
+        return f"unit:{self.fingerprint}:{unit_id}"
 
     def _load_manifest(self):
         if self.manifest_path is None or not self.manifest_path.is_file():
@@ -402,7 +416,7 @@ class SweepRunner:
         except ValueError:
             return {}
         if (payload.get("version") != MANIFEST_VERSION
-                or payload.get("fingerprint") != self.grid.fingerprint()):
+                or payload.get("fingerprint") != self.fingerprint):
             return {}
         completed = {}
         for unit_id, value in payload.get("completed", {}).items():
@@ -436,7 +450,7 @@ class SweepRunner:
         self.manifest_path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": MANIFEST_VERSION,
-            "fingerprint": self.grid.fingerprint(),
+            "fingerprint": self.fingerprint,
             "grid": self.grid.to_dict(),
             "completed": payload_completed,
         }
@@ -494,6 +508,7 @@ class SweepRunner:
         ``repro sweep --progress``.
         """
         start = time.perf_counter()
+        self._fingerprint = self.grid.fingerprint()
         stats = None
         if self.store is not None:
             stats = StoreStats()
@@ -561,6 +576,7 @@ class SweepRunner:
         result = SweepRunResult.from_rows(
             rows,
             grid=self.grid,
+            fingerprint=self.fingerprint,
             seconds=time.perf_counter() - start,
             jobs=self.jobs,
             units_total=len(units),
@@ -576,7 +592,7 @@ class SweepRunner:
             # written after the stats it carries, so it is the one store
             # write the run's own counters never include
             self.store.save_result(
-                f"sweep:{self.grid.fingerprint()}", result.to_dict()
+                f"sweep:{self.fingerprint}", result.to_dict()
             )
             # self-limiting campaigns: LRU-evict down to the budget after
             # every merge (checkpoints and results are all recomputable)

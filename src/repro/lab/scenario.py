@@ -25,11 +25,13 @@ Example grid (JSON)::
 """
 
 import functools
+import hashlib
 import json
+import pathlib
 from dataclasses import dataclass
 
 from repro.flow.evaluate import DEFAULT_MAX_CYCLES, SweepConfig
-from repro.ml.model import LEARNED_PREFIX, is_learned_spec
+from repro.ml import LEARNED_PREFIX, is_learned_spec
 from repro.sim.spec import DEFAULT_SPEC, get_pipeline_spec
 from repro.timing.profiles import DesignVariant
 
@@ -37,13 +39,21 @@ from repro.timing.profiles import DesignVariant
 POLICY_NAMES = ("instruction", "ex-only", "two-class", "genie", "static")
 
 #: Spec prefix deploying a trained model file: ``learned:<model.npz>``
-#: (one definition, in :mod:`repro.ml.model`).  Grid validation checks
+#: (one definition, in :mod:`repro.ml`).  Grid validation checks
 #: the spec shape only; the model file itself is validated by
 #: :func:`repro.ml.model.validate_policy_specs` before any simulation.
 LEARNED_POLICY_PREFIX = LEARNED_PREFIX
 
 #: Generator names understood by ``DynamicClockAdjustment.make_generator``.
 GENERATOR_NAMES = ("ideal", "ring", "pll")
+
+
+def _file_digest(path):
+    """SHA-256 of a file's bytes, ``"missing"`` when it cannot be read."""
+    try:
+        return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+    except OSError:
+        return "missing"
 
 
 class ScenarioError(ValueError):
@@ -312,28 +322,27 @@ class ScenarioGrid:
         """SHA-256 over the canonical dict — the identity of the
         experiment for manifests and cached sweep results.
 
-        ``learned:`` policy specs name a model *file*, so the payload
-        also digests each named model's bytes: retraining a model at
-        the same path changes the fingerprint, which keeps
-        ``--resume`` from merging checkpoints evaluated under the old
-        model with fresh units evaluated under the new one.  A missing
-        file digests as ``"missing"`` (the sweep will fail fast on it
-        anyway).
+        Workloads and ``learned:`` policy specs may name *files*, so the
+        payload also digests the bytes of every assembly workload
+        (resolved as :func:`repro.workloads.resolve_program` does) and of
+        every named model: editing ``k.s`` or retraining a model at the
+        same path changes the fingerprint, which keeps cached frames and
+        ``--resume`` from serving rows evaluated on the old content.  A
+        missing file digests as ``"missing"`` (the sweep will fail fast
+        on it anyway).  Grids naming no files keep their fingerprints.
         """
-        import hashlib
-        import pathlib
-
         payload = self.to_dict()
-        learned = {}
-        for policy in self.policies:
-            if not is_learned_spec(policy):
-                continue
-            path = pathlib.Path(policy[len(LEARNED_POLICY_PREFIX):])
-            try:
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            except OSError:
-                digest = "missing"
-            learned[policy] = digest
+        workload_files = {
+            spec: _file_digest(spec) for spec in self.workloads
+            if pathlib.Path(spec).suffix in (".s", ".asm")
+            or pathlib.Path(spec).exists()
+        }
+        learned = {
+            policy: _file_digest(policy[len(LEARNED_POLICY_PREFIX):])
+            for policy in self.policies if is_learned_spec(policy)
+        }
+        if workload_files:
+            payload["workload_files"] = workload_files
         if learned:
             payload["learned_models"] = learned
         text = json.dumps(payload, sort_keys=True,
@@ -384,8 +393,6 @@ class ScenarioGrid:
     @classmethod
     def from_file(cls, path):
         """Load a grid from a ``.json`` or ``.toml`` file."""
-        import pathlib
-
         path = pathlib.Path(path)
         if not path.is_file():
             raise ScenarioError(f"grid file not found: {path}")

@@ -12,9 +12,19 @@ cycle budget × the store schema version; a LUT by the operating point ×
 the extraction threshold × the schema version.  Anything that could
 change the artifact changes the key, so invalidation is automatic —
 bumping :data:`SCHEMA_VERSION`, re-characterising at another voltage, or
-editing a program each simply miss and recompute.  Corrupted files (torn
-writes, truncation) are detected on load, counted, and fall back to
-recompute; writes are atomic (temp file + ``os.replace``).
+editing a program each simply miss and recompute.
+
+Every trace and LUT carries a SHA-256 of its payload, verified on load:
+a torn write, a truncated file, a flipped bit or an edited entry is
+detected, counted as ``corrupt``, discarded and recomputed.  Writes are
+atomic (temp file + ``os.replace``), and a JSON document whose bytes are
+already stored is not rewritten (its mtime is refreshed instead).
+
+Trace files (schema 2) hold a length-prefixed canonical-JSON header and
+the raw bytes of the per-cycle arrays.  Only the operand-dependent EX
+column of the delay matrix is stored; the fixed-delay columns are
+per-class constants and are re-gathered from the design's excitation
+model on load.
 
 Attach a store to the in-process compiled-trace cache with
 :func:`repro.dta.compiled.set_trace_store`; every consumer of
@@ -27,13 +37,14 @@ import json
 import os
 import pathlib
 import stat as statmod
+import struct
 import tempfile
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dta.compiled import CompiledTrace
+from repro.dta.compiled import NUM_STAGES, CompiledTrace
 from repro.dta.lut import DEFAULT_MIN_OCCURRENCES, DelayLUT
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
@@ -43,7 +54,7 @@ from repro.obs.trace import span as obs_span
 #: pipeline simulator, or the characterisation suite.  Keys hash program
 #: content and operating point, not the code, so a stale version here is
 #: the only way a persistent store can serve wrong results.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Artifact kinds tracked by :class:`StoreStats`.  ``lut`` is a design's
 #: merged characterisation; ``charlut`` is one program's characterisation
@@ -55,10 +66,27 @@ KINDS = ("trace", "lut", "charlut", "result", "frame", "model")
 #: Events tracked per kind.
 EVENTS = ("hits", "misses", "writes", "corrupt")
 
-#: Array fields of the compiled-trace ``.npz`` payload.
+#: Leading bytes of a trace file: magic, then the header length.
+_TRACE_MAGIC = b"REPROTR2"
+_TRACE_PREFIX = struct.Struct("<8sQ")
+
+#: Body arrays of a trace file, in write order: name, dtype kind and
+#: whether it has one column per pipeline stage (else one per cycle).
+#: Each array starts on an 8-byte boundary of the body.
 _TRACE_ARRAYS = (
-    "class_ids", "bubble", "held", "stall", "redirect", "delays",
+    ("ex_delays", "f", False), ("class_ids", "i", True),
+    ("bubble", "b", True), ("held", "b", True),
+    ("stall", "b", False), ("redirect", "b", False),
 )
+
+
+def _narrowest_int(count):
+    """Smallest signed integer dtype holding ids ``0 .. count - 1``
+    (compiled traces number their classes in int32)."""
+    for dtype in (np.int8, np.int16):
+        if count - 1 <= np.iinfo(dtype).max:
+            return dtype
+    return np.int32
 
 
 class StoreCorruption(Exception):
@@ -212,7 +240,7 @@ class ArtifactStore:
             program_fingerprint(program), design_fingerprint(design),
             max_cycles,
         ])
-        return self._path("traces", key, ".npz")
+        return self._path("traces", key, ".trace")
 
     def lut_path(self, design, min_occurrences):
         key = _digest([
@@ -257,34 +285,47 @@ class ArtifactStore:
         self.stats.record("trace", "writes")
 
     def _save_compiled_trace(self, path, compiled, delays):
-        payload = {
-            "schema": np.int64(self.schema_version),
-            "program_name": np.str_(compiled.program_name),
-            "num_cycles": np.int64(compiled.num_cycles),
-            "num_retired": np.int64(compiled.num_retired),
-            "class_names": np.array(compiled.class_names, dtype=np.str_),
-            "variant": np.str_(compiled.operating_point[0]),
-            "voltage": np.float64(compiled.operating_point[1]),
-            "class_ids": compiled.class_ids,
-            "bubble": compiled.bubble,
-            "held": compiled.held,
-            "stall": compiled.stall,
-            "redirect": compiled.redirect,
-            "delays": delays,
-        }
-        if compiled.spec is not None:   # default-spec payloads stay as-is
-            payload["pipeline_spec"] = np.str_(
-                json.dumps(compiled.spec.to_dict(), sort_keys=True)
-            )
-        self._write_atomic(path, lambda tmp: np.savez(tmp, **payload))
+        arrays = (
+            np.ascontiguousarray(delays[:, compiled.ex_column]),
+            compiled.class_ids.astype(_narrowest_int(compiled.num_classes)),
+            compiled.bubble, compiled.held, compiled.stall,
+            compiled.redirect,
+        )
+        chunks = []
+        for array in arrays:
+            raw = np.ascontiguousarray(array).tobytes()
+            chunks.append(raw + bytes(-len(raw) % 8))
+        body = b"".join(chunks)
+        spec = compiled.spec
+        header = json.dumps({
+            "schema": self.schema_version,
+            "program": compiled.program_name,
+            "cycles": compiled.num_cycles,
+            "retired": compiled.num_retired,
+            "class_names": list(compiled.class_names),
+            "operating_point": list(compiled.operating_point[:2]),
+            "spec": spec.to_dict() if spec is not None else None,
+            "arrays": [
+                [name, array.dtype.str, list(array.shape)]
+                for (name, _, _), array in zip(_TRACE_ARRAYS, arrays)
+            ],
+            "sha256": hashlib.sha256(body).hexdigest(),
+        }, sort_keys=True, separators=(",", ":")).encode()
+        # pad the header so the body starts 8-byte aligned in the file
+        header += b" " * (-(_TRACE_PREFIX.size + len(header)) % 8)
+        data = _TRACE_PREFIX.pack(_TRACE_MAGIC, len(header)) + header + body
+        self._write_atomic(
+            path, lambda tmp: pathlib.Path(tmp).write_bytes(data)
+        )
 
     def load_compiled_trace(self, program, design, max_cycles):
         """Rehydrate a compiled trace, or ``None`` on miss/corruption.
 
-        Rehydrated traces carry the materialised delay matrix but no
-        per-record trace and no excitation model — they serve the
-        vectorized policy protocol (which every bundled policy
-        implements) bit-identically.
+        Rehydrated traces carry the materialised delay matrix (the stored
+        EX column plus the fixed-delay columns gathered from
+        ``design.excitation``) but no per-record trace and no excitation
+        model — they serve the vectorized policy protocol (which every
+        bundled policy implements) bit-identically.
         """
         path = self.trace_path(program, design, max_cycles)
         if not path.exists():
@@ -292,7 +333,7 @@ class ArtifactStore:
             return None
         try:
             with obs_span("store.trace.load", program=program.name):
-                compiled = self._read_trace(path)
+                compiled = self._read_trace(path, design)
         except StoreCorruption:
             self.stats.record("trace", "corrupt")
             self.stats.record("trace", "misses")
@@ -302,44 +343,73 @@ class ArtifactStore:
         self._touch(path)
         return compiled
 
-    def _read_trace(self, path):
+    def _read_trace(self, path, design):
         try:
-            with np.load(path, allow_pickle=False) as data:
-                if int(data["schema"]) != self.schema_version:
-                    raise StoreCorruption("schema mismatch")
-                num_cycles = int(data["num_cycles"])
-                arrays = {name: data[name] for name in _TRACE_ARRAYS}
-                for name in _TRACE_ARRAYS:
-                    if arrays[name].shape[0] != num_cycles:
-                        raise StoreCorruption(f"truncated array {name}")
-                spec = None
-                point = (str(data["variant"]), float(data["voltage"]))
-                if "pipeline_spec" in data.files:
-                    from repro.sim.spec import PipelineSpec
+            with open(path, "rb") as handle:
+                # a writable buffer: the array views below own no copy
+                data = bytearray(os.fstat(handle.fileno()).st_size)
+                handle.readinto(data)
+            magic, size = _TRACE_PREFIX.unpack_from(data)
+            if magic != _TRACE_MAGIC:
+                raise StoreCorruption("not a trace file")
+            start = _TRACE_PREFIX.size + size
+            header = json.loads(data[_TRACE_PREFIX.size:start])
+            body = memoryview(data)[start:]
+            if hashlib.sha256(body).hexdigest() != header["sha256"]:
+                raise StoreCorruption("checksum mismatch")
+            if header["schema"] != self.schema_version:
+                raise StoreCorruption("schema mismatch")
+            spec = None
+            point = tuple(header["operating_point"])
+            if header["spec"] is not None:
+                from repro.sim.spec import PipelineSpec
 
-                    spec = PipelineSpec.from_dict(
-                        json.loads(str(data["pipeline_spec"]))
-                    )
-                    point = point + (spec.digest,)
-                return CompiledTrace(
-                    program_name=str(data["program_name"]),
-                    num_cycles=num_cycles,
-                    num_retired=int(data["num_retired"]),
-                    class_names=tuple(str(n) for n in data["class_names"]),
-                    class_ids=arrays["class_ids"],
-                    bubble=arrays["bubble"],
-                    held=arrays["held"],
-                    stall=arrays["stall"],
-                    redirect=arrays["redirect"],
-                    trace=None,
-                    excitation=None,
-                    operating_point=point,
-                    spec=spec,
-                    _delays=arrays["delays"],
-                )
+                spec = PipelineSpec.from_dict(header["spec"])
+                point = point + (spec.digest,)
+            if point != design.operating_point:
+                raise StoreCorruption("operating point mismatch")
+            num_cycles = header["cycles"]
+            columns = (spec.num_stages if spec is not None
+                       else NUM_STAGES)
+            arrays = {}
+            offset = 0
+            for (name, kind, per_stage), (stored, dtype, shape) in zip(
+                    _TRACE_ARRAYS, header["arrays"], strict=True):
+                dtype = np.dtype(dtype)
+                expected = ((num_cycles, columns) if per_stage
+                            else (num_cycles,))
+                if (stored != name or dtype.kind != kind
+                        or tuple(shape) != expected):
+                    raise StoreCorruption(f"bad array {stored}")
+                count = int(np.prod(expected))
+                arrays[name] = np.frombuffer(
+                    body, dtype, count, offset
+                ).reshape(expected)
+                offset += -(-count * dtype.itemsize // 8) * 8
+            if offset != len(body):
+                raise StoreCorruption("body size mismatch")
+            compiled = CompiledTrace(
+                program_name=header["program"],
+                num_cycles=num_cycles,
+                num_retired=header["retired"],
+                class_names=tuple(header["class_names"]),
+                class_ids=arrays["class_ids"],
+                bubble=arrays["bubble"],
+                held=arrays["held"],
+                stall=arrays["stall"],
+                redirect=arrays["redirect"],
+                trace=None,
+                excitation=None,
+                operating_point=point,
+                spec=spec,
+            )
+            compiled._delays = compiled._compute_delays(
+                design.excitation, ex_cells=arrays["ex_delays"]
+            )
+            return compiled
         except StoreCorruption:
             raise
-        except Exception as error:   # zip damage, missing keys, bad dtypes
+        except Exception as error:   # truncation, bad header, bad dtypes
             raise StoreCorruption(str(error)) from error
 
     #: Discard outcomes (see :meth:`_discard`).
@@ -374,16 +444,10 @@ class ArtifactStore:
     def save_lut(self, lut, design, min_occurrences=DEFAULT_MIN_OCCURRENCES):
         path = self.lut_path(design, min_occurrences)
         with obs_span("store.lut.save"):
-            document = json.dumps({
-                "schema": self.schema_version,
+            self._save_document("lut", path, self._lut_document(lut, {
                 "variant": design.variant.value,
                 "voltage": design.library.voltage,
-                "lut": json.loads(lut.to_json()),
-            }, indent=2, sort_keys=True)
-            self._write_atomic(
-                path, lambda tmp: pathlib.Path(tmp).write_text(document)
-            )
-        self.stats.record("lut", "writes")
+            }))
 
     def load_lut(self, design, min_occurrences=DEFAULT_MIN_OCCURRENCES):
         path = self.lut_path(design, min_occurrences)
@@ -392,10 +456,7 @@ class ArtifactStore:
             return None
         try:
             with obs_span("store.lut.load"):
-                payload = json.loads(path.read_text())
-                if payload.get("schema") != self.schema_version:
-                    raise StoreCorruption("schema mismatch")
-                lut = DelayLUT.from_json(json.dumps(payload["lut"]))
+                _, lut = self._read_lut_document(path)
         except (StoreCorruption, KeyError, TypeError, ValueError, OSError):
             self.stats.record("lut", "corrupt")
             self.stats.record("lut", "misses")
@@ -404,6 +465,25 @@ class ArtifactStore:
         self.stats.record("lut", "hits")
         self._touch(path)
         return lut
+
+    def _lut_document(self, lut, fields):
+        """A LUT document: ``fields``, the LUT payload and its SHA-256."""
+        payload = lut.to_dict()
+        return {
+            "schema": self.schema_version, **fields,
+            "lut": payload, "sha256": _digest(payload),
+        }
+
+    def _read_lut_document(self, path):
+        """``(document, DelayLUT)`` of a stored LUT document; raises
+        :class:`StoreCorruption` on a schema or checksum mismatch."""
+        document = json.loads(path.read_text())
+        if document.get("schema") != self.schema_version:
+            raise StoreCorruption("schema mismatch")
+        payload = document["lut"]
+        if _digest(payload) != document.get("sha256"):
+            raise StoreCorruption("checksum mismatch")
+        return document, DelayLUT.from_dict(payload)
 
     def get_lut(self, design, min_occurrences=DEFAULT_MIN_OCCURRENCES,
                 jobs=1):
@@ -453,16 +533,10 @@ class ArtifactStore:
             design, program, min_occurrences, sim_period_ps
         )
         with obs_span("store.charlut.save", program=program.name):
-            document = json.dumps({
-                "schema": self.schema_version,
+            self._save_document("charlut", path, self._lut_document(lut, {
                 "program": program.name,
                 "num_cycles": num_cycles,
-                "lut": json.loads(lut.to_json()),
-            }, indent=2, sort_keys=True)
-            self._write_atomic(
-                path, lambda tmp: pathlib.Path(tmp).write_text(document)
-            )
-        self.stats.record("charlut", "writes")
+            }))
 
     def load_char_lut(self, design, program,
                       min_occurrences=DEFAULT_MIN_OCCURRENCES,
@@ -477,11 +551,8 @@ class ArtifactStore:
             return None
         try:
             with obs_span("store.charlut.load", program=program.name):
-                payload = json.loads(path.read_text())
-                if payload.get("schema") != self.schema_version:
-                    raise StoreCorruption("schema mismatch")
-                lut = DelayLUT.from_json(json.dumps(payload["lut"]))
-                num_cycles = int(payload["num_cycles"])
+                document, lut = self._read_lut_document(path)
+                num_cycles = int(document["num_cycles"])
         except (StoreCorruption, KeyError, TypeError, ValueError, OSError):
             self.stats.record("charlut", "corrupt")
             self.stats.record("charlut", "misses")
@@ -582,12 +653,32 @@ class ArtifactStore:
 
     def save_result(self, name, payload):
         """Persist a JSON-serialisable result document under ``name``."""
-        path = self.result_path(name)
-        document = json.dumps(payload, indent=2, sort_keys=True)
+        self._save_document("result", self.result_path(name), payload)
+
+    def _save_document(self, kind, path, document):
+        """Write ``document`` as compact JSON (the C encoder).
+
+        A file that already holds exactly these bytes is not rewritten:
+        its mtime is refreshed (the gc LRU clock) and the save counts as
+        a ``kind`` hit, so a warm rerun's unchanged checkpoints cost one
+        read each and no write.
+        """
+        data = json.dumps(
+            document, sort_keys=True, separators=(",", ":")
+        ).encode()
+        try:
+            same = (path.stat().st_size == len(data)
+                    and path.read_bytes() == data)
+        except OSError:
+            same = False
+        if same:
+            self._touch(path)
+            self.stats.record(kind, "hits")
+            return
         self._write_atomic(
-            path, lambda tmp: pathlib.Path(tmp).write_text(document)
+            path, lambda tmp: pathlib.Path(tmp).write_bytes(data)
         )
-        self.stats.record("result", "writes")
+        self.stats.record(kind, "writes")
 
     def load_result(self, name):
         path = self.result_path(name)
@@ -614,15 +705,10 @@ class ArtifactStore:
     def save_frame(self, name, frame):
         """Persist a :class:`~repro.api.frame.ResultFrame` under ``name``
         (lossless: float bits survive the JSON round-trip)."""
-        path = self.frame_path(name)
-        document = json.dumps({
+        self._save_document("frame", self.frame_path(name), {
             "schema": self.schema_version,
             "frame": frame.to_dict(),
-        }, indent=2, sort_keys=True)
-        self._write_atomic(
-            path, lambda tmp: pathlib.Path(tmp).write_text(document)
-        )
-        self.stats.record("frame", "writes")
+        })
 
     def load_frame(self, name):
         """Rehydrate a stored frame, or ``None`` on miss/corruption."""

@@ -29,6 +29,17 @@ Train one from the command line::
 
 from repro._lazy import lazy_exports
 
+#: Policy-spec prefix deploying a model file.  It and
+#: :func:`is_learned_spec` live in the package itself, so that checking
+#: a policy list (scenario grids, the CLI) imports no model code.
+LEARNED_PREFIX = "learned:"
+
+
+def is_learned_spec(name):
+    """True for ``learned:<path>`` policy specs."""
+    return isinstance(name, str) and name.startswith(LEARNED_PREFIX)
+
+
 __all__ = [
     "DEFAULT_WINDOW",
     "FEATURE_SPEC_VERSION",
@@ -57,9 +68,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "class_vocabulary", "extract_features", "feature_names",
     ),
     "model": (
-        "FEATURE_SPEC_VERSION", "LEARNED_PREFIX", "MODEL_SCHEMA_VERSION",
-        "LearnedModel", "ModelError", "is_learned_spec", "load_model",
-        "load_policy_model", "validate_policy_specs",
+        "FEATURE_SPEC_VERSION", "MODEL_SCHEMA_VERSION", "LearnedModel",
+        "ModelError", "load_model", "load_policy_model",
+        "validate_policy_specs",
     ),
     "train": (
         "TrainerConfig", "TrainingOutcome", "get_or_train_model",

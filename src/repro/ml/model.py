@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.ml import LEARNED_PREFIX, is_learned_spec
+
 #: Bump when the artifact layout or the predictor semantics change.
 MODEL_SCHEMA_VERSION = 1
 
@@ -46,9 +48,6 @@ MODEL_SCHEMA_VERSION = 1
 #: extraction.  It lives here, not there, so that validating a policy
 #: list (every CLI sweep) never imports the feature extractor.
 FEATURE_SPEC_VERSION = 1
-
-#: Policy-spec prefix deploying a model file.
-LEARNED_PREFIX = "learned:"
 
 #: Supported predictor kinds.
 MODEL_KINDS = ("tree", "logistic")
@@ -62,11 +61,6 @@ _ARRAY_FIELDS = (
 
 class ModelError(Exception):
     """A learned-policy model file is missing, corrupt or incompatible."""
-
-
-def is_learned_spec(name):
-    """True for ``learned:<path>`` policy specs."""
-    return isinstance(name, str) and name.startswith(LEARNED_PREFIX)
 
 
 def parse_learned_spec(name):

@@ -381,6 +381,14 @@ class DecodedImage:
         (self.slots, pc, cls, self.np_kind, self.np_dest, self.np_src,
          self.np_mnem) = _decode(addrs, self.instrs)
         self.np_pc = pc
+        unaligned = np.flatnonzero(pc & 3)
+        if len(unaligned):
+            # fetches are word-aligned and the dense lookup keys on
+            # ``pc >> 2``: such an entry would be retired in place of
+            # the word it shares, so the image fails closed instead
+            raise SimulationError(
+                f"unaligned text entry at {addrs[unaligned[0]]:#010x}"
+            )
         self.class_names = []
         self.np_cls = _intern(cls, self.class_names)
 

@@ -329,7 +329,7 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
     # ensures fetched words are immutable, so the initial image is what
     # the fetch stage decoded.  Decode failures: past the first fetched
     # halt word they are bubbles, before it they are fatal.
-    fetched = set(np.unique(retired_pc).tolist())
+    fetched = set(retired_pc.tolist())
     decode_cache = {}
     halt_fetch_pos = halt_pos   # may move earlier: wrong-path halt words
     if len(victim_of):
@@ -632,7 +632,11 @@ def _interlock_bubbles(live, kind, dest, src, lat, window, loads_only):
     consumer = np.concatenate(consumers)
     producer = np.concatenate(producers)
     need = np.concatenate(needs)
-    candidates = np.unique(consumer)
+    # sorted distinct consumers (a plain np.unique would import numpy.ma)
+    candidates = np.sort(consumer)
+    distinct = np.ones(len(candidates), dtype=bool)
+    distinct[1:] = candidates[1:] != candidates[:-1]
+    candidates = candidates[distinct]
     chained = (
         np.searchsorted(candidates, consumer, "left")
         > np.searchsorted(candidates, producer, "right")

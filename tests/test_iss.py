@@ -341,6 +341,22 @@ class TestFaults:
             assert error.startswith(f"exceeded {budget} cycles"), budget
         assert predecode.collect(program, steps).state.instret == steps
 
+    def test_unaligned_text_entry(self):
+        """A hand-built text entry at an unaligned address fails closed
+        (``Program.add_word`` rejects one; ``instructions`` can still
+        hold it): the oracle's exact-address fetch never retires it, and
+        the dense lookup must not retire it for the word it shares."""
+        program = Program(name="unaligned")
+        program.add_word(0, encode(Instruction("l.nop", imm=1)))
+        program.instructions[0x1] = Instruction("l.addi", rd=1, ra=0, imm=5)
+        program.instructions[0x4] = Instruction("l.nop", imm=1)
+        assert oracle.iss_data(program, BUDGET).state.regs[1] == 0
+        with pytest.raises(SimulationError,
+                           match="unaligned text entry at 0x00000001"):
+            predecode.collect(program, BUDGET)
+        with pytest.raises(SimulationError, match="0x00000001"):
+            simulate(program, max_cycles=BUDGET)
+
     def test_instruction_outside_the_dispatch_table(self):
         """The oracle fails on the spec lookup; production names the
         mnemonic and its address."""

@@ -153,8 +153,11 @@ class TestStoreCounters:
         clear_compiled_cache()
         warm = _run(seeded_store)
         assert warm.simulations == 0
-        assert warm.store_stats.get("result", "writes") == warm.units_run
-        assert warm.to_dict()["store"]["result"]["writes"] == 2
+        # the warm checkpoints hold the stored bytes: none is rewritten,
+        # each counts as a hit
+        assert warm.store_stats.get("result", "writes") == 0
+        assert warm.store_stats.get("result", "hits") == warm.units_run
+        assert warm.to_dict()["store"]["result"]["hits"] == 2
 
     def test_parallel_checkpoints_counted(self, seeded_store):
         runner = SweepRunner(GRID, store=seeded_store, jobs=2,
@@ -452,3 +455,77 @@ class TestStoreBudget:
             GRID, store=stores[1], store_budget_bytes=1024
         ).run()
         assert plain.rows == budgeted.rows
+
+
+class TestEditedWorkloadFile:
+    """An edited ``.s`` workload is a new experiment: neither the frame
+    cache nor ``--resume`` serves rows evaluated on the old program."""
+
+    SHORT = "l.addi r1, r0, 1\nl.nop 0x1\n"
+    LONG = "l.addi r1, r0, 1\nl.addi r2, r0, 2\nl.nop 0x1\n"
+
+    @pytest.fixture
+    def source(self, tmp_path):
+        path = tmp_path / "k.s"
+        path.write_text(self.SHORT)
+        return path
+
+    @staticmethod
+    def _grid(source):
+        return ScenarioGrid(name="edited", policies=("static",),
+                            workloads=(str(source),))
+
+    @staticmethod
+    def _storeless_cycles(source, lut):
+        from repro.api import Session
+
+        frame = Session(lut=lut).evaluate([str(source)],
+                                          policies=["static"])
+        return frame["num_cycles"].tolist()
+
+    def test_frame_cache_misses_after_edit(self, source, seeded_store, lut):
+        from repro.api import Session
+
+        grid = self._grid(source)
+        frame, cached = Session(store=seeded_store).sweep_frame(grid)
+        assert not cached
+        assert frame["num_cycles"].tolist() == self._storeless_cycles(
+            source, lut)
+        source.write_text(self.LONG)
+        clear_compiled_cache()
+        frame, cached = Session(store=seeded_store).sweep_frame(grid)
+        assert not cached
+        cycles = self._storeless_cycles(source, lut)
+        assert frame["num_cycles"].tolist() == cycles
+        _, cached = Session(store=seeded_store).sweep_frame(grid)
+        assert cached                      # the new content is cached
+
+    def test_resume_reruns_units_of_edited_file(self, source, seeded_store,
+                                                lut):
+        grid = self._grid(source)
+        _run(seeded_store, grid=grid)
+        source.write_text(self.LONG)
+        clear_compiled_cache()
+        resumed = _run(seeded_store, resume=True, grid=grid)
+        assert resumed.units_resumed == 0
+        assert resumed.frame["num_cycles"].tolist() == \
+            self._storeless_cycles(source, lut)
+
+
+class TestTamperedLut:
+    def test_scaled_lut_recharacterises_identical_rows(self, seeded_store,
+                                                       design):
+        """Every stored LUT entry scaled by 0.7 (checksum untouched) is
+        reported corrupt and recharacterised; the rows do not move."""
+        first = _run(seeded_store)
+        path = seeded_store.lut_path(design, 30)
+        document = json.loads(path.read_text())
+        for row in document["lut"]["entries"].values():
+            for stage in row:
+                row[stage] *= 0.7
+        path.write_text(json.dumps(document))
+        clear_compiled_cache()
+        again = _run(seeded_store)
+        assert again.store_stats.get("lut", "corrupt") == 1
+        assert again.simulations == 0
+        assert again.rows == first.rows

@@ -136,6 +136,20 @@ class TestValidation:
         path.write_bytes(b"model v1")
         assert grid.fingerprint() == first      # content, not mtime
 
+    def test_fingerprint_tracks_workload_file_content(self, tmp_path):
+        """Editing an assembly workload changes the fingerprint, so the
+        frame cache and ``--resume`` never serve rows of the old
+        program; bundled kernel names digest no file."""
+        path = tmp_path / "k.s"
+        grid = ScenarioGrid(workloads=(str(path), "fib"))
+        missing = grid.fingerprint()
+        path.write_text("l.nop 0x1\n")
+        first = grid.fingerprint()
+        path.write_text("l.addi r1, r0, 1\nl.nop 0x1\n")
+        assert len({missing, first, grid.fingerprint()}) == 3
+        path.write_text("l.nop 0x1\n")
+        assert grid.fingerprint() == first      # content, not mtime
+
     def test_fingerprint_unchanged_without_learned_policies(self):
         """Plain grids keep their historical fingerprints (stored
         manifests and cached sweep results stay valid)."""

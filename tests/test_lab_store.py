@@ -6,8 +6,10 @@ program content — and that damaged cache files are detected, counted and
 recomputed, never crashed on.
 """
 
+import hashlib
 import json
 import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -238,6 +240,151 @@ class TestCorruption:
         store.result_path("sweep:abc").write_text("garbage")
         assert store.load_result("sweep:abc") is None
         assert store.stats.get("result", "corrupt") == 1
+
+
+def _body_offset(path):
+    """Where a v2 trace file's array body starts (after the magic, the
+    header length and the header)."""
+    data = path.read_bytes()
+    magic, size = struct.unpack_from("<8sQ", data)
+    assert magic == b"REPROTR2"
+    return struct.calcsize("<8sQ") + size
+
+
+def scale_stored_lut(path, factor):
+    """Scale every entry of a stored LUT document, leaving its checksum
+    as it was (a tampered or bit-rotted artifact)."""
+    document = json.loads(path.read_text())
+    for row in document["lut"]["entries"].values():
+        for stage in row:
+            row[stage] *= factor
+    path.write_text(json.dumps(document))
+
+
+class TestTamper:
+    """Every trace and LUT carries a SHA-256 of its payload: an edited
+    or bit-flipped artifact is counted corrupt, discarded, recomputed."""
+
+    def test_layout_stores_ex_column_and_narrow_class_ids(
+            self, design, store, fib_compiled):
+        program, compiled = fib_compiled
+        store.save_compiled_trace(compiled, program, design, MAX_CYCLES)
+        path = store.trace_path(program, design, MAX_CYCLES)
+        data = path.read_bytes()
+        _, size = struct.unpack_from("<8sQ", data)
+        header = json.loads(data[16:16 + size])
+        assert header["schema"] == SCHEMA_VERSION == 2
+        arrays = {name: (dtype, shape)
+                  for name, dtype, shape in header["arrays"]}
+        cycles = compiled.num_cycles
+        assert arrays["ex_delays"] == ("<f8", [cycles])
+        assert arrays["class_ids"] == ("|i1", [cycles, 6])
+        assert "delays" not in arrays
+        assert header["sha256"] == hashlib.sha256(
+            data[_body_offset(path):]).hexdigest()
+
+    def test_flipped_body_byte_recomputes_identical_trace(
+            self, design, store, fib_compiled):
+        program, compiled = fib_compiled
+        store.save_compiled_trace(compiled, program, design, MAX_CYCLES)
+        path = store.trace_path(program, design, MAX_CYCLES)
+        data = bytearray(path.read_bytes())
+        data[_body_offset(path) + 3] ^= 0x01
+        path.write_bytes(bytes(data))
+
+        previous = set_trace_store(store)
+        clear_compiled_cache()
+        reset_simulation_count()
+        try:
+            recomputed = get_compiled_trace(program, design)
+            assert store.stats.get("trace", "corrupt") == 1
+            assert simulation_count() == 1
+            assert (recomputed.delays == compiled.delays).all()
+            np.testing.assert_array_equal(recomputed.class_ids,
+                                          compiled.class_ids)
+            clear_compiled_cache()
+            assert (get_compiled_trace(program, design).delays
+                    == compiled.delays).all()
+            assert simulation_count() == 1    # the rewrite serves again
+        finally:
+            set_trace_store(previous)
+            clear_compiled_cache()
+
+    def test_truncated_v2_file_misses(self, design, store, fib_compiled):
+        program, compiled = fib_compiled
+        store.save_compiled_trace(compiled, program, design, MAX_CYCLES)
+        path = store.trace_path(program, design, MAX_CYCLES)
+        for keep in (_body_offset(path) + 8, 20, 4):
+            store.save_compiled_trace(compiled, program, design, MAX_CYCLES)
+            path.write_bytes(path.read_bytes()[:keep])
+            store.stats.reset()
+            assert store.load_compiled_trace(
+                program, design, MAX_CYCLES) is None
+            assert store.stats.get("trace", "corrupt") == 1
+            assert store.stats.get("trace", "misses") == 1
+            assert not path.exists()
+
+    def test_schema1_npz_misses(self, design, store, fib_compiled):
+        """A schema-1 store holds ``.npz`` traces under schema-1 keys:
+        a plain miss.  The same bytes under a schema-2 key are corrupt."""
+        from repro.lab.store import (
+            _digest,
+            design_fingerprint,
+            program_fingerprint,
+        )
+
+        program, compiled = fib_compiled
+        old_key = _digest(["trace", 1, program_fingerprint(program),
+                           design_fingerprint(design), MAX_CYCLES])
+        old_path = store.root / "traces" / f"{old_key}.npz"
+        old_path.parent.mkdir(parents=True)
+        np.savez(old_path, schema=np.int64(1),
+                 class_ids=compiled.class_ids, delays=compiled.delays)
+        assert store.load_compiled_trace(program, design, MAX_CYCLES) is None
+        assert store.stats.get("trace", "misses") == 1
+        assert store.stats.get("trace", "corrupt") == 0
+
+        path = store.trace_path(program, design, MAX_CYCLES)
+        path.write_bytes(old_path.read_bytes())
+        assert store.load_compiled_trace(program, design, MAX_CYCLES) is None
+        assert store.stats.get("trace", "corrupt") == 1
+
+    def test_scaled_lut_is_corrupt(self, design, lut, store):
+        store.save_lut(lut, design)
+        scale_stored_lut(store.lut_path(design, 30), 0.7)
+        assert store.load_lut(design) is None
+        assert store.stats.get("lut", "corrupt") == 1
+        assert not store.lut_path(design, 30).exists()
+
+    def test_scaled_char_lut_is_corrupt(self, design, lut, store):
+        program = get_kernel("fib").program()
+        store.save_char_lut(lut, 123, design, program)
+        scale_stored_lut(store.char_lut_path(design, program), 0.7)
+        assert store.load_char_lut(design, program) is None
+        assert store.stats.get("charlut", "corrupt") == 1
+
+
+class TestSkippedWrites:
+    def test_identical_document_is_touched_not_rewritten(self, store):
+        import os
+
+        store.save_result("unit:a", {"rows": [1.5, 2]})
+        path = store.result_path("unit:a")
+        os.utime(path, (1_000, 1_000))
+        inode = path.stat().st_ino
+        store.save_result("unit:a", {"rows": [1.5, 2]})
+        assert store.stats.get("result", "writes") == 1
+        assert store.stats.get("result", "hits") == 1
+        assert path.stat().st_ino == inode       # no atomic replace
+        assert path.stat().st_mtime > 1_000      # the gc LRU clock moved
+        store.save_result("unit:a", {"rows": [1.5, 3]})
+        assert store.stats.get("result", "writes") == 2
+        assert store.load_result("unit:a") == {"rows": [1.5, 3]}
+
+    def test_documents_are_compact(self, store):
+        store.save_result("unit:b", {"b": [1, 2], "a": "x"})
+        assert store.result_path("unit:b").read_text() == \
+            '{"a":"x","b":[1,2]}'
 
 
 class TestGetLut:

@@ -16,6 +16,7 @@ from repro.asm.program import Program
 from repro.isa.encoding import encode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import SPECS, Format
+from repro.sim import SimulationError
 from repro.sim.predecode import _MAX_DENSE_WORDS, DecodedImage
 from repro.workloads import resolve_program
 from repro.workloads.kernels import all_kernels
@@ -131,9 +132,10 @@ def test_empty_program():
     assert image.slots == [] and image.lookup is None
 
 
-def test_unaligned_text_keeps_address_order():
-    """Two text entries in one word: the higher address owns the lookup
-    slot, exactly as an address-ordered fill leaves it."""
+def test_unaligned_text_entry_fails_closed():
+    """Two text entries in one word: the unaligned one would own the
+    word's lookup slot and retire in place of the aligned fetch, so the
+    decode refuses the image and names the address."""
     program = Program(name="unaligned")
     program.instructions = {
         0x0: Instruction("l.addi", rd=1, imm=1),
@@ -141,5 +143,6 @@ def test_unaligned_text_keeps_address_order():
         0x4: Instruction("l.nop", imm=1),
     }
     program.words = {0x0: 0x9C200001, 0x4: 0x15000001}
-    image = assert_images_equal(program)
-    assert image.lookup[0] == 1
+    with pytest.raises(SimulationError,
+                       match="unaligned text entry at 0x00000002"):
+        DecodedImage(program)
