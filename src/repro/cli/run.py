@@ -12,14 +12,13 @@ def add_arguments(parser):
 
 def run(args):
     """Run a program on the cycle-accurate pipeline of the selected
-    spec, within the cycle budget ``evaluate`` and ``sweep`` use; print
-    its instruction and cycle counts, CPI and registers."""
-    from repro.flow.evaluate import DEFAULT_MAX_CYCLES
+    spec, within the default cycle budget (the one ``evaluate`` and
+    ``sweep`` use); print its instruction and cycle counts, CPI and
+    registers."""
     from repro.sim import vector
 
     program = load_program(args.program)
-    result = vector.simulate(program, max_cycles=DEFAULT_MAX_CYCLES,
-                             spec=args.pipeline_spec)
+    result = vector.simulate(program, spec=args.pipeline_spec)
     regs = result.state.regs
     print(f"{program.name}: {result.num_retired} instructions, "
           f"{result.num_cycles} cycles "

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs.trace import span as obs_span
-from repro.sim.spec import DEFAULT_SPEC, get_pipeline_spec
+from repro.sim.spec import DEFAULT_MAX_CYCLES, DEFAULT_SPEC, get_pipeline_spec
 from repro.sim.trace import Stage
 from repro.timing.profiles import BUBBLE_CLASS
 
@@ -460,6 +460,10 @@ CACHE_CYCLE_BUDGET = 2_000_000
 
 _cache = OrderedDict()
 
+#: Sum of ``num_cycles`` over :data:`_cache`, kept on every insert and
+#: eviction so the budget check costs nothing per insert.
+_cached_cycles = 0
+
 #: Optional persistent artifact store (see :mod:`repro.lab.store`); when
 #: attached, in-memory cache misses consult it before simulating and write
 #: freshly compiled traces through to it.
@@ -487,7 +491,7 @@ def set_trace_store(store):
     previous = _store
     if store is not previous:
         for key in [k for k, v in _cache.items() if v.trace is None]:
-            del _cache[key]
+            _evict(key)
     _store = store
     return previous
 
@@ -513,6 +517,14 @@ def _program_key(program):
     )
 
 
+def trace_key(program, design, max_cycles=DEFAULT_MAX_CYCLES):
+    """The in-memory cache key of one compiled trace.  Deriving it sorts
+    the program's words, so a caller that asks several questions about
+    one program (the streaming engine: cached?, compile, evict) derives
+    it once and passes it as ``key=``."""
+    return (_program_key(program), _design_key(design), max_cycles)
+
+
 def _design_key(design):
     """Operating point: the excitation model (and therefore the compiled
     delays) is fully determined by variant + supply voltage — plus the
@@ -521,19 +533,23 @@ def _design_key(design):
     return design.operating_point
 
 
-def get_compiled_trace(program, design, max_cycles=4_000_000):
-    """Compiled trace of ``program`` on ``design``, cached by content.
+def get_compiled_trace(program, design, max_cycles=DEFAULT_MAX_CYCLES,
+                       key=None):
+    """Compiled trace of ``program`` on ``design``, cached by content
+    (``key``: its :func:`trace_key`, when the caller already has it).
 
     Simulation runs at most once per (program, design operating point,
     cycle limit); every configuration of a sweep shares the result.
 
     Simulation runs on the two-phase vector engine
     (:mod:`repro.sim.vector`), imported only on a miss: rehydrating
-    traces from the store needs no simulator.
+    traces from the store needs no simulator.  The decode reuses the
+    key's sorted words for the image key.
     """
     global _simulations
 
-    key = (_program_key(program), _design_key(design), max_cycles)
+    if key is None:
+        key = trace_key(program, design, max_cycles)
     compiled = _cache.get(key)
     if compiled is not None:
         _cache.move_to_end(key)
@@ -542,11 +558,13 @@ def get_compiled_trace(program, design, max_cycles=4_000_000):
     if _store is not None:
         compiled = _store.load_compiled_trace(program, design, max_cycles)
     if compiled is None:
-        from repro.sim import vector
+        from repro.sim import predecode, vector
 
         spec = design.pipeline_spec
         with obs_span("dta.compile", program=program.name):
-            run = vector.simulate(program, max_cycles=max_cycles, spec=spec)
+            image = predecode.image_for(program, words=key[0][2])
+            run = vector.simulate(program, max_cycles=max_cycles, spec=spec,
+                                  image=image)
             _simulations += 1
             compiled = compile_vector_run(run, design.excitation)
         if _store is not None:
@@ -556,32 +574,48 @@ def get_compiled_trace(program, design, max_cycles=4_000_000):
 
 
 def _insert_cached(key, compiled):
+    global _cached_cycles
     _cache[key] = compiled
+    _cached_cycles += compiled.num_cycles
     while len(_cache) > CACHE_CAPACITY or (
-        len(_cache) > 1
-        and sum(entry.num_cycles for entry in _cache.values())
-        > CACHE_CYCLE_BUDGET
+        len(_cache) > 1 and _cached_cycles > CACHE_CYCLE_BUDGET
     ):
-        _cache.popitem(last=False)
+        _evict(next(iter(_cache)))
+
+
+def _evict(key):
+    """Drop one entry (no-op when absent); returns whether it was held."""
+    global _cached_cycles
+    compiled = _cache.pop(key, None)
+    if compiled is None:
+        return False
+    _cached_cycles -= compiled.num_cycles
+    return True
 
 
 def clear_compiled_cache():
     """Drop every cached compiled trace (tests, memory pressure)."""
+    global _cached_cycles
     _cache.clear()
+    _cached_cycles = 0
 
 
-def is_trace_cached(program, design, max_cycles=4_000_000):
+def is_trace_cached(program, design, max_cycles=DEFAULT_MAX_CYCLES,
+                    key=None):
     """Whether the in-memory LRU currently holds this compiled trace."""
-    key = (_program_key(program), _design_key(design), max_cycles)
+    if key is None:
+        key = trace_key(program, design, max_cycles)
     return key in _cache
 
 
-def discard_compiled_trace(program, design, max_cycles=4_000_000):
+def discard_compiled_trace(program, design, max_cycles=DEFAULT_MAX_CYCLES,
+                           key=None):
     """Evict one compiled trace from the in-memory LRU (no-op when
     absent); returns whether an entry was dropped.
 
     The streaming engine uses this to keep unbounded program streams at
     O(1) memory: a stream of unique programs would otherwise pin up to
     the whole :data:`CACHE_CYCLE_BUDGET` of already-evaluated traces."""
-    key = (_program_key(program), _design_key(design), max_cycles)
-    return _cache.pop(key, None) is not None
+    if key is None:
+        key = trace_key(program, design, max_cycles)
+    return _evict(key)

@@ -52,6 +52,7 @@ from repro.clocking.controller import (
 )
 from repro.dta.compiled import get_compiled_trace
 from repro.obs.trace import span as obs_span
+from repro.sim.spec import DEFAULT_MAX_CYCLES
 from repro.sim.trace import Stage
 from repro.utils.units import ps_to_mhz
 
@@ -59,8 +60,6 @@ from repro.utils.units import ps_to_mhz
 #: than this to count as a violation (guards float rounding, not physics).
 VIOLATION_TOLERANCE_PS = 1e-6
 
-#: Default pipeline-simulation cycle budget.
-DEFAULT_MAX_CYCLES = 4_000_000
 
 
 @dataclass

@@ -92,7 +92,12 @@ def result_to_dict(result, design_point, spec):
 _WORKER = {}
 
 
-def _worker_init(grid_dict, store_root, telemetry=False, ship_obs=False):
+def _worker_init(grid_dict, store_root, telemetry=False, ship_obs=False,
+                 luts=None):
+    """Set up a unit executor (a pool worker, or the parent for a serial
+    run).  ``luts`` maps design points to LUTs the caller already loaded
+    (a serial run's :meth:`SweepRunner.warm_luts`), so the executor does
+    not read and verify them from the store a second time."""
     from repro.dta.compiled import set_trace_store, simulation_count
 
     if telemetry:
@@ -110,6 +115,7 @@ def _worker_init(grid_dict, store_root, telemetry=False, ship_obs=False):
         store=store,
         previous_store=previous,
         contexts={},
+        luts=luts or {},
         # baseline, not reset: simulations run before this sweep (other
         # tests, fork-inherited counters) must not be attributed to it
         sim_baseline=simulation_count(),
@@ -142,9 +148,10 @@ def _context_for(design_point):
 
     design = design_point.build()
     store = _WORKER["store"]
-    if store is not None:
+    lut = _WORKER["luts"].get(design_point)
+    if lut is None and store is not None:
         lut = store.get_lut(design)
-    else:
+    elif lut is None:
         from repro.flow.characterize import _characterize_impl
 
         lut = _characterize_impl(design, keep_runs=False).lut
@@ -302,6 +309,19 @@ class SweepRunResult:
                 if self.store_stats is not None else None
             ),
         }
+
+    #: :meth:`to_dict` keys that describe one run rather than its
+    #: results (timing, worker counts, units resumed, store traffic).
+    PER_RUN_FIELDS = ("seconds", "jobs", "jobs_effective", "parallel_fallback",
+                      "units", "simulations", "store")
+
+    def stored_dict(self):
+        """:meth:`to_dict` without the :data:`PER_RUN_FIELDS`: the merged
+        document a store keeps, byte-identical across reruns of a grid."""
+        document = self.to_dict()
+        for name in self.PER_RUN_FIELDS:
+            del document[name]
+        return document
 
     def write_json(self, path):
         text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -469,13 +489,19 @@ class SweepRunner:
         ``charlut`` cache and the merged LUT is assembled in canonical
         suite order, so the result is bit-identical to a serial
         characterisation — and a killed warm-up resumes by recomputing
-        only the missing batches."""
+        only the missing batches.
+
+        Returns the LUT of every design point (empty without a store); a
+        serial run hands them to its unit executor, which then reads no
+        LUT again."""
         if self.store is None:
-            return
-        with obs_span("sweep.warm_luts",
-                      design_points=len(self.grid.design_points())):
-            for point in self.grid.design_points():
-                self.store.get_lut(point.build(), jobs=self.jobs)
+            return {}
+        points = self.grid.design_points()
+        with obs_span("sweep.warm_luts", design_points=len(points)):
+            return {
+                point: self.store.get_lut(point.build(), jobs=self.jobs)
+                for point in points
+            }
 
     def run(self, resume=False, progress=None):
         """Execute the grid; returns a :class:`SweepRunResult`.
@@ -540,7 +566,7 @@ class SweepRunner:
         if on_unit:
             on_unit(resumed, len(units))
 
-        self.warm_luts()
+        luts = self.warm_luts()
         self._absorb_store_stats(stats)
 
         if pending:
@@ -553,7 +579,7 @@ class SweepRunner:
 
             if jobs_effective == 1:
                 outcomes = self._run_serial(pending, completed, progress,
-                                            unit_done)
+                                            unit_done, luts)
             else:
                 outcomes = self._run_parallel(pending, completed, progress,
                                               jobs_effective, unit_done)
@@ -589,10 +615,11 @@ class SweepRunner:
             manifest_path=self.manifest_path,
         )
         if self.store is not None:
-            # written after the stats it carries, so it is the one store
-            # write the run's own counters never include
+            # the run-invariant part only: a warm rerun finds the same
+            # bytes and rewrites nothing.  Saved after the run's counters
+            # were taken, so they never include it
             self.store.save_result(
-                f"sweep:{self.fingerprint}", result.to_dict()
+                f"sweep:{self.fingerprint}", result.stored_dict()
             )
             # self-limiting campaigns: LRU-evict down to the budget after
             # every merge (checkpoints and results are all recomputable)
@@ -623,9 +650,10 @@ class SweepRunner:
                 groups.append((point, [(unit_id, workload)]))
         return groups
 
-    def _run_serial(self, pending, completed, progress, unit_done=None):
+    def _run_serial(self, pending, completed, progress, unit_done=None,
+                    luts=None):
         store_root = str(self.store.root) if self.store is not None else None
-        _worker_init(self.grid.to_dict(), store_root)
+        _worker_init(self.grid.to_dict(), store_root, luts=luts)
         outcomes = []
         try:
             for point, group in self._grouped(pending):

@@ -21,11 +21,11 @@ the two field by field.
 - The decode is **table-driven**, because an unseen program pays it on
   every run: one row per :data:`SPECS` mnemonic (op id, immediate rule,
   class, kind, port and control flags) is built at import, a program's
-  ``(mnemonic, rd, ra, rb, imm)`` fields are gathered in one pass, every
-  column is array arithmetic over them, and the slot tuples are zipped
-  from the columns.  The image's memory snapshot is one bulk page fill
-  (:meth:`~repro.sim.memory.Memory.store_words`).  The per-instruction
-  reference encoder lives in the test oracle.
+  ``(rd, ra, rb, imm)`` fields are gathered in one pass into one integer
+  array, every column is array arithmetic over them, and the slot tuples
+  are zipped from the columns.  The image's memory snapshot is one bulk
+  page fill (:meth:`~repro.sim.memory.Memory.store_words`).  The
+  per-instruction reference encoder lives in the test oracle.
 
 - :func:`collect` is a dispatch-table step loop over the image: plain int
   compares on the dispatch id, list-indexed register file, no ``isa``
@@ -42,8 +42,8 @@ the two field by field.
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, field
+from itertools import chain, repeat
 from operator import attrgetter
 
 import numpy as np
@@ -258,8 +258,10 @@ def _build_table():
 
 _TABLE = _build_table()
 
-#: Instruction fields the decode gathers, in one pass over the text.
-_FIELDS = attrgetter("mnemonic", "rd", "ra", "rb", "imm")
+#: Integer instruction fields the decode gathers, in one pass over the
+#: text, and the mnemonic it maps through :data:`MNEMONIC_ID`.
+_INT_FIELDS = attrgetter("rd", "ra", "rb", "imm")
+_MNEMONIC = attrgetter("mnemonic")
 
 #: dtype of the mnemonic-id columns (:data:`MNEMONIC_ID` values, ``-1``
 #: for none): they ride along with every retired instruction and slot, so
@@ -270,59 +272,50 @@ MNEMONIC_DTYPE = np.int8
 
 def _decode(addrs, instrs):
     """Table-driven decode of the text ``instrs`` at ``addrs``: the slot
-    tuples and the metadata columns ``(pc, cls, kind, dest, src, mnem)``,
-    ``cls`` holding :data:`_CLASSES` indices (``-1`` outside the table)."""
+    tuples and the metadata columns ``(pc, cls, kind, dest, src, mnem,
+    halt)``, ``cls`` holding :data:`_CLASSES` indices (``-1`` outside the
+    table) and ``halt`` marking the halt word.  Each immediate rule is a
+    row of candidate values, and ``aux``/``aux2`` gather one per word."""
     count = len(addrs)
-    if count:
-        mnemonics, rd, ra, rb, imms = zip(*map(_FIELDS, instrs))
-    else:
-        mnemonics = rd = ra = rb = imms = ()
+    rd, ra, rb, imm = np.fromiter(
+        chain.from_iterable(map(_INT_FIELDS, instrs)),
+        dtype=np.int64, count=4 * count,
+    ).reshape(count, 4).T
     mnem = np.fromiter(
-        map(MNEMONIC_ID.get, mnemonics, repeat(-1)),
+        map(MNEMONIC_ID.get, map(_MNEMONIC, instrs), repeat(-1)),
         dtype=MNEMONIC_DTYPE, count=count,
     )
     pc = np.array(addrs, dtype=np.int64)
-    imm = np.array(imms, dtype=np.int64)
     table = _TABLE
+    columns = np.arange(count)
 
     op = table["op"][mnem]
-    op[(op == OP_NOP) & (imm == HALT_NOP_CODE)] = OP_HALT
+    halt = (op == OP_NOP) & (imm == HALT_NOP_CODE)
+    op[halt] = OP_HALT
     word = imm & _MASK
-    aux_rule = table["aux_rule"][mnem]
-    aux = np.select(
-        [aux_rule == _AUX_WORD, aux_rule == _AUX_LOW16,
-         aux_rule == _AUX_SEXT16, aux_rule == _AUX_SHAMT,
-         aux_rule == _AUX_HIGH16, aux_rule == _AUX_CONST,
-         aux_rule == _AUX_IMM, aux_rule == _AUX_TARGET],
-        [word, imm & 0xFFFF,
-         (((imm & 0xFFFF) ^ 0x8000) - 0x8000) & _MASK, imm & 0x1F,
-         (imm & 0xFFFF) << 16, table["aux_const"][mnem],
-         imm, (pc + (imm << 2)) & _MASK],
-        0,
-    )
-    aux2_rule = table["aux2_rule"][mnem]
-    aux2 = np.select(
-        [aux2_rule == _AUX2_SIGNED, aux2_rule == _AUX2_UNSIGNED,
-         aux2_rule == _AUX2_LINK],
-        [(word ^ 0x80000000) - 0x80000000, word, (pc + 8) & _MASK],
-        0,
-    )
+    low = imm & 0xFFFF
+    zero = np.zeros(count, dtype=np.int64)
+    aux = np.stack([   # in _AUX_* order
+        zero, word, low, ((low ^ 0x8000) - 0x8000) & _MASK, imm & 0x1F,
+        low << 16, table["aux_const"][mnem], imm, (pc + (imm << 2)) & _MASK,
+    ])[table["aux_rule"][mnem], columns]
+    aux2 = np.stack([  # in _AUX2_* order
+        zero, (word ^ 0x80000000) - 0x80000000, word, (pc + 8) & _MASK,
+    ])[table["aux2_rule"][mnem], columns]
     reads_rb = table["reads_rb"][mnem]
     bmask = word.astype(object)
     bmask[reads_rb] = None
     slots = list(zip(
-        op.tolist(), rd, ra, rb, aux.tolist(), aux2.tolist(),
-        bmask.tolist(), table["is_ctrl"][mnem].tolist(),
+        op.tolist(), rd.tolist(), ra.tolist(), rb.tolist(), aux.tolist(),
+        aux2.tolist(), bmask.tolist(), table["is_ctrl"][mnem].tolist(),
     ))
     for index in np.flatnonzero(op < 0).tolist():
         slots[index] = None
-    dest = np.where(table["writes_rd"][mnem], np.array(rd, dtype=np.int64), -1)
-    src = (
-        np.where(table["reads_ra"][mnem],
-                 np.left_shift(1, np.array(ra, dtype=np.int64)), 0)
-        | np.where(reads_rb, np.left_shift(1, np.array(rb, dtype=np.int64)), 0)
-    )
-    return slots, pc, table["cls"][mnem], table["kind"][mnem], dest, src, mnem
+    dest = np.where(table["writes_rd"][mnem], rd, -1)
+    src = (np.where(table["reads_ra"][mnem], np.left_shift(1, ra), 0)
+           | np.where(reads_rb, np.left_shift(1, rb), 0))
+    return (slots, pc, table["cls"][mnem], table["kind"][mnem], dest, src,
+            mnem, halt)
 
 
 def _intern(cls, class_names):
@@ -350,9 +343,11 @@ class DecodedImage:
     time.  ``lookup`` maps ``pc >> 2`` to the slot index (``-1`` for data
     words) when the text fits the dense table; otherwise it is ``None``
     and ``sparse`` maps each text address to its slot.  The NumPy
-    metadata columns are indexed by slot and gathered per run; timing
-    classes are interned in decode (address) order — consumers that need
-    a canonical order re-intern (``compile_vector_run`` does so in
+    metadata columns are indexed by slot and gathered per run
+    (``np_halt`` marks the halt word, so the reconstruction classifies
+    fetched wrong-path text without decoding it again); timing classes
+    are interned in decode (address) order — consumers that need a
+    canonical order re-intern (``compile_vector_run`` does so in
     first-encounter row-major order).
 
     The decode is table-driven: every column is a gather from the
@@ -368,18 +363,19 @@ class DecodedImage:
     __slots__ = (
         "key", "built_at", "addrs", "instrs", "slots", "lookup", "sparse",
         "class_names", "np_pc", "np_cls", "np_kind", "np_dest", "np_src",
-        "np_mnem", "memory_proto", "iss_run", "crit_cache",
+        "np_mnem", "np_halt", "memory_proto", "iss_run", "crit_cache",
     )
 
     def __init__(self, program, key=None):
         self.key = key
         self.built_at = time.perf_counter()
         instructions = program.instructions
-        addrs = sorted(instructions)
+        # the cache key already holds the sorted text addresses
+        addrs = list(key[2]) if key is not None else sorted(instructions)
         self.addrs = addrs
         self.instrs = list(map(instructions.__getitem__, addrs))
         (self.slots, pc, cls, self.np_kind, self.np_dest, self.np_src,
-         self.np_mnem) = _decode(addrs, self.instrs)
+         self.np_mnem, self.np_halt) = _decode(addrs, self.instrs)
         self.np_pc = pc
         unaligned = np.flatnonzero(pc & 3)
         if len(unaligned):
@@ -415,13 +411,17 @@ class DecodedImage:
 class IssData:
     """One architectural run in the columnar form ``vector.reconstruct``
     consumes.  ``class_names`` is owned by the receiver (victim/drain
-    interning appends to it)."""
+    interning appends to it).
+
+    The per-instruction objects are built on first read only: ``index``
+    holds each retired instruction's slot in ``pool`` (the image's
+    ``instrs`` followed by the words the run decoded on demand), and
+    :attr:`instrs` and :attr:`retired` are gathered from them.
+    """
 
     state: ArchState
     memory: Memory
-    retired: list
     pcs: np.ndarray          # int64, retired program counters
-    instrs: list             # Instruction per retired slot
     a_vals: np.ndarray       # uint64, rA operand values
     b_vals: np.ndarray       # uint64, effective EX b operand
     taken: np.ndarray        # bool, control-transfer outcome
@@ -434,6 +434,26 @@ class IssData:
     store_words: set
     class_names: list
     image: DecodedImage      # the image the pass fetched from (clones)
+    index: np.ndarray        # int64, each retired instruction's pool slot
+    pool: list               # Instruction per slot
+    _instrs: list = field(default=None, init=False, repr=False)
+    _retired: list = field(default=None, init=False, repr=False)
+
+    @property
+    def instrs(self):
+        """The :class:`~repro.isa.instruction.Instruction` of every
+        retired slot, in retirement order."""
+        if self._instrs is None:
+            self._instrs = list(map(self.pool.__getitem__,
+                                    self.index.tolist()))
+        return self._instrs
+
+    @property
+    def retired(self):
+        """``(pc, Instruction)`` per retired instruction."""
+        if self._retired is None:
+            self._retired = list(zip(self.pcs.tolist(), self.instrs))
+        return self._retired
 
 
 # -- the shared per-content image LRU ----------------------------------------
@@ -458,10 +478,10 @@ def _clone_data(data, program, image):
     gets its own copies of the parts the downstream pipeline mutates or
     keeps (final memory, architectural state, the intern list the
     reconstruction appends to).  The immutable columns — retired arrays,
-    instruction list, store set — are shared read-only.  Each clone
-    points at ``image``; the cached copy does not, so an image and its
-    results form no reference cycle and are freed as soon as the cache
-    lets go of them.
+    instruction pool and index, store set — are shared read-only.  Each
+    clone points at ``image``; the cached copy does not, so an image and
+    its results form no reference cycle and are freed as soon as the
+    cache lets go of them.
     """
     state = ArchState(entry=program.entry)
     state.regs = list(data.state.regs)
@@ -472,9 +492,7 @@ def _clone_data(data, program, image):
     return IssData(
         state=state,
         memory=data.memory.copy(),
-        retired=data.retired,
         pcs=data.pcs,
-        instrs=data.instrs,
         a_vals=data.a_vals,
         b_vals=data.b_vals,
         taken=data.taken,
@@ -487,6 +505,8 @@ def _clone_data(data, program, image):
         store_words=data.store_words,
         class_names=list(data.class_names),
         image=image,
+        index=data.index,
+        pool=data.pool,
     )
 
 
@@ -518,18 +538,18 @@ def discard_image(image):
     return True
 
 
-def _image_key(program):
-    return (
-        program.entry,
-        tuple(sorted(program.words.items())),
-        tuple(sorted(program.instructions)),
-    )
+def _image_key(program, words=None):
+    if words is None:
+        words = tuple(sorted(program.words.items()))
+    return (program.entry, words, tuple(sorted(program.instructions)))
 
 
-def image_for(program):
+def image_for(program, words=None):
     """The shared :class:`DecodedImage` for ``program``, decoding at most
-    once per program content."""
-    key = _image_key(program)
+    once per program content.  ``words`` is ``program.words`` as a sorted
+    item tuple, when the caller has already derived it for a key of its
+    own (``get_compiled_trace`` has), so no key sorts the words twice."""
+    key = _image_key(program, words)
     image = _images.get(key)
     if image is not None:
         _images.move_to_end(key)
@@ -549,10 +569,11 @@ def image_for(program):
 # -- the dispatch-table step loop ---------------------------------------------
 
 
-def collect(program, max_cycles):
+def collect(program, max_cycles, image=None):
     """The architectural pass of ``program`` within ``max_cycles`` steps,
     as :class:`IssData`; raises :class:`SimulationError` for every fault
-    (see the module docstring).
+    (see the module docstring).  ``image`` is the program's
+    :func:`image_for` image when the caller already holds it.
 
     The step cap equals the cycle budget: the pipeline retires at most
     one instruction per cycle, so a pass overrunning ``max_cycles`` steps
@@ -567,7 +588,8 @@ def collect(program, max_cycles):
     step count raises the budget error a fresh pass would, read off the
     cached program counters without stepping.
     """
-    image = image_for(program)
+    if image is None:
+        image = image_for(program)
     run = image.iss_run
     if run is None:
         with obs_span("iss.collect", program=program.name):
@@ -950,15 +972,15 @@ def _package(image, text, program, memory, regs, flag, carry, pc,
     index = np.array(retired_idx, dtype=np.int64)
     columns = (image.np_pc, image.np_cls, image.np_kind, image.np_dest,
                image.np_src, image.np_mnem)
-    image_instrs = image.instrs
+    pool = image.instrs
     class_names = list(image.class_names)
     if text.instrs:
         # words decoded on demand: their columns follow the image's
-        _, pc_col, cls, kind, dest, src, mnem = _decode(list(text.index),
-                                                        text.instrs)
+        _, pc_col, cls, kind, dest, src, mnem, _ = _decode(list(text.index),
+                                                           text.instrs)
         extra = (pc_col, _intern(cls, class_names), kind, dest, src, mnem)
         columns = [np.concatenate(pair) for pair in zip(columns, extra)]
-        image_instrs = image_instrs + text.instrs
+        pool = pool + text.instrs
     pcs, cls, kind, dest, src, mnem = (column[index] for column in columns)
     taken = np.zeros(count, dtype=bool)
     targets = np.zeros(count, dtype=np.int64)
@@ -968,7 +990,6 @@ def _package(image, text, program, memory, regs, flag, carry, pc,
         target = rows[:, 1]
         taken[where] = target >= 0
         targets[where] = np.maximum(target, 0)
-    instrs = [image_instrs[i] for i in retired_idx]
     state = ArchState(entry=program.entry)
     state.regs = regs
     state.flag = flag
@@ -978,9 +999,7 @@ def _package(image, text, program, memory, regs, flag, carry, pc,
     return IssData(
         state=state,
         memory=memory,
-        retired=list(zip(pcs.tolist(), instrs)),
         pcs=pcs,
-        instrs=instrs,
         a_vals=np.array(a_list, dtype=np.uint64),
         b_vals=np.array(b_list, dtype=np.uint64),
         taken=taken,
@@ -993,4 +1012,6 @@ def _package(image, text, program, memory, regs, flag, carry, pc,
         store_words=store_words,
         class_names=class_names,
         image=None,
+        index=index,
+        pool=pool,
     )

@@ -78,6 +78,11 @@ from repro.sim.trace import Stage
 _DIV_CODE = KIND_CODE[InstructionKind.DIV]
 _MUL_CODE = KIND_CODE[InstructionKind.MUL]
 
+#: Default cycle budget of every pipeline run: ``vector.simulate``, the
+#: compiled-trace cache and the evaluation flow.  A runaway program holds
+#: its per-step ISS columns until the budget error, a few hundred MB here.
+DEFAULT_MAX_CYCLES = 4_000_000
+
 #: The only hazard policy implemented: stall-until-resolved interlocks.
 HAZARD_POLICIES = ("interlock",)
 

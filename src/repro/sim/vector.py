@@ -36,12 +36,19 @@ code, wrong-path fetches into freshly written data) raises
 :class:`~repro.sim.predecode.SimulationError` naming the address; ISS
 errors propagate unchanged.
 
-Consumers that only need arrays (the compiled-trace engine, the
-characterisation flow) read the cycle/slot arrays directly and never pay
-for record materialisation; :meth:`VectorPipelineRun.trace` builds the full
-:class:`~repro.sim.trace.PipelineTrace` on demand for record-oriented
-callers.
+The cold path is columns-only: the reconstruction reads the fetched
+wrong-path text's class, mnemonic and halt flag off the decoded image's
+columns, and decodes a word in Python only when it lies outside the text
+(a data word, the post-halt drain).  Consumers that only need arrays (the
+compiled-trace engine, the characterisation flow) read the cycle/slot
+arrays directly and never pay for Python objects: the per-slot
+``Instruction`` objects (:attr:`VectorPipelineRun.slot_instr`), the
+retired stream (:attr:`VectorPipelineRun.retired`) and the full
+:class:`~repro.sim.trace.PipelineTrace` (:attr:`VectorPipelineRun.trace`)
+are built on first read, for record-oriented callers.
 """
+
+from itertools import chain
 
 import numpy as np
 
@@ -50,7 +57,7 @@ from repro.isa.opcodes import KIND_CODE, MNEMONIC_ID, InstructionKind
 from repro.obs.trace import span as obs_span
 from repro.sim import predecode
 from repro.sim.predecode import HALT_NOP_CODE, SimulationError
-from repro.sim.spec import get_pipeline_spec
+from repro.sim.spec import DEFAULT_MAX_CYCLES, get_pipeline_spec
 from repro.sim.trace import (
     BUBBLE_VIEW,
     CycleRecord,
@@ -61,9 +68,6 @@ from repro.sim.trace import (
 _DIV_CODE = KIND_CODE[InstructionKind.DIV]
 _MUL_CODE = KIND_CODE[InstructionKind.MUL]
 _LOAD_CODE = KIND_CODE[InstructionKind.LOAD]
-
-#: Hard cap on simulated cycles.
-DEFAULT_MAX_CYCLES = 50_000_000
 
 
 class VectorPipelineRun:
@@ -82,19 +86,44 @@ class VectorPipelineRun:
     until their branch resolves (``slot_squash_cycle``) and flow as
     bubbles afterwards; ``~slot_is_instr`` slots (undecodable wrong-path
     words past the halt) are bubbles everywhere.
+
+    Python objects are built on first read only: :attr:`retired` from the
+    ISS pass's instruction pool, :attr:`slot_instr` by one gather through
+    ``slot_source`` (each slot's index into the ISS pool followed by the
+    words the reconstruction decoded itself, ``-1`` for none).
     """
 
-    def __init__(self, program, div_latency, state, memory, retired,
-                 spec=None):
+    def __init__(self, program, div_latency, data, spec=None):
         self.program = program
         self.div_latency = div_latency
         self.spec = get_pipeline_spec(spec)
-        self.state = state
-        self.memory = memory
-        self.retired = retired
+        self.state = data.state
+        self.memory = data.memory
         self.num_cycles = 0
-        self.num_retired = len(retired)
+        self.num_retired = len(data.pcs)
+        self._iss = data
+        self._decoded = []        # words decoded past the ISS pool
+        self._slot_instr = None
         self._trace = None
+
+    @property
+    def retired(self):
+        """``(pc, Instruction)`` per retired instruction."""
+        return self._iss.retired
+
+    @property
+    def slot_instr(self):
+        """Object array of each slot's ``Instruction`` (``None`` for
+        bubbles that never decoded)."""
+        if self._slot_instr is None:
+            pool = self._iss.pool
+            count = len(pool) + len(self._decoded)
+            objects = np.fromiter(
+                chain(pool, self._decoded, (None,)), dtype=object,
+                count=count + 1,
+            )
+            self._slot_instr = objects[self.slot_source]
+        return self._slot_instr
 
     # -- trace materialisation ----------------------------------------------
 
@@ -233,10 +262,12 @@ class VectorPipelineRun:
 
 
 def simulate(program, div_latency=None, max_cycles=DEFAULT_MAX_CYCLES,
-             spec=None):
+             spec=None, image=None):
     """Pipeline run of ``program`` on ``spec`` (a
     :class:`~repro.sim.spec.PipelineSpec`, preset name or ``None`` for the
-    default machine); ``div_latency`` overrides the spec's divider.
+    default machine); ``div_latency`` overrides the spec's divider, and
+    ``image`` is the program's decoded image when the caller holds it
+    (:func:`repro.sim.predecode.image_for`).
 
     Raises :class:`SimulationError` for an undecodable pre-halt
     wrong-path word, an exceeded cycle budget or a store into a fetched
@@ -248,7 +279,7 @@ def simulate(program, div_latency=None, max_cycles=DEFAULT_MAX_CYCLES,
     if div_latency < 1:
         raise ValueError("div_latency must be at least 1 cycle")
     with obs_span("sim.vector", program=program.name):
-        data = predecode.collect(program, max_cycles)
+        data = predecode.collect(program, max_cycles, image=image)
         return reconstruct(program, div_latency, max_cycles, data, spec)
 
 
@@ -259,7 +290,6 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
     """Array pass: the pipeline run of an ISS pass's
     :class:`~repro.sim.predecode.IssData`
     (:func:`simulate` owns the argument checks)."""
-    instrs = data.instrs
     targets = data.targets
     store_words = data.store_words
     class_names = data.class_names
@@ -309,7 +339,7 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
     slot_is_instr = np.zeros(num_main, dtype=bool)
     slot_squashed = np.zeros(num_main, dtype=bool)
     slot_has_ops = np.zeros(num_main, dtype=bool)
-    slot_instr = np.empty(num_main, dtype=object)
+    slot_source = np.full(num_main, -1, dtype=np.int64)
     slot_mnem = np.full(num_main, -1, dtype=predecode.MNEMONIC_DTYPE)
 
     slot_pc[stream_pos] = retired_pc
@@ -322,36 +352,56 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
     slot_taken[stream_pos] = taken
     slot_is_instr[stream_pos] = True
     slot_has_ops[stream_pos] = True
-    slot_instr[stream_pos] = np.array(instrs, dtype=object)
+    slot_source[stream_pos] = data.index
     slot_mnem[stream_pos] = data.mnem
 
     # victims: fetched (and decoded) wrong-path words.  The guard below
     # ensures fetched words are immutable, so the initial image is what
-    # the fetch stage decoded.  Decode failures: past the first fetched
-    # halt word they are bubbles, before it they are fatal.
+    # the fetch stage decoded: a victim in the program text takes its
+    # image slot's columns (its class is one of the image's, a prefix of
+    # ``class_names``), any other word decodes here.  Decode failures:
+    # past the first fetched halt word they are bubbles, before it they
+    # are fatal.
+    image = data.image
     fetched = set(retired_pc.tolist())
     decode_cache = {}
+    decoded = []                # Instructions past the ISS pool, in order
     halt_fetch_pos = halt_pos   # may move earlier: wrong-path halt words
     if len(victim_of):
         slot_pc[victim_pos] = victim_pc
         slot_squashed[victim_pos] = True
+        fetched.update(victim_pc.tolist())
+        text_slot, in_text = _text_slots(image, victim_pc)
+        text_slot = text_slot[in_text]
+        text_pos = victim_pos[in_text]
+        slot_is_instr[text_pos] = True
+        slot_cls[text_pos] = image.np_cls[text_slot]
+        slot_mnem[text_pos] = image.np_mnem[text_slot]
+        slot_source[text_pos] = text_slot
         # victim_pos is increasing (stream order), which the running
-        # halt-in-flight check relies on
+        # halt-in-flight check relies on.  The first text halt joins it
+        # up front: for an earlier victim ``position > halt_fetch_pos``
+        # comes out the same with it or without it
+        halts = text_pos[image.np_halt[text_slot]]
+        if len(halts):
+            halt_fetch_pos = min(halt_fetch_pos, int(halts[0]))
+        other = ~in_text
+        base = len(data.pool)
         for position, address in zip(
-            victim_pos.tolist(), victim_pc.tolist()
+            victim_pos[other].tolist(), victim_pc[other].tolist()
         ):
-            fetched.add(address)
             instruction = _decode_fetch(
                 program, address, decode_cache,
                 halt_in_flight=position > halt_fetch_pos,
             )
-            slot_instr[position] = instruction
             if instruction is not None:
                 slot_is_instr[position] = True
                 slot_cls[position] = _intern_class(
                     instruction, class_names
                 )
                 slot_mnem[position] = MNEMONIC_ID[instruction.mnemonic]
+                slot_source[position] = base + len(decoded)
+                decoded.append(instruction)
             if _is_halt(instruction):
                 halt_fetch_pos = min(halt_fetch_pos, position)
 
@@ -424,7 +474,12 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
         slot_has_ops = np.concatenate(
             [slot_has_ops, np.zeros(drain.count, bool)]
         )
-        slot_instr = np.concatenate([slot_instr, drain.instr])
+        drain_source = np.arange(drain.count) + len(data.pool) + len(decoded)
+        slot_source = np.concatenate([
+            slot_source,
+            np.where(drain.is_instr, drain_source, -1),
+        ])
+        decoded.extend(drain.instr)
         slot_mnem = np.concatenate([slot_mnem, drain.mnem])
         entry = np.concatenate([entry, drain.entry])
         lat = np.concatenate([lat, drain.lat])
@@ -483,20 +538,14 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
     if int(front_idx[0][-1]) != num_slots - 1:
         raise RuntimeError("fetch accounting mismatch")   # engine bug guard
 
-    run = VectorPipelineRun(
-        program=program,
-        div_latency=div_latency,
-        state=data.state,
-        memory=data.memory,
-        retired=data.retired,
-        spec=spec,
-    )
-    run.image = data.image
+    run = VectorPipelineRun(program, div_latency, data, spec)
+    run.image = image
     run.num_cycles = num_cycles
     run.num_slots = num_slots
     run.class_names = list(class_names)
     run.slot_pc = slot_pc
-    run.slot_instr = slot_instr
+    run.slot_source = slot_source
+    run._decoded = decoded
     run.slot_mnem = slot_mnem
     run.slot_class = slot_cls
     run.slot_kind = slot_kind
@@ -515,6 +564,20 @@ def reconstruct(program, div_latency, max_cycles, data, spec):
     run.front_idx = front_idx
     run.back_occ = back_occ
     return run
+
+
+def _text_slots(image, addresses):
+    """``(slot, in_text)``: each address's slot in ``image`` (sorted,
+    word-aligned text addresses) and whether the program text holds it
+    with a mnemonic of the decode table (one outside it has no class
+    column and goes through :func:`_decode_fetch` and ``_intern_class``)."""
+    text_pc = image.np_pc
+    if not len(text_pc):
+        return (np.zeros(len(addresses), dtype=np.int64),
+                np.zeros(len(addresses), dtype=bool))
+    slot = np.minimum(np.searchsorted(text_pc, addresses), len(text_pc) - 1)
+    in_text = (text_pc[slot] == addresses) & (image.np_cls[slot] >= 0)
+    return slot, in_text
 
 
 def _is_halt(instruction):
@@ -686,7 +749,6 @@ class _Drain:
         self.kind = np.array(self.kind, dtype=np.int64)
         self.mnem = np.array(self.mnem, dtype=predecode.MNEMONIC_DTYPE)
         self.is_instr = np.array(self.is_instr, dtype=bool)
-        self.instr = np.array(self.instr, dtype=object)
         self.entry = np.array(self.entry, dtype=np.int64)
         self.lat = np.array(self.lat, dtype=np.int64)
         self.bubbles = np.array(self.bubbles, dtype=np.int64)

@@ -46,6 +46,7 @@ from repro.dta.compiled import (
     discard_compiled_trace,
     get_compiled_trace,
     is_trace_cached,
+    trace_key,
 )
 from repro.flow.evaluate import (
     VIOLATION_TOLERANCE_PS,
@@ -239,14 +240,15 @@ class StreamingSession:
         caches are evicted again once ``retain_traces`` newer stream
         programs have passed, so memory stays flat however long the
         stream runs.  Entries that were cached before (warm kernels,
-        other sessions) are left alone."""
+        other sessions) are left alone.  The trace's content key is
+        derived once and kept with the owned entry."""
         session = self.session
+        design = session.design
         max_cycles = session.max_cycles
-        already = is_trace_cached(program, session.design, max_cycles)
+        key = trace_key(program, design, max_cycles)
+        already = is_trace_cached(program, design, max_cycles, key=key)
         started = time.perf_counter()
-        compiled = get_compiled_trace(
-            program, session.design, max_cycles=max_cycles
-        )
+        compiled = get_compiled_trace(program, design, max_cycles, key=key)
         if not already:
             # an image decoded during this compile is the trace's own;
             # one that was cached before stays (its build time says so)
@@ -255,10 +257,11 @@ class StreamingSession:
                 image if image is not None and image.built_at >= started
                 else None
             )
-            self._owned_programs.append((program, owned_image))
+            self._owned_programs.append((program, key, owned_image))
             while len(self._owned_programs) > self.retain_traces:
-                stale, stale_image = self._owned_programs.popleft()
-                discard_compiled_trace(stale, session.design, max_cycles)
+                stale, stale_key, stale_image = self._owned_programs.popleft()
+                discard_compiled_trace(stale, design, max_cycles,
+                                       key=stale_key)
                 if stale_image is not None:
                     predecode.discard_image(stale_image)
         return compiled

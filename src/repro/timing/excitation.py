@@ -237,6 +237,11 @@ def ex_criticality_array(mnemonic_ids, kinds, a, b, pcs, taken):
     return crit
 
 
+#: Groups with a fixed per-class delay (tables in :meth:`ExcitationModel.
+#: group_tables`); ADR and EX are computed per cycle.
+_FIXED_STAGES = (Stage.FE, Stage.DC, Stage.CTRL, Stage.WB)
+
+
 class ExcitationModel:
     """Samples excited endpoint-group delays for pipeline cycle records.
 
@@ -251,6 +256,7 @@ class ExcitationModel:
     def __init__(self, profile, library=None):
         self.profile = profile
         self.library = library if library is not None else reference_library()
+        self._class_rows = {}     # group_tables memo: class -> scaled row
 
     def _scale(self, delay_ps):
         return round(self.library.scale_delay(delay_ps), 3)
@@ -343,38 +349,42 @@ class ExcitationModel:
         these tables is bit-identical to the per-record path.  Only the
         data-dependent EX group has no table — its delay depends on the
         operands, not just the class.
-        """
-        import numpy as np
 
-        fixed_stages = (Stage.FE, Stage.DC, Stage.CTRL, Stage.WB)
-        stage_tables = {}
-        for stage in fixed_stages:
-            column = np.zeros(len(class_names))
-            for index, cls in enumerate(class_names):
-                if cls == BUBBLE_CLASS:
-                    continue   # masked out by the bubble flag
-                column[index] = self._scale(
-                    self.profile.stage_spec(cls, stage).max_ps
-                )
-            stage_tables[stage] = column
-        adr_redirect = np.empty(len(class_names))
-        for index, cls in enumerate(class_names):
-            if cls == BUBBLE_CLASS:
-                adr_redirect[index] = self._scale(self.profile.adr_seq.max_ps)
-                continue
-            adr_redirect[index] = self._scale(
-                self.profile.adr_spec(cls, True).max_ps
-            )
+        Rows are memoised per class name on the model (a value depends
+        only on the class and the operating point), so a stream of
+        traces pays the per-class roundings once per class, not once per
+        trace; each call returns fresh arrays.
+        """
+        rows = self._class_rows
+        for cls in class_names:
+            if cls not in rows:
+                rows[cls] = self._class_row(cls)
+        columns = np.array(
+            [rows[cls] for cls in class_names], dtype=float
+        ).reshape(len(class_names), len(_FIXED_STAGES) + 1).T.copy()
         return {
-            "stage": stage_tables,
+            "stage": dict(zip(_FIXED_STAGES, columns)),
             "adr_seq": self._scale(self.profile.adr_seq.max_ps),
-            "adr_redirect": adr_redirect,
+            "adr_redirect": columns[-1],
             "hold": self._scale(self.profile.hold_delay_ps),
             "bubble": {
                 stage: self._scale(self.profile.bubble_delays[stage])
                 for stage in Stage
             },
         }
+
+    def _class_row(self, cls):
+        """One class's scaled ``(FE, DC, CTRL, WB, ADR redirect)`` delays;
+        a bubble has no fixed-group delay (its flag masks it) and
+        re-presents the sequential address."""
+        if cls == BUBBLE_CLASS:
+            return (0.0,) * len(_FIXED_STAGES) + (
+                self._scale(self.profile.adr_seq.max_ps),
+            )
+        return tuple(
+            self._scale(self.profile.stage_spec(cls, stage).max_ps)
+            for stage in _FIXED_STAGES
+        ) + (self._scale(self.profile.adr_spec(cls, True).max_ps),)
 
     def column_delay(self, record, column, spec):
         """Excited delay of one pipeline-spec column in one cycle.

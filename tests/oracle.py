@@ -551,12 +551,13 @@ def iss_data(program, max_cycles):
         simulator.step()
         steps += 1
     meta = np.array(metas, dtype=np.int64)
+    # the observed stream is the simulator's own retired list
+    if list(zip(pcs, instrs)) != simulator.retired:
+        raise AssertionError("observer missed a retired instruction")
     return _pd.IssData(
         state=simulator.state,
         memory=simulator.memory,
-        retired=list(simulator.retired),
         pcs=np.array(pcs, dtype=np.int64),
-        instrs=instrs,
         a_vals=np.array(a_vals, dtype=np.uint64),
         b_vals=np.array(b_vals, dtype=np.uint64),
         taken=np.array(takens, dtype=bool),
@@ -569,6 +570,8 @@ def iss_data(program, max_cycles):
         store_words=store_words,
         class_names=class_names,
         image=None,
+        index=np.arange(len(instrs), dtype=np.int64),
+        pool=instrs,
     )
 
 

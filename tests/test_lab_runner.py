@@ -172,16 +172,62 @@ class TestStoreCounters:
         assert resumed.store_stats.get("result", "hits") == 2
         assert resumed.store_stats.get("result", "writes") == 0
 
-    def test_stored_sweep_document_does_not_count_itself(self, tmp_path,
-                                                         seeded_store):
-        """The ``sweep:<fingerprint>`` document carries the counters, so
-        it is written after them and is the one write they leave out."""
+    def test_stored_sweep_document_holds_no_per_run_fields(self, tmp_path,
+                                                           seeded_store):
+        """The ``sweep:<fingerprint>`` document is the run-invariant part
+        of ``to_dict``: no timing, worker counts, units or counters."""
         result = _run(seeded_store)
         cached = ArtifactStore(tmp_path / "store").load_result(
             f"sweep:{GRID.fingerprint()}"
         )
-        assert cached["store"] == result.store_stats.as_dict()
-        assert cached["store"]["result"]["writes"] == result.units_run
+        assert sorted(cached) == ["fingerprint", "grid", "results"]
+        expected = json.loads(json.dumps(result.to_dict()))
+        for name in result.PER_RUN_FIELDS:
+            del expected[name]
+        assert cached == expected
+        # the counters the run reports never include the document
+        assert result.store_stats.get("result", "writes") == result.units_run
+
+    def test_warm_rerun_rewrites_nothing(self, seeded_store):
+        """A warm rerun finds every checkpoint and the merged document
+        already stored byte for byte: no store write at all."""
+        _run(seeded_store)
+        clear_compiled_cache()
+        runner = SweepRunner(GRID, store=seeded_store)
+        writes = []
+        real_write = ArtifactStore._write_atomic
+
+        def write_atomic(store, path, writer):
+            writes.append(path.name)
+            return real_write(store, path, writer)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ArtifactStore, "_write_atomic", write_atomic)
+            warm = runner.run()
+        assert warm.simulations == 0
+        assert writes == []
+        # the merged document's save, after the run's counters: one hit
+        assert runner.store.stats.get("result", "writes") == 0
+        assert runner.store.stats.get("result", "hits") == 1
+
+    def test_serial_warm_run_loads_the_lut_once(self, seeded_store):
+        """``warm_luts`` hands its LUT to the serial unit executor, so a
+        warm run reads and verifies it once per design point."""
+        _run(seeded_store)
+        clear_compiled_cache()
+        warm = _run(seeded_store)
+        assert warm.store_stats.get("lut", "hits") == 1
+        assert warm.store_stats.get("lut", "misses") == 0
+
+    def test_parallel_workers_still_load_the_lut(self, seeded_store):
+        """Pool workers are separate processes: each reads the LUT from
+        the store itself."""
+        runner = SweepRunner(GRID, store=seeded_store, jobs=2,
+                             parallel_threshold=0)
+        result = runner.run()
+        assert result.jobs_effective == 2
+        assert result.store_stats.get("lut", "hits") >= 2
+        assert result.store_stats.get("lut", "misses") == 0
 
 
 class TestParallelRun:
