@@ -22,7 +22,11 @@ array engine; the per-record reference loops it is held bit-identical to
 live in the test oracle (``tests/oracle.py``).
 """
 
+from collections import namedtuple
 from contextlib import contextmanager
+from operator import attrgetter
+
+import numpy as np
 
 from repro.api.frame import (
     ADAPT_SCHEMA,
@@ -30,6 +34,7 @@ from repro.api.frame import (
     OVERSCALING_SCHEMA,
     TRAINING_SCHEMA,
     ResultFrame,
+    _DTYPES,
 )
 from repro.obs import trace as obs_trace
 from repro.obs.trace import span as obs_span
@@ -53,43 +58,77 @@ def design_point_label(variant, voltage, pipeline_spec=None):
     return label
 
 
+#: The configuration labels of one evaluation row: the
+#: :data:`EVALUATION_SCHEMA` columns its ``EvaluationResult`` does not
+#: hold.
+RowContext = namedtuple("RowContext", (
+    "design_point", "variant", "voltage", "config", "policy", "generator",
+    "margin_percent",
+))
+
+
+def _violation_cells(result):
+    return [
+        [v.cycle, v.stage.name, v.applied_period_ps, v.excited_delay_ps,
+         v.driver_class]
+        for v in result.violations
+    ]
+
+
+#: The one definition of the evaluation row layout: every
+#: :data:`EVALUATION_SCHEMA` column, in schema order, with the getter of
+#: its cell and whether the getter reads the row's :class:`RowContext`
+#: (otherwise its ``EvaluationResult``).  :func:`evaluation_row` builds
+#: one row from it and :func:`evaluation_frame` a whole frame, one
+#: column at a time.
+EVALUATION_FIELDS = (
+    *((name, attrgetter(name), True) for name in RowContext._fields),
+    ("program", attrgetter("program_name"), False),
+    *((name, attrgetter(name), False) for name in (
+        "num_cycles", "num_retired", "total_time_ps", "static_period_ps",
+        "min_period_ps", "max_period_ps", "switch_rate",
+        "average_period_ps", "effective_frequency_mhz", "speedup_percent",
+    )),
+    ("num_violations", lambda result: len(result.violations), False),
+    ("violations", _violation_cells, False),
+)
+
+
 def evaluation_row(result, *, variant, voltage, config_label, policy,
                    generator, margin_percent, pipeline_spec=None):
     """One :data:`EVALUATION_SCHEMA` row from an ``EvaluationResult``.
 
     Field-for-field the sweep runner's canonical JSON row
     (:func:`repro.lab.runner.result_to_dict`), so Session evaluations and
-    orchestrated sweep documents share one layout.  ``pipeline_spec``
-    distinguishes the ``design_point`` cell of non-default
-    microarchitectures so spec axes never merge in group-bys.
+    orchestrated sweep documents share one layout
+    (:data:`EVALUATION_FIELDS`).  ``pipeline_spec`` distinguishes the
+    ``design_point`` cell of non-default microarchitectures so spec axes
+    never merge in group-bys.
     """
+    context = RowContext(
+        design_point_label(variant, voltage, pipeline_spec), variant,
+        voltage, config_label, policy, generator, margin_percent,
+    )
     return {
-        "design_point": design_point_label(variant, voltage,
-                                           pipeline_spec),
-        "variant": variant,
-        "voltage": voltage,
-        "config": config_label,
-        "policy": policy,
-        "generator": generator,
-        "margin_percent": margin_percent,
-        "program": result.program_name,
-        "num_cycles": result.num_cycles,
-        "num_retired": result.num_retired,
-        "total_time_ps": result.total_time_ps,
-        "static_period_ps": result.static_period_ps,
-        "min_period_ps": result.min_period_ps,
-        "max_period_ps": result.max_period_ps,
-        "switch_rate": result.switch_rate,
-        "average_period_ps": result.average_period_ps,
-        "effective_frequency_mhz": result.effective_frequency_mhz,
-        "speedup_percent": result.speedup_percent,
-        "num_violations": len(result.violations),
-        "violations": [
-            [v.cycle, v.stage.name, v.applied_period_ps,
-             v.excited_delay_ps, v.driver_class]
-            for v in result.violations
-        ],
+        name: get(context if from_context else result)
+        for name, get, from_context in EVALUATION_FIELDS
     }
+
+
+def evaluation_frame(contexts, results):
+    """The :data:`EVALUATION_SCHEMA` frame whose row ``i`` is
+    ``evaluation_row`` of ``results[i]`` under ``contexts[i]`` (a
+    :class:`RowContext`), built one column at a time: equal to
+    ``ResultFrame.from_rows`` over those rows, without the row dicts."""
+    count = len(results)
+    columns = {}
+    for column, (name, get, from_context) in zip(EVALUATION_SCHEMA,
+                                                 EVALUATION_FIELDS):
+        cells = map(get, contexts if from_context else results)
+        if column.kind == "str":
+            cells = map(str, cells)
+        columns[name] = np.fromiter(cells, _DTYPES[column.kind], count)
+    return ResultFrame(columns, EVALUATION_SCHEMA)
 
 
 def result_from_row(row):
@@ -482,26 +521,30 @@ class Session:
             )
         concrete = self._materialize(specs)
         grid = self.evaluate_results(programs, concrete)
-        rows = []
-        for spec, config, row in zip(specs, concrete, grid):
+        return self._evaluation_frame(specs, concrete, grid)
+
+    def _evaluation_frame(self, specs, configs, grid):
+        """The evaluation frame of a ``[config][program]`` result grid,
+        config-major (:func:`evaluation_frame`)."""
+        design_point = design_point_label(self.variant, self.voltage,
+                                          self.pipeline_spec.name)
+        contexts = []
+        results = []
+        for spec, config, row in zip(specs, configs, grid):
             policy = getattr(spec, "policy", None)
             generator = self._generator_name(spec, config)
             for result in row:
-                rows.append(evaluation_row(
-                    result,
-                    variant=self.variant,
-                    voltage=self.voltage,
-                    config_label=config.label or self._fallback_label(
-                        result.policy_name, generator,
-                        config.margin_percent,
+                contexts.append(RowContext(
+                    design_point, self.variant, self.voltage,
+                    config.label or self._fallback_label(
+                        result.policy_name, generator, config.margin_percent,
                     ),
-                    policy=(policy if isinstance(policy, str)
-                            else result.policy_name),
-                    generator=generator,
-                    margin_percent=config.margin_percent,
-                    pipeline_spec=self.pipeline_spec.name,
+                    (policy if isinstance(policy, str)
+                     else result.policy_name),
+                    generator, config.margin_percent,
                 ))
-        return ResultFrame.from_rows(rows, EVALUATION_SCHEMA)
+            results.extend(row)
+        return evaluation_frame(contexts, results)
 
     @staticmethod
     def _fallback_label(policy_name, generator_name, margin_percent):

@@ -24,7 +24,7 @@ class ProgramBuilder:
         self.name = name
         self._address = base
         self._entry = base
-        self._items = []     # (address, mnemonic, operands-dict, label-ref)
+        self._items = []     # (address, mnemonic, operands, label, half)
         self._labels = {}
 
     @property
@@ -39,14 +39,20 @@ class ProgramBuilder:
         self._labels[name] = self._address
         return self
 
-    def op(self, mnemonic, rd=0, ra=0, rb=0, imm=0, target=None):
+    def op(self, mnemonic, rd=0, ra=0, rb=0, imm=0, target=None,
+           half=None):
         """Emit one instruction.
 
         ``target`` names a label for pc-relative transfers; the immediate is
-        patched during :meth:`build`.  Registers may be given as indices or
-        names (``"r3"``).
+        patched during :meth:`build`.  With ``half="hi"`` or ``"lo"`` the
+        immediate is instead the upper or lower half-word of the label's
+        address, as the assembler's ``hi()`` / ``lo()`` (the ``l.movhi`` +
+        ``l.ori`` idiom).  Registers may be given as indices or names
+        (``"r3"``).
         """
         spec_for(mnemonic)  # validate early
+        if half not in (None, "hi", "lo"):
+            raise ValueError(f"half must be 'hi' or 'lo', got {half!r}")
         self._items.append((
             self._address,
             mnemonic,
@@ -57,13 +63,16 @@ class ProgramBuilder:
                 "imm": imm,
             },
             target,
+            half,
         ))
         self._address += 4
         return self
 
     def word(self, value):
         """Emit a literal data word at the current address."""
-        self._items.append((self._address, ".word", {"imm": value}, None))
+        self._items.append(
+            (self._address, ".word", {"imm": value}, None, None)
+        )
         self._address += 4
         return self
 
@@ -86,7 +95,7 @@ class ProgramBuilder:
     def build(self):
         """Resolve labels and produce the :class:`Program`."""
         program = Program(name=self.name, entry=self._entry)
-        for address, mnemonic, fields, target in self._items:
+        for address, mnemonic, fields, target, half in self._items:
             if mnemonic == ".word":
                 program.add_word(address, fields["imm"] & 0xFFFFFFFF)
                 continue
@@ -94,12 +103,17 @@ class ProgramBuilder:
             if target is not None:
                 if target not in self._labels:
                     raise ValueError(f"undefined label {target!r}")
-                spec = spec_for(mnemonic)
-                if spec.fmt not in (Format.J, Format.BRANCH):
+                label_address = self._labels[target]
+                if half == "hi":
+                    imm = (label_address >> 16) & 0xFFFF
+                elif half == "lo":
+                    imm = label_address & 0xFFFF
+                elif spec_for(mnemonic).fmt not in (Format.J, Format.BRANCH):
                     raise ValueError(
                         f"{mnemonic} cannot take a label target"
                     )
-                imm = (self._labels[target] - address) // 4
+                else:
+                    imm = (label_address - address) // 4
             instruction = Instruction(
                 mnemonic, rd=fields["rd"], ra=fields["ra"],
                 rb=fields["rb"], imm=imm,

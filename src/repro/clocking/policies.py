@@ -12,10 +12,10 @@ Every policy offers two equivalent entry points:
   view of the controller; also the reference semantics);
 - ``periods_for(compiled_trace)`` — the whole trace at once, as a NumPy
   array, driven by the :class:`~repro.dta.compiled.CompiledTrace` class-id
-  matrix.  LUT policies reduce to integer fancy-indexing into a
-  class×stage table gathered from the LUT's dense matrix
-  (:meth:`~repro.dta.lut.DelayLUT.dense`, built once per LUT; the ex-only
-  floor and the two-class fast period reduce over it too); the genie
+  matrix.  LUT policies gather from a class×stage table built off the
+  LUT's dense matrix (:meth:`~repro.dta.lut.DelayLUT.dense`, built once
+  per LUT; the ex-only floor and the two-class fast period reduce over it
+  too), one stage column at a time (:func:`fold_stages`); the genie
   reduces to a row-wise max of the compiled delay matrix.  Results are
   bit-identical to the scalar path (same table values, same float
   operations).
@@ -24,6 +24,25 @@ Every policy offers two equivalent entry points:
 import numpy as np
 
 from repro.sim.trace import Stage
+
+
+def fold_stages(columns, class_ids, combine):
+    """Fold ``combine`` over the stages of a cycle × stage gather.
+
+    ``columns[s]`` is a per-class vector for stage ``s``; the result's
+    cycle ``t`` is ``combine`` over every stage ``s`` of
+    ``columns[s][class_ids[t, s]]``.  One 1-D ``take`` per stage column,
+    folded in place, is several times cheaper than a ``(cycles,
+    stages)`` fancy gather reduced over its stage axis, and equal to it
+    bit for bit when ``combine`` is exact (``np.maximum``,
+    ``np.logical_or``).  ``class_ids`` may be a trace's, a window's
+    slice of it, or the narrow int ids of a store-rehydrated trace.
+    """
+    folded = columns[0].take(class_ids[:, 0])
+    for stage in range(1, class_ids.shape[1]):
+        combine(folded, columns[stage].take(class_ids[:, stage]),
+                out=folded)
+    return folded
 
 
 def _worst(entries):
@@ -68,7 +87,7 @@ class InstructionLutPolicy:
 
     def periods_for(self, compiled_trace):
         table = compiled_trace.class_table(self.lut)
-        return compiled_trace.stage_periods(table).max(axis=1)
+        return fold_stages(table.T, compiled_trace.class_ids, np.maximum)
 
 
 class ExOnlyLutPolicy:
@@ -167,7 +186,10 @@ class TwoClassPolicy:
             [self._is_slow(cls) for cls in compiled_trace.class_names],
             dtype=bool,
         )
-        any_slow = slow[compiled_trace.class_ids].any(axis=1)
+        class_ids = compiled_trace.class_ids
+        any_slow = fold_stages(
+            [slow] * class_ids.shape[1], class_ids, np.logical_or
+        )
         return np.where(
             any_slow, float(self.slow_period_ps), float(self.fast_period_ps)
         )

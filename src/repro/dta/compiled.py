@@ -31,6 +31,7 @@ from repro.obs.trace import span as obs_span
 from repro.sim.spec import DEFAULT_MAX_CYCLES, DEFAULT_SPEC, get_pipeline_spec
 from repro.sim.trace import Stage
 from repro.timing.profiles import BUBBLE_CLASS
+from repro.utils.keys import HashedTuple
 
 #: Number of canonical pipeline stage groups.  Matrices of the default
 #: spec are exactly this wide; other specs carry ``spec.num_stages``
@@ -219,12 +220,6 @@ class CompiledTrace:
         )
         return matrix[rows[:, None], self.pipeline_spec.group_of]
 
-    def stage_periods(self, table):
-        """Gather a class×stage ``table`` along the trace: element
-        ``[t, s]`` is the table entry of the class driving stage ``s`` in
-        cycle ``t``."""
-        return table[self.class_ids, np.arange(self.class_ids.shape[1])]
-
     def class_name_at(self, cycle, stage):
         """Driver class of one (cycle, stage) cell — for violation reports."""
         return self.class_names[self.class_ids[cycle, stage]]
@@ -370,12 +365,15 @@ def compile_vector_run(run, excitation):
     held[:, 0] = held[:, ex_index]
 
     # intern in first-encounter order over the row-major class matrix —
-    # exactly the order compile_trace's per-record walk produces (one
-    # equality scan per distinct code, a few dozen at most, instead of
-    # sorting every cell)
+    # exactly the order compile_trace's per-record walk produces: one
+    # unbuffered pass takes every code's first cell (a stable sort of
+    # every cell, np.unique(..., return_index=True), is several times
+    # slower on these few-code matrices)
     flat = codes.ravel()
-    unique = np.flatnonzero(np.bincount(flat, minlength=bubble_code + 1))
-    order = np.argsort([int((flat == code).argmax()) for code in unique])
+    first = np.full(bubble_code + 1, flat.size)
+    np.minimum.at(first, flat, np.arange(flat.size))
+    unique = np.flatnonzero(first < flat.size)
+    order = np.argsort(first[unique])
     remap = np.empty(bubble_code + 1, dtype=np.int32)
     remap[unique[order]] = np.arange(len(order), dtype=np.int32)
     class_ids = remap[codes]
@@ -509,20 +507,23 @@ def reset_simulation_count():
 def _program_key(program):
     """Content key: programs are often re-assembled per sweep, so
     identity-based caching would always miss.  The full words tuple (not
-    its hash) is the key, so distinct programs can never alias."""
+    its hash) is the key, so distinct programs can never alias; it
+    hashes once, here, for this key and the decode image's."""
     return (
         program.name,
         program.entry,
-        tuple(sorted(program.words.items())),
+        HashedTuple(sorted(program.words.items())),
     )
 
 
 def trace_key(program, design, max_cycles=DEFAULT_MAX_CYCLES):
     """The in-memory cache key of one compiled trace.  Deriving it sorts
-    the program's words, so a caller that asks several questions about
-    one program (the streaming engine: cached?, compile, evict) derives
-    it once and passes it as ``key=``."""
-    return (_program_key(program), _design_key(design), max_cycles)
+    and hashes the program's words, so a caller that asks several
+    questions about one program (the streaming engine: cached?, compile,
+    evict) derives it once and passes it as ``key=``."""
+    return HashedTuple(
+        (_program_key(program), _design_key(design), max_cycles)
+    )
 
 
 def _design_key(design):

@@ -60,6 +60,7 @@ from repro.isa.registers import REG_LINK
 from repro.obs.trace import span as obs_span
 from repro.sim.memory import Memory
 from repro.sim.state import ArchState
+from repro.utils.keys import HashedTuple
 
 _MASK = 0xFFFFFFFF
 
@@ -540,8 +541,10 @@ def discard_image(image):
 
 def _image_key(program, words=None):
     if words is None:
-        words = tuple(sorted(program.words.items()))
-    return (program.entry, words, tuple(sorted(program.instructions)))
+        words = HashedTuple(sorted(program.words.items()))
+    return HashedTuple(
+        (program.entry, words, tuple(sorted(program.instructions)))
+    )
 
 
 def image_for(program, words=None):

@@ -39,8 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.frame import ADAPT_SCHEMA, EVALUATION_SCHEMA, ResultFrame
-from repro.api.session import Session, evaluation_row
+from repro.api.frame import ADAPT_SCHEMA, ResultFrame
+# evaluation_row is not called here; it stays importable from this module,
+# where perfbench/layers.py probes it as the stream's frame-build layer
+from repro.api.session import Session, evaluation_row  # noqa: F401
 from repro.clocking.controller import ClockAdjustmentController
 from repro.dta.compiled import (
     discard_compiled_trace,
@@ -320,20 +322,17 @@ class StreamingSession:
             )
         concrete = session._materialize(specs)
         callback = on_window if on_window is not None else self.on_window
-        rows_per_config = [[] for _ in concrete]
+        grid = [[] for _ in concrete]
         with session._scope("stream.evaluate", configs=len(concrete),
                             window=self.window_cycles or 0), \
                 session._attached_store():
             for program in _iter_programs(source):
                 self._evaluate_program(
-                    program, specs, concrete, rows_per_config, callback
+                    program, specs, concrete, grid, callback
                 )
-        rows = [row for config_rows in rows_per_config
-                for row in config_rows]
-        return ResultFrame.from_rows(rows, EVALUATION_SCHEMA)
+        return session._evaluation_frame(specs, concrete, grid)
 
-    def _evaluate_program(self, program, specs, concrete, rows_per_config,
-                          callback):
+    def _evaluate_program(self, program, specs, concrete, grid, callback):
         session = self.session
         compiled = self._compile(program)
         controllers = []
@@ -361,8 +360,7 @@ class StreamingSession:
                 )
                 self._emit(callback, window, frame)
         obs_metrics.inc("stream.programs")
-        for ci, (spec, config, controller) in enumerate(
-                zip(specs, concrete, controllers)):
+        for ci, controller in enumerate(controllers):
             stats = controller.stats
             result = EvaluationResult(
                 program_name=compiled.program_name,
@@ -379,9 +377,7 @@ class StreamingSession:
                 switch_rate=stats.switch_rate,
                 violations=violations[ci],
             )
-            rows_per_config[ci].append(self._evaluation_row(
-                result, spec, config
-            ))
+            grid[ci].append(result)
 
     def _windows(self, compiled, span_name):
         for window in iter_windows(compiled, self.window_cycles):
@@ -390,30 +386,12 @@ class StreamingSession:
                 self._observe_window(window)
                 yield window
 
-    def _evaluation_row(self, result, spec, config):
-        session = self.session
-        policy = getattr(spec, "policy", None)
-        generator = session._generator_name(spec, config)
-        return evaluation_row(
-            result,
-            variant=session.variant,
-            voltage=session.voltage,
-            config_label=config.label or session._fallback_label(
-                result.policy_name, generator, config.margin_percent
-            ),
-            policy=(policy if isinstance(policy, str)
-                    else result.policy_name),
-            generator=generator,
-            margin_percent=config.margin_percent,
-            pipeline_spec=session.pipeline_spec.name,
-        )
-
     def _rolling_frame(self, compiled, specs, concrete, controllers,
                        rolling, violations):
-        rows = []
-        for spec, config, controller, stats, viol in zip(
-                specs, concrete, controllers, rolling, violations):
-            result = EvaluationResult(
+        grid = []
+        for controller, stats, viol in zip(controllers, rolling,
+                                           violations):
+            grid.append([EvaluationResult(
                 program_name=compiled.program_name,
                 policy_name=getattr(
                     controller.policy, "name",
@@ -427,9 +405,8 @@ class StreamingSession:
                 max_period_ps=stats.max_period_ps,
                 switch_rate=stats.switch_rate,
                 violations=viol,
-            )
-            rows.append(self._evaluation_row(result, spec, config))
-        return ResultFrame.from_rows(rows, EVALUATION_SCHEMA)
+            )])
+        return self.session._evaluation_frame(specs, concrete, grid)
 
     # -- drift adaptation ----------------------------------------------------
 

@@ -117,10 +117,6 @@ class TraceWindow:
             memo = self._tables[id(lut)] = (lut, table)
         return memo[1]
 
-    def stage_periods(self, table):
-        """Gather a class×stage ``table`` along the window's cycles."""
-        return table[self.class_ids, np.arange(self.class_ids.shape[1])]
-
     def class_name_at(self, cycle, stage):
         """Driver class of one window-local (cycle, stage) cell."""
         return self.class_names[self.class_ids[cycle, stage]]

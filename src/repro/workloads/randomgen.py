@@ -9,12 +9,17 @@ instruction mix is interleaved with per-class worst-pattern idioms (e.g.
 all-ones multiplier operands, carry-propagating adds, high-address memory
 accesses) and guaranteed-taken control transfers of every kind.
 
-The generated program is plain OR1K assembly and runs on both simulators.
+The generator emits instructions straight into a
+:class:`~repro.asm.builder.ProgramBuilder`, which resolves the labels
+after layout and encodes the words; the test oracle keeps the same
+generator as assembly text, and the two programs are equal word for
+word.
 """
 
 from functools import lru_cache
 
-from repro.asm import assemble
+from repro.asm.builder import ProgramBuilder
+from repro.asm.program import DATA_BASE
 from repro.utils.rng import RngStream, WeightedChoice
 
 #: Registers reserved by the generator (never used as destinations).
@@ -55,127 +60,121 @@ _MIX_CHOICE = WeightedChoice(
 _SCRATCH_WORDS = 64
 
 
-class _Emitter:
-    def __init__(self):
-        self.lines = []
+class _Emitter(ProgramBuilder):
+    """A :class:`ProgramBuilder` that also numbers the generator's
+    labels."""
+
+    def __init__(self, name):
+        super().__init__(name)
         self._label_index = 0
 
-    def emit(self, text):
-        self.lines.append(f"    {text}")
-
-    def label(self, prefix="gl"):
+    def fresh(self, prefix):
         name = f"{prefix}_{self._label_index}"
         self._label_index += 1
         return name
 
-    def place(self, name):
-        self.lines.append(f"{name}:")
-
-    def source(self):
-        return "\n".join(self.lines)
-
 
 def _emit_prologue(out, repeats):
-    out.place("start")
-    out.emit(f"l.movhi r{_REG_SCRATCH_BASE}, hi(scratch)")
-    out.emit(f"l.ori   r{_REG_SCRATCH_BASE}, r{_REG_SCRATCH_BASE}, lo(scratch)")
-    out.emit(f"l.movhi r{_REG_HIGH_BASE}, 0xffff")
-    out.emit(f"l.ori   r{_REG_HIGH_BASE}, r{_REG_HIGH_BASE}, 0xfff0")
-    out.emit(f"l.movhi r{_REG_ALL_ONES}, 0xffff")
-    out.emit(f"l.ori   r{_REG_ALL_ONES}, r{_REG_ALL_ONES}, 0xffff")
-    out.emit(f"l.addi  r{_REG_ONE}, r0, 1")
-    out.emit(f"l.addi  r{_REG_REPEAT}, r0, {repeats}")
+    out.label("start")
+    out.op("l.movhi", rd=_REG_SCRATCH_BASE, target="scratch", half="hi")
+    out.op("l.ori", rd=_REG_SCRATCH_BASE, ra=_REG_SCRATCH_BASE,
+           target="scratch", half="lo")
+    out.op("l.movhi", rd=_REG_HIGH_BASE, imm=0xFFFF)
+    out.op("l.ori", rd=_REG_HIGH_BASE, ra=_REG_HIGH_BASE, imm=0xFFF0)
+    out.op("l.movhi", rd=_REG_ALL_ONES, imm=0xFFFF)
+    out.op("l.ori", rd=_REG_ALL_ONES, ra=_REG_ALL_ONES, imm=0xFFFF)
+    out.op("l.addi", rd=_REG_ONE, imm=1)
+    out.op("l.addi", rd=_REG_REPEAT, imm=repeats)
     for index, reg in enumerate(_GP_REGS):
-        out.emit(f"l.addi  r{reg}, r0, {(index * 1237 + 11) % 4000}")
-    out.place("outer_loop")
+        out.op("l.addi", rd=reg, imm=(index * 1237 + 11) % 4000)
+    out.label("outer_loop")
 
 
 def _emit_epilogue(out):
-    out.emit(f"l.addi  r{_REG_REPEAT}, r{_REG_REPEAT}, -1")
-    out.emit(f"l.sfgtsi r{_REG_REPEAT}, 0")
-    out.emit("l.bf    outer_loop")
-    out.emit("l.nop")
-    out.emit("l.nop   0x1")
-    out.emit("l.nop")
-    out.emit("l.nop")
-    out.lines.append(".data")
-    out.place("scratch")
-    out.emit(f".space {_SCRATCH_WORDS * 4}")
+    out.op("l.addi", rd=_REG_REPEAT, ra=_REG_REPEAT, imm=-1)
+    out.op("l.sfgtsi", ra=_REG_REPEAT, imm=0)
+    out.op("l.bf", target="outer_loop")
+    out.op("l.nop")
+    out.op("l.nop", imm=1)
+    out.op("l.nop")
+    out.op("l.nop")
+    out.org(DATA_BASE)
+    out.label("scratch")
+    for _ in range(_SCRATCH_WORDS):
+        out.word(0)
+
+
+#: One worst-case excitation per timing class (the directed part), as
+#: ``(mnemonic, rd, ra, rb, imm)``.  These idioms make the extracted LUT
+#: converge to the profile's true per-class worst cases (see
+#: repro.timing.excitation.is_worst_pattern).
+_ONES = _REG_ALL_ONES
+_HIGH = _REG_HIGH_BASE
+_WORST_PATTERNS = (
+    ("l.add", 5, _ONES, _ONES, 0),         # full carry chain
+    ("l.addi", 6, _ONES, 0, -1),
+    ("l.sub", 7, _ONES, _ONES, 0),
+    ("l.and", 5, _ONES, _ONES, 0),
+    ("l.andi", 6, _ONES, 0, 0xFFFF),
+    ("l.or", 7, _ONES, _ONES, 0),
+    ("l.xor", 5, _ONES, _ONES, 0),
+    ("l.xori", 6, _ONES, 0, -1),
+    ("l.sll", 7, _ONES, _REG_ONE, 0),
+    ("l.slli", 5, _ONES, 0, 31),
+    ("l.srl", 6, _ONES, _REG_ONE, 0),
+    ("l.srli", 7, _ONES, 0, 31),
+    ("l.sra", 5, _ONES, _REG_ONE, 0),
+    ("l.srai", 6, _ONES, 0, 31),
+    ("l.ror", 7, _ONES, _REG_ONE, 0),
+    ("l.rori", 5, _ONES, 0, 13),
+    ("l.mul", 6, _ONES, _ONES, 0),         # worst multiplier operands
+    ("l.muli", 7, _ONES, 0, -1),
+    ("l.mulu", 5, _ONES, _ONES, 0),
+    ("l.div", 6, _ONES, _REG_ONE, 0),      # longest divider sequence
+    ("l.divu", 7, _ONES, _REG_ONE, 0),
+    ("l.lwz", 5, _HIGH, 0, 0),             # worst-case address lines
+    ("l.lbz", 6, _HIGH, 0, 1),
+    ("l.lhz", 7, _HIGH, 0, 2),
+    ("l.sw", 0, _HIGH, _ONES, 4),
+    ("l.sb", 0, _HIGH, _ONES, 8),
+    ("l.sh", 0, _HIGH, _ONES, 10),
+    ("l.sfeq", 0, _ONES, _ONES, 0),
+    ("l.sfgtu", 0, _ONES, _ONES, 0),
+    ("l.movhi", 5, 0, 0, 0xFFFF),
+    ("l.cmov", 6, _ONES, _ONES, 0),
+    ("l.exths", 7, _ONES, 0, 0),
+    ("l.extbz", 5, _ONES, 0, 0),
+    ("l.ff1", 6, _ONES, 0, 0),
+)
 
 
 def _worst_pattern_idioms(out):
-    """Emit one worst-case excitation per timing class (directed part).
-
-    These idioms make the extracted LUT converge to the profile's true
-    per-class worst cases (see repro.timing.excitation.is_worst_pattern).
-    """
-    ones = f"r{_REG_ALL_ONES}"
-    high = f"r{_REG_HIGH_BASE}"
-    out.emit(f"l.add   r5, {ones}, {ones}")      # full carry chain
-    out.emit(f"l.addi  r6, {ones}, -1")
-    out.emit(f"l.sub   r7, {ones}, {ones}")
-    out.emit(f"l.and   r5, {ones}, {ones}")
-    out.emit(f"l.andi  r6, {ones}, 0xffff")
-    out.emit(f"l.or    r7, {ones}, {ones}")
-    out.emit(f"l.xor   r5, {ones}, {ones}")
-    out.emit(f"l.xori  r6, {ones}, -1")
-    out.emit(f"l.sll   r7, {ones}, r{_REG_ONE}")
-    out.emit(f"l.slli  r5, {ones}, 31")
-    out.emit(f"l.srl   r6, {ones}, r{_REG_ONE}")
-    out.emit(f"l.srli  r7, {ones}, 31")
-    out.emit(f"l.sra   r5, {ones}, r{_REG_ONE}")
-    out.emit(f"l.srai  r6, {ones}, 31")
-    out.emit(f"l.ror   r7, {ones}, r{_REG_ONE}")
-    out.emit(f"l.rori  r5, {ones}, 13")
-    out.emit(f"l.mul   r6, {ones}, {ones}")      # worst multiplier operands
-    out.emit(f"l.muli  r7, {ones}, -1")
-    out.emit(f"l.mulu  r5, {ones}, {ones}")
-    out.emit(f"l.div   r6, {ones}, r{_REG_ONE}") # longest divider sequence
-    out.emit(f"l.divu  r7, {ones}, r{_REG_ONE}")
-    out.emit(f"l.lwz   r5, 0({high})")           # worst-case address lines
-    out.emit(f"l.lbz   r6, 1({high})")
-    out.emit(f"l.lhz   r7, 2({high})")
-    out.emit(f"l.sw    4({high}), {ones}")
-    out.emit(f"l.sb    8({high}), {ones}")
-    out.emit(f"l.sh    10({high}), {ones}")
-    out.emit(f"l.sfeq  {ones}, {ones}")
-    out.emit(f"l.sfgtu {ones}, {ones}")
-    out.emit("l.movhi r5, 0xffff")
-    out.emit(f"l.cmov  r6, {ones}, {ones}")
-    out.emit(f"l.exths r7, {ones}")
-    out.emit(f"l.extbz r5, {ones}")
-    out.emit(f"l.ff1   r6, {ones}")
-    # guaranteed-taken control transfers of every kind
-    taken_bf = out.label("bf")
-    out.emit("l.sfeq  r0, r0")                   # flag := 1
-    out.emit(f"l.bf    {taken_bf}")
-    out.emit("l.nop")
-    out.place(taken_bf)
-    taken_bnf = out.label("bnf")
-    out.emit("l.sfne  r0, r0")                   # flag := 0
-    out.emit(f"l.bnf   {taken_bnf}")
-    out.emit("l.nop")
-    out.place(taken_bnf)
-    target_j = out.label("j")
-    out.emit(f"l.j     {target_j}")
-    out.emit("l.nop")
-    out.place(target_j)
-    target_jal = out.label("jal")
-    out.emit(f"l.jal   {target_jal}")
-    out.emit("l.nop")
-    out.place(target_jal)
-    target_jr = out.label("jr")
-    out.emit(f"l.movhi r7, hi({target_jr})")
-    out.emit(f"l.ori   r7, r7, lo({target_jr})")
-    out.emit("l.jr    r7")
-    out.emit("l.nop")
-    out.place(target_jr)
-    target_jalr = out.label("jalr")
-    out.emit(f"l.movhi r7, hi({target_jalr})")
-    out.emit(f"l.ori   r7, r7, lo({target_jalr})")
-    out.emit("l.jalr  r7")
-    out.emit("l.nop")
-    out.place(target_jalr)
+    """Emit the worst-case excitations, then guaranteed-taken control
+    transfers of every kind."""
+    for mnemonic, rd, ra, rb, imm in _WORST_PATTERNS:
+        out.op(mnemonic, rd, ra, rb, imm)
+    taken_bf = out.fresh("bf")
+    out.op("l.sfeq")                             # flag := 1
+    out.op("l.bf", target=taken_bf)
+    out.op("l.nop")
+    out.label(taken_bf)
+    taken_bnf = out.fresh("bnf")
+    out.op("l.sfne")                             # flag := 0
+    out.op("l.bnf", target=taken_bnf)
+    out.op("l.nop")
+    out.label(taken_bnf)
+    for kind in ("j", "jal"):
+        target = out.fresh(kind)
+        out.op(f"l.{kind}", target=target)
+        out.op("l.nop")
+        out.label(target)
+    for kind in ("jr", "jalr"):
+        target = out.fresh(kind)
+        out.op("l.movhi", rd=7, target=target, half="hi")
+        out.op("l.ori", rd=7, ra=7, target=target, half="lo")
+        out.op(f"l.{kind}", rb=7)
+        out.op("l.nop")
+        out.label(target)
 
 
 def _random_instruction(out, rng):
@@ -183,60 +182,61 @@ def _random_instruction(out, rng):
     rd = rng.choice(_GP_REGS)
     ra = rng.choice(_SOURCE_REGS)
     rb = rng.choice(_SOURCE_REGS)
+    base = _REG_SCRATCH_BASE
 
     if mnemonic in ("l.lwz", "l.sw"):
         offset = 4 * rng.integers(0, _SCRATCH_WORDS)
         if mnemonic == "l.lwz":
-            out.emit(f"l.lwz   r{rd}, {offset}(r{_REG_SCRATCH_BASE})")
+            out.op("l.lwz", rd=rd, ra=base, imm=offset)
         else:
-            out.emit(f"l.sw    {offset}(r{_REG_SCRATCH_BASE}), r{rb}")
+            out.op("l.sw", ra=base, rb=rb, imm=offset)
     elif mnemonic in ("l.lhz", "l.lhs", "l.sh"):
         offset = 2 * rng.integers(0, 2 * _SCRATCH_WORDS)
         if mnemonic == "l.sh":
-            out.emit(f"l.sh    {offset}(r{_REG_SCRATCH_BASE}), r{rb}")
+            out.op("l.sh", ra=base, rb=rb, imm=offset)
         else:
-            out.emit(f"{mnemonic} r{rd}, {offset}(r{_REG_SCRATCH_BASE})")
+            out.op(mnemonic, rd=rd, ra=base, imm=offset)
     elif mnemonic in ("l.lbz", "l.lbs", "l.sb"):
         offset = rng.integers(0, 4 * _SCRATCH_WORDS)
         if mnemonic == "l.sb":
-            out.emit(f"l.sb    {offset}(r{_REG_SCRATCH_BASE}), r{rb}")
+            out.op("l.sb", ra=base, rb=rb, imm=offset)
         else:
-            out.emit(f"{mnemonic} r{rd}, {offset}(r{_REG_SCRATCH_BASE})")
+            out.op(mnemonic, rd=rd, ra=base, imm=offset)
     elif mnemonic in ("l.slli", "l.srli", "l.srai", "l.rori"):
-        out.emit(f"{mnemonic} r{rd}, r{ra}, {rng.integers(0, 32)}")
+        out.op(mnemonic, rd=rd, ra=ra, imm=rng.integers(0, 32))
     elif mnemonic in ("l.addi", "l.muli", "l.xori"):
-        out.emit(f"{mnemonic} r{rd}, r{ra}, {rng.integers(-2048, 2048)}")
+        out.op(mnemonic, rd=rd, ra=ra, imm=rng.integers(-2048, 2048))
     elif mnemonic in ("l.andi", "l.ori"):
-        out.emit(f"{mnemonic} r{rd}, r{ra}, {rng.integers(0, 65536)}")
+        out.op(mnemonic, rd=rd, ra=ra, imm=rng.integers(0, 65536))
     elif mnemonic == "l.movhi":
-        out.emit(f"l.movhi r{rd}, {rng.integers(0, 65536)}")
+        out.op("l.movhi", rd=rd, imm=rng.integers(0, 65536))
     elif mnemonic in ("l.exths", "l.extbs", "l.exthz", "l.extbz", "l.ff1"):
-        out.emit(f"{mnemonic} r{rd}, r{ra}")
+        out.op(mnemonic, rd=rd, ra=ra)
     elif mnemonic in ("l.sfgtsi", "l.sfltui"):
-        imm = rng.integers(0, 2048)
-        out.emit(f"{mnemonic} r{ra}, {imm}")
+        out.op(mnemonic, ra=ra, imm=rng.integers(0, 2048))
     elif mnemonic in ("l.sfeq", "l.sfne", "l.sfgts", "l.sfltu"):
-        out.emit(f"{mnemonic} r{ra}, r{rb}")
+        out.op(mnemonic, ra=ra, rb=rb)
     elif mnemonic == "l.nop":
-        out.emit("l.nop")
+        out.op("l.nop")
     else:   # three-register ALU forms
-        out.emit(f"{mnemonic} r{rd}, r{ra}, r{rb}")
+        out.op(mnemonic, rd=rd, ra=ra, rb=rb)
 
 
 def _random_skip_branch(out, rng):
     """A data-dependent conditional branch over a couple of instructions."""
-    label = out.label("skip")
+    label = out.fresh("skip")
     ra = rng.choice(_GP_REGS)
-    out.emit(f"l.sfgtsi r{ra}, {rng.integers(0, 4000)}")
-    out.emit(f"{'l.bf' if rng.uniform() < 0.5 else 'l.bnf'}    {label}")
-    out.emit("l.nop")
+    out.op("l.sfgtsi", ra=ra, imm=rng.integers(0, 4000))
+    out.op("l.bf" if rng.uniform() < 0.5 else "l.bnf", target=label)
+    out.op("l.nop")
     for _ in range(rng.integers(1, 4)):
         _random_instruction(out, rng)
-    out.place(label)
+    out.label(label)
 
 
-def generate_characterization_source(seed=1, length=1200, repeats=3):
-    """Generate the assembly text of a characterisation program.
+@lru_cache(maxsize=64)
+def generate_characterization_program(seed=1, length=1200, repeats=3):
+    """Generate a characterisation program, encoded straight to words.
 
     Parameters
     ----------
@@ -247,9 +247,13 @@ def generate_characterization_source(seed=1, length=1200, repeats=3):
     repeats:
         Outer-loop count: the same static code runs ``repeats`` times with
         evolving register contents, multiplying dynamic coverage.
+
+    Generation is deterministic in its arguments, so the ``Program`` is
+    memoised per process — the same sharing contract as
+    ``Kernel.program()`` (callers must not mutate the image).
     """
     rng = RngStream(f"chargen/{seed}", root_seed=0xC0FFEE ^ seed)
-    out = _Emitter()
+    out = _Emitter(f"chargen-{seed}")
     _emit_prologue(out, repeats)
     emitted = 0
     while emitted < length:
@@ -263,21 +267,7 @@ def generate_characterization_source(seed=1, length=1200, repeats=3):
             _random_instruction(out, rng)
             emitted += 1
     _emit_epilogue(out)
-    return out.source()
-
-
-@lru_cache(maxsize=64)
-def generate_characterization_program(seed=1, length=1200, repeats=3):
-    """Generate and assemble a characterisation program.
-
-    Generation is deterministic in its arguments, so the assembled
-    ``Program`` is memoised per process — the same sharing contract as
-    ``Kernel.program()`` (callers must not mutate the image).
-    """
-    source = generate_characterization_source(
-        seed=seed, length=length, repeats=repeats
-    )
-    return assemble(source, name=f"chargen-{seed}")
+    return out.build()
 
 
 def stream_seed(seed, index):

@@ -37,7 +37,10 @@ pytest); scripts outside ``tests/`` load it by file path.
   reference for ``repro.dta.histograms.class_stage_delays``);
 - :func:`assert_results_identical` — the field-for-field comparator;
 - :func:`reference_image` — the per-instruction decode of a program image
-  (the reference for ``repro.sim.predecode.DecodedImage``).
+  (the reference for ``repro.sim.predecode.DecodedImage``);
+- :func:`characterization_source` — a characterisation program as
+  assembly text, for the assembler (the reference for the directly
+  encoded ``repro.workloads.randomgen`` programs).
 """
 
 from collections.abc import Mapping
@@ -98,6 +101,18 @@ from repro.utils.bitops import (
     sign_extend,
     to_signed32,
     to_unsigned32,
+)
+from repro.utils.rng import RngStream
+from repro.workloads.randomgen import (
+    _GP_REGS,
+    _MIX_CHOICE,
+    _REG_ALL_ONES,
+    _REG_HIGH_BASE,
+    _REG_ONE,
+    _REG_REPEAT,
+    _REG_SCRATCH_BASE,
+    _SCRATCH_WORDS,
+    _SOURCE_REGS,
 )
 from repro.workloads.suite import characterization_suite
 
@@ -1607,3 +1622,222 @@ def reference_image(program):
         np_kind=np_kind, np_dest=np_dest, np_src=np_src, np_mnem=np_mnem,
         lookup=lookup, sparse=sparse, memory_proto=memory,
     )
+
+
+# -- the text characterisation generator ---------------------------------------
+#
+# repro.workloads.randomgen emits Instruction records and encodes them
+# itself; this is the same generator as assembly text, the reference for
+# it: same draws in the same order, labels and hi()/lo() resolved by the
+# assembler.
+
+
+class _TextEmitter:
+    def __init__(self):
+        self.lines = []
+        self._label_index = 0
+
+    def emit(self, text):
+        self.lines.append(f"    {text}")
+
+    def label(self, prefix="gl"):
+        name = f"{prefix}_{self._label_index}"
+        self._label_index += 1
+        return name
+
+    def place(self, name):
+        self.lines.append(f"{name}:")
+
+    def source(self):
+        return "\n".join(self.lines)
+
+
+def _text_prologue(out, repeats):
+    out.place("start")
+    out.emit(f"l.movhi r{_REG_SCRATCH_BASE}, hi(scratch)")
+    out.emit(f"l.ori   r{_REG_SCRATCH_BASE}, r{_REG_SCRATCH_BASE}, lo(scratch)")
+    out.emit(f"l.movhi r{_REG_HIGH_BASE}, 0xffff")
+    out.emit(f"l.ori   r{_REG_HIGH_BASE}, r{_REG_HIGH_BASE}, 0xfff0")
+    out.emit(f"l.movhi r{_REG_ALL_ONES}, 0xffff")
+    out.emit(f"l.ori   r{_REG_ALL_ONES}, r{_REG_ALL_ONES}, 0xffff")
+    out.emit(f"l.addi  r{_REG_ONE}, r0, 1")
+    out.emit(f"l.addi  r{_REG_REPEAT}, r0, {repeats}")
+    for index, reg in enumerate(_GP_REGS):
+        out.emit(f"l.addi  r{reg}, r0, {(index * 1237 + 11) % 4000}")
+    out.place("outer_loop")
+
+
+def _text_epilogue(out):
+    out.emit(f"l.addi  r{_REG_REPEAT}, r{_REG_REPEAT}, -1")
+    out.emit(f"l.sfgtsi r{_REG_REPEAT}, 0")
+    out.emit("l.bf    outer_loop")
+    out.emit("l.nop")
+    out.emit("l.nop   0x1")
+    out.emit("l.nop")
+    out.emit("l.nop")
+    out.lines.append(".data")
+    out.place("scratch")
+    out.emit(f".space {_SCRATCH_WORDS * 4}")
+
+
+def _text_idioms(out):
+    """Emit one worst-case excitation per timing class (directed part).
+
+    These idioms make the extracted LUT converge to the profile's true
+    per-class worst cases (see repro.timing.excitation.is_worst_pattern).
+    """
+    ones = f"r{_REG_ALL_ONES}"
+    high = f"r{_REG_HIGH_BASE}"
+    out.emit(f"l.add   r5, {ones}, {ones}")      # full carry chain
+    out.emit(f"l.addi  r6, {ones}, -1")
+    out.emit(f"l.sub   r7, {ones}, {ones}")
+    out.emit(f"l.and   r5, {ones}, {ones}")
+    out.emit(f"l.andi  r6, {ones}, 0xffff")
+    out.emit(f"l.or    r7, {ones}, {ones}")
+    out.emit(f"l.xor   r5, {ones}, {ones}")
+    out.emit(f"l.xori  r6, {ones}, -1")
+    out.emit(f"l.sll   r7, {ones}, r{_REG_ONE}")
+    out.emit(f"l.slli  r5, {ones}, 31")
+    out.emit(f"l.srl   r6, {ones}, r{_REG_ONE}")
+    out.emit(f"l.srli  r7, {ones}, 31")
+    out.emit(f"l.sra   r5, {ones}, r{_REG_ONE}")
+    out.emit(f"l.srai  r6, {ones}, 31")
+    out.emit(f"l.ror   r7, {ones}, r{_REG_ONE}")
+    out.emit(f"l.rori  r5, {ones}, 13")
+    out.emit(f"l.mul   r6, {ones}, {ones}")      # worst multiplier operands
+    out.emit(f"l.muli  r7, {ones}, -1")
+    out.emit(f"l.mulu  r5, {ones}, {ones}")
+    out.emit(f"l.div   r6, {ones}, r{_REG_ONE}") # longest divider sequence
+    out.emit(f"l.divu  r7, {ones}, r{_REG_ONE}")
+    out.emit(f"l.lwz   r5, 0({high})")           # worst-case address lines
+    out.emit(f"l.lbz   r6, 1({high})")
+    out.emit(f"l.lhz   r7, 2({high})")
+    out.emit(f"l.sw    4({high}), {ones}")
+    out.emit(f"l.sb    8({high}), {ones}")
+    out.emit(f"l.sh    10({high}), {ones}")
+    out.emit(f"l.sfeq  {ones}, {ones}")
+    out.emit(f"l.sfgtu {ones}, {ones}")
+    out.emit("l.movhi r5, 0xffff")
+    out.emit(f"l.cmov  r6, {ones}, {ones}")
+    out.emit(f"l.exths r7, {ones}")
+    out.emit(f"l.extbz r5, {ones}")
+    out.emit(f"l.ff1   r6, {ones}")
+    # guaranteed-taken control transfers of every kind
+    taken_bf = out.label("bf")
+    out.emit("l.sfeq  r0, r0")                   # flag := 1
+    out.emit(f"l.bf    {taken_bf}")
+    out.emit("l.nop")
+    out.place(taken_bf)
+    taken_bnf = out.label("bnf")
+    out.emit("l.sfne  r0, r0")                   # flag := 0
+    out.emit(f"l.bnf   {taken_bnf}")
+    out.emit("l.nop")
+    out.place(taken_bnf)
+    target_j = out.label("j")
+    out.emit(f"l.j     {target_j}")
+    out.emit("l.nop")
+    out.place(target_j)
+    target_jal = out.label("jal")
+    out.emit(f"l.jal   {target_jal}")
+    out.emit("l.nop")
+    out.place(target_jal)
+    target_jr = out.label("jr")
+    out.emit(f"l.movhi r7, hi({target_jr})")
+    out.emit(f"l.ori   r7, r7, lo({target_jr})")
+    out.emit("l.jr    r7")
+    out.emit("l.nop")
+    out.place(target_jr)
+    target_jalr = out.label("jalr")
+    out.emit(f"l.movhi r7, hi({target_jalr})")
+    out.emit(f"l.ori   r7, r7, lo({target_jalr})")
+    out.emit("l.jalr  r7")
+    out.emit("l.nop")
+    out.place(target_jalr)
+
+
+def _text_random_instruction(out, rng):
+    mnemonic = rng.draw(_MIX_CHOICE)
+    rd = rng.choice(_GP_REGS)
+    ra = rng.choice(_SOURCE_REGS)
+    rb = rng.choice(_SOURCE_REGS)
+
+    if mnemonic in ("l.lwz", "l.sw"):
+        offset = 4 * rng.integers(0, _SCRATCH_WORDS)
+        if mnemonic == "l.lwz":
+            out.emit(f"l.lwz   r{rd}, {offset}(r{_REG_SCRATCH_BASE})")
+        else:
+            out.emit(f"l.sw    {offset}(r{_REG_SCRATCH_BASE}), r{rb}")
+    elif mnemonic in ("l.lhz", "l.lhs", "l.sh"):
+        offset = 2 * rng.integers(0, 2 * _SCRATCH_WORDS)
+        if mnemonic == "l.sh":
+            out.emit(f"l.sh    {offset}(r{_REG_SCRATCH_BASE}), r{rb}")
+        else:
+            out.emit(f"{mnemonic} r{rd}, {offset}(r{_REG_SCRATCH_BASE})")
+    elif mnemonic in ("l.lbz", "l.lbs", "l.sb"):
+        offset = rng.integers(0, 4 * _SCRATCH_WORDS)
+        if mnemonic == "l.sb":
+            out.emit(f"l.sb    {offset}(r{_REG_SCRATCH_BASE}), r{rb}")
+        else:
+            out.emit(f"{mnemonic} r{rd}, {offset}(r{_REG_SCRATCH_BASE})")
+    elif mnemonic in ("l.slli", "l.srli", "l.srai", "l.rori"):
+        out.emit(f"{mnemonic} r{rd}, r{ra}, {rng.integers(0, 32)}")
+    elif mnemonic in ("l.addi", "l.muli", "l.xori"):
+        out.emit(f"{mnemonic} r{rd}, r{ra}, {rng.integers(-2048, 2048)}")
+    elif mnemonic in ("l.andi", "l.ori"):
+        out.emit(f"{mnemonic} r{rd}, r{ra}, {rng.integers(0, 65536)}")
+    elif mnemonic == "l.movhi":
+        out.emit(f"l.movhi r{rd}, {rng.integers(0, 65536)}")
+    elif mnemonic in ("l.exths", "l.extbs", "l.exthz", "l.extbz", "l.ff1"):
+        out.emit(f"{mnemonic} r{rd}, r{ra}")
+    elif mnemonic in ("l.sfgtsi", "l.sfltui"):
+        imm = rng.integers(0, 2048)
+        out.emit(f"{mnemonic} r{ra}, {imm}")
+    elif mnemonic in ("l.sfeq", "l.sfne", "l.sfgts", "l.sfltu"):
+        out.emit(f"{mnemonic} r{ra}, r{rb}")
+    elif mnemonic == "l.nop":
+        out.emit("l.nop")
+    else:   # three-register ALU forms
+        out.emit(f"{mnemonic} r{rd}, r{ra}, r{rb}")
+
+
+def _text_skip_branch(out, rng):
+    """A data-dependent conditional branch over a couple of instructions."""
+    label = out.label("skip")
+    ra = rng.choice(_GP_REGS)
+    out.emit(f"l.sfgtsi r{ra}, {rng.integers(0, 4000)}")
+    out.emit(f"{'l.bf' if rng.uniform() < 0.5 else 'l.bnf'}    {label}")
+    out.emit("l.nop")
+    for _ in range(rng.integers(1, 4)):
+        _text_random_instruction(out, rng)
+    out.place(label)
+
+
+def characterization_source(seed=1, length=1200, repeats=3):
+    """The assembly text of a characterisation program.
+
+    Parameters
+    ----------
+    seed:
+        Generator seed (deterministic output).
+    length:
+        Approximate number of random-mix instructions per repeat block.
+    repeats:
+        Outer-loop count: the same static code runs ``repeats`` times with
+        evolving register contents, multiplying dynamic coverage.
+    """
+    rng = RngStream(f"chargen/{seed}", root_seed=0xC0FFEE ^ seed)
+    out = _TextEmitter()
+    _text_prologue(out, repeats)
+    emitted = 0
+    while emitted < length:
+        # a directed idiom burst roughly every 120 random instructions
+        if emitted % 120 == 0:
+            _text_idioms(out)
+        if rng.uniform() < 0.08:
+            _text_skip_branch(out, rng)
+            emitted += 3
+        else:
+            _text_random_instruction(out, rng)
+            emitted += 1
+    _text_epilogue(out)
+    return out.source()

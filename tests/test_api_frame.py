@@ -288,20 +288,34 @@ class TestSerialisation:
 
     def test_evaluation_schema_is_runner_row_layout(self):
         # the canonical JSON row and the frame schema must never drift:
-        # the runner row delegates to the one evaluation_row definition,
+        # the runner row delegates to evaluation_row, which derives, as
+        # the column builder does, from the one EVALUATION_FIELDS table,
         # whose fields are exactly the schema columns, in order
         import inspect
 
-        from repro.api.session import evaluation_row
+        from repro.api.session import (
+            EVALUATION_FIELDS,
+            evaluation_frame,
+            evaluation_row,
+        )
+        from repro.flow.evaluate import EvaluationResult
         from repro.lab.runner import result_to_dict
 
+        names = [column.name for column in EVALUATION_SCHEMA]
         assert "evaluation_row" in inspect.getsource(result_to_dict)
-        source = inspect.getsource(evaluation_row)
-        positions = [
-            source.index(f'"{column.name}"')
-            for column in EVALUATION_SCHEMA
-        ]
-        assert positions == sorted(positions)
+        assert [name for name, _, _ in EVALUATION_FIELDS] == names
+        for function in (evaluation_row, evaluation_frame):
+            assert "EVALUATION_FIELDS" in inspect.getsource(function)
+        result = EvaluationResult(
+            program_name="p", policy_name="instruction-lut", num_cycles=4,
+            num_retired=3, total_time_ps=10.0, static_period_ps=3.0,
+            min_period_ps=2.0, max_period_ps=3.0, switch_rate=0.5,
+        )
+        row = evaluation_row(
+            result, variant="conventional", voltage=0.7, config_label="c",
+            policy="instruction", generator="ideal", margin_percent=0.0,
+        )
+        assert list(row) == names
 
 
 def frame_header(text):

@@ -299,6 +299,33 @@ class TestProgramBuilder:
         with pytest.raises(ValueError, match="cannot take a label"):
             builder.build()
 
+    def test_half_word_label_references(self):
+        # forward hi()/lo() references, as the assembler resolves them
+        builder = ProgramBuilder()
+        builder.op("l.movhi", rd=3, target="data", half="hi")
+        builder.op("l.ori", rd=3, ra=3, target="data", half="lo")
+        builder.nop_halt()
+        builder.org(0x12340)
+        builder.label("data")
+        builder.word(7)
+        program = builder.build()
+        expected = assemble(
+            "    l.movhi r3, hi(data)\n"
+            "    l.ori   r3, r3, lo(data)\n"
+            "    l.nop   0x1\n"
+            "    .org 0x12340\n"
+            "data:\n"
+            "    .word 7\n"
+        )
+        assert program.words == expected.words
+        assert program.instructions == expected.instructions
+        assert program.instruction_at(0).imm == 0x1
+        assert program.instruction_at(4).imm == 0x2340
+
+    def test_half_must_be_hi_or_lo(self):
+        with pytest.raises(ValueError, match="half"):
+            ProgramBuilder().op("l.movhi", rd=3, target="x", half="mid")
+
     def test_word_and_org(self):
         builder = ProgramBuilder()
         builder.op("l.nop")

@@ -16,6 +16,8 @@ CLI is a package with one module per command, so a sweep loads
 learned-spec helpers live in ``repro.ml`` itself and the stored LUT is
 wrapped by ``repro.dta.lut.CharacterizationResult``, so neither
 ``repro.ml.model`` nor ``repro.flow.characterize`` loads warm.
+``repro.utils.keys`` loads with ``repro.dta.compiled``: a warm sweep
+still looks its traces up by the hash-once ``trace_key``.
 """
 
 import importlib
@@ -49,8 +51,8 @@ WARM_SWEEP_MODULES = frozenset({
     "repro.sim", "repro.sim.spec", "repro.sim.trace",
     "repro.timing", "repro.timing.design", "repro.timing.excitation",
     "repro.timing.library", "repro.timing.profiles",
-    "repro.utils", "repro.utils.bitops", "repro.utils.rng",
-    "repro.utils.tables", "repro.utils.units",
+    "repro.utils", "repro.utils.bitops", "repro.utils.keys",
+    "repro.utils.rng", "repro.utils.tables", "repro.utils.units",
     "repro.workloads", "repro.workloads._asmutil",
     "repro.workloads.coremark", "repro.workloads.kernels",
     "repro.workloads.kernels.bits", "repro.workloads.kernels.crc",

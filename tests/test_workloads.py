@@ -7,10 +7,8 @@ from repro.sim import simulate
 from repro.sim.state import ArchState
 from repro.workloads import all_kernels, get_kernel
 from repro.workloads.coremark import coremark_reference
-from repro.workloads.randomgen import (
-    generate_characterization_program,
-    generate_characterization_source,
-)
+from repro.asm import assemble
+from repro.workloads.randomgen import generate_characterization_program
 from repro.workloads.suite import (
     BENCHMARK_NAMES,
     benchmark_suite,
@@ -19,7 +17,15 @@ from repro.workloads.suite import (
     suite_names,
 )
 
-from oracle import PipelineSimulator
+from oracle import PipelineSimulator, characterization_source
+
+#: ``(seed, length, repeats)`` cases of the direct-encoding check: the
+#: suite's two programs, the perfbench stream shape, a program shorter
+#: than one idiom burst and a long one.
+GENERATOR_CASES = [
+    (1, 1200, 3), (2, 1200, 3), (7, 400, 2), (42, 400, 2), (123, 50, 1),
+    (99999, 3000, 5),
+]
 
 
 class TestKernelRegistry:
@@ -76,14 +82,37 @@ class TestSuites:
 
 class TestRandomGenerator:
     def test_deterministic(self):
-        a = generate_characterization_source(seed=9, length=150)
-        b = generate_characterization_source(seed=9, length=150)
-        assert a == b
+        # unmemoised, so the two programs are built independently
+        generate = generate_characterization_program.__wrapped__
+        a = generate(seed=9, length=150)
+        b = generate(seed=9, length=150)
+        assert a is not b
+        assert a.words == b.words and a.symbols == b.symbols
 
     def test_seed_sensitivity(self):
-        a = generate_characterization_source(seed=1, length=150)
-        b = generate_characterization_source(seed=2, length=150)
-        assert a != b
+        generate = generate_characterization_program.__wrapped__
+        a = generate(seed=1, length=150)
+        b = generate(seed=2, length=150)
+        assert a.words != b.words
+
+    @pytest.mark.parametrize("seed, length, repeats", GENERATOR_CASES)
+    def test_direct_encoding_equals_assembled_text(self, seed, length,
+                                                   repeats):
+        expected = assemble(characterization_source(seed, length, repeats),
+                            name=f"chargen-{seed}")
+        program = generate_characterization_program.__wrapped__(
+            seed=seed, length=length, repeats=repeats
+        )
+        assert program.name == expected.name
+        assert program.entry == expected.entry
+        # same items in the same insertion order
+        assert list(program.words.items()) == list(expected.words.items())
+        assert list(program.instructions.items()) == list(
+            expected.instructions.items()
+        )
+        assert list(program.symbols.items()) == list(
+            expected.symbols.items()
+        )
 
     def test_runs_to_halt_on_both_models(self):
         program = generate_characterization_program(
