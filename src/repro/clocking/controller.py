@@ -3,13 +3,13 @@
 Combines a prediction policy with a clock-generator model and an optional
 safety margin.  The controller is the hardware block the paper proposes:
 per cycle it reads the LUT delays of the in-flight instructions, forms the
-maximum, and retunes the clock generator.
+maximum, and retunes the clock generator.  It decides a whole compiled
+trace at once: the policy's ``periods_for(compiled_trace)`` and the
+generator's ``quantize_up_array(periods)`` are the one protocol, and a
+policy or generator without them is rejected with :class:`TypeError`
+before any period is granted.
 
-Statistics are computed from the full period sequence
-(:meth:`ControllerStats.from_periods`) in both the scalar and the batch
-path, so the two evaluation engines report bit-identical aggregates.
-
-The array path splits a decision into the policy's *base* period vector
+A decision splits into the policy's *base* period vector
 (:class:`PolicyGather`, one gather per trace) and the per-configuration
 margin and generator applied on top of it, so configurations that share
 a policy share its gather.  A :class:`BatchGather` lays the bases of a
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clocking.generator import check_period, check_periods
+from repro.clocking.generator import check_periods
 
 
 @dataclass
@@ -87,33 +87,37 @@ class ControllerStats:
         return self.cycles == 0
 
 
+def _require(component, method, kind, signature):
+    """:class:`TypeError` unless ``component`` implements ``method``."""
+    if not callable(getattr(component, method, None)):
+        raise TypeError(
+            f"{kind} {type(component).__name__} does not implement "
+            f"{signature}"
+        )
+
+
 class PolicyGather:
     """A policy's base period vector over one trace, gathered once.
 
-    The base is what the policy requests before any margin or generator
-    (``periods_for``, or ``period_for`` per record for scalar-only
-    policies), checked finite and positive.  It is memoised for the last
-    trace seen; the memo holds that trace, so an identity check can never
-    match a different trace that reused a freed one's id.  Every
+    The base is what the policy's ``periods_for`` requests before any
+    margin or generator, checked finite and positive.  It is memoised for
+    the last trace seen; the memo holds that trace, so an identity check
+    can never match a different trace that reused a freed one's id.  Every
     controller handed the same gather reads the same vector; a
     :class:`BatchGather` holds one per trace of a batch.
     """
 
     def __init__(self, policy):
+        _require(policy, "periods_for", "clock policy",
+                 "periods_for(compiled_trace)")
         self.policy = policy
         self._trace = None
         self._base = None
 
     def periods_for(self, compiled_trace):
         if compiled_trace is not self._trace:
-            if hasattr(self.policy, "periods_for"):
-                base = self.policy.periods_for(compiled_trace)
-            else:
-                base = [
-                    self.policy.period_for(record)
-                    for record in compiled_trace.trace.records
-                ]
-            self._base = check_periods(base)
+            self._base = check_periods(
+                self.policy.periods_for(compiled_trace))
             self._trace = compiled_trace
         return self._base
 
@@ -161,12 +165,12 @@ class ClockAdjustmentController:
     Parameters
     ----------
     policy:
-        A prediction policy (``period_for(record)``, and optionally the
-        vectorized ``periods_for(compiled_trace)``), or a
+        A prediction policy (``periods_for(compiled_trace)``), or a
         :class:`PolicyGather` (one trace) or :class:`BatchGather` (a
         batch of traces laid end to end) shared with other controllers.
     generator:
-        Clock-generator model; ``None`` means ideal (continuous).
+        Clock-generator model (``quantize_up_array(periods)``); ``None``
+        means ideal (continuous).
     margin_percent:
         Extra guard band re-inserted on top of the prediction (ablation
         A4); the paper's scheme runs at 0.
@@ -177,52 +181,34 @@ class ClockAdjustmentController:
             raise ValueError("margin cannot be negative")
         if not math.isfinite(margin_percent):
             raise ValueError(f"margin must be finite, got {margin_percent}")
+        if generator is not None:
+            _require(generator, "quantize_up_array", "clock generator",
+                     "quantize_up_array(periods)")
         if not isinstance(policy, (PolicyGather, BatchGather)):
             policy = PolicyGather(policy)
         self.gather = policy
         self.policy = policy.policy
         self.generator = generator
         self.margin = 1.0 + margin_percent / 100.0
-        #: Applied periods in decision order: arrays from
-        #: :meth:`periods_for`, lists of scalar :meth:`period_for` runs.
+        #: Applied period arrays, one per :meth:`periods_for` call.
         self._chunks = []
         self._stats = None
-
-    def period_for(self, record):
-        """Decide the clock period for one cycle and record it."""
-        period = self.policy.period_for(record) * self.margin
-        if self.generator is None:
-            check_period(period)
-        else:
-            period = self.generator.quantize_up(period)
-        if not self._chunks or not isinstance(self._chunks[-1], list):
-            self._chunks.append([])
-        self._chunks[-1].append(period)
-        self._stats = None
-        return period
 
     def periods_for(self, compiled_trace):
         """Decide the periods of a whole compiled trace at once.
 
         Applies margin scaling and generator quantisation element-wise
-        (same operations as :meth:`period_for`) on the gathered base
-        vector and records the sequence for :attr:`stats`.  The base is
-        already checked, and a finite margin of at least 1 keeps it
-        finite and positive, so without a generator no second check is
-        needed.  Handed a :class:`BatchGather`, ``compiled_trace`` is the
+        on the gathered base vector and records the sequence for
+        :attr:`stats`.  The base is already checked, and a finite margin
+        of at least 1 keeps it finite and positive, so without a
+        generator no second check is needed.  Handed a :class:`BatchGather`, ``compiled_trace`` is the
         whole batch and one call decides every program of it.
         """
         periods = self.gather.periods_for(compiled_trace)
         if self.margin != 1.0:   # x * 1.0 == x: no batch-wide copy
             periods = periods * self.margin
         if self.generator is not None:
-            if hasattr(self.generator, "quantize_up_array"):
-                periods = self.generator.quantize_up_array(periods)
-            else:
-                periods = np.array([
-                    self.generator.quantize_up(period)
-                    for period in periods.tolist()
-                ])
+            periods = self.generator.quantize_up_array(periods)
         self._chunks.append(periods)
         self._stats = None
         return periods
@@ -230,13 +216,6 @@ class ClockAdjustmentController:
     @property
     def stats(self):
         if self._stats is None:
-            periods = (
-                np.concatenate(self._chunks, dtype=float)
-                if self._chunks else ()
-            )
+            periods = np.concatenate(self._chunks) if self._chunks else ()
             self._stats = ControllerStats.from_periods(periods)
         return self._stats
-
-    def reset(self):
-        self._chunks = []
-        self._stats = None

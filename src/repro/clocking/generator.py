@@ -9,11 +9,10 @@ of the fine-grained gain survives a realistic generator.
 Every generator guarantees the safety direction: the granted period is
 never shorter than the requested one.
 
-Each generator grants periods one at a time (``quantize_up``, the hardware
-view) or for a whole trace at once (``quantize_up_array``, used by the
-batch evaluation engine).  The array path performs the same float
-operations per element, so grants are bit-identical between the two.
-Both paths reject a non-finite or non-positive request with
+A generator grants a whole period sequence at once
+(``quantize_up_array``), element by element: each grant depends only on
+its own request, so one call may quantise a batch of programs laid end
+to end.  A non-finite or non-positive request is rejected with
 :class:`ClockGeneratorError`: a NaN compares false against every bound,
 so it would otherwise pass through as a "safe" period.
 """
@@ -25,14 +24,6 @@ import numpy as np
 
 class ClockGeneratorError(ValueError):
     """Requested period cannot be granted safely."""
-
-
-def check_period(period_ps):
-    """``period_ps`` if it is finite and positive, else
-    :class:`ClockGeneratorError`."""
-    if not 0 < period_ps < math.inf:
-        raise ClockGeneratorError(f"invalid period {period_ps}")
-    return period_ps
 
 
 def check_periods(periods_ps):
@@ -54,9 +45,6 @@ class IdealClockGenerator:
     """Continuously tunable source: grants exactly the requested period."""
 
     name = "ideal"
-
-    def quantize_up(self, period_ps):
-        return check_period(period_ps)
 
     def quantize_up_array(self, periods_ps):
         return check_periods(periods_ps)
@@ -82,23 +70,10 @@ class TunableRingOscillator:
         self.min_period_ps = min_period_ps
         self.max_period_ps = max_period_ps
 
-    def quantize_up(self, period_ps):
-        check_period(period_ps)
-        clamped = max(period_ps, self.min_period_ps)
-        steps = math.ceil(
-            (clamped - self.min_period_ps) / self.step_ps - 1e-9
-        )
-        granted = self.min_period_ps + steps * self.step_ps
-        if granted > self.max_period_ps + 1e-9:
-            raise ClockGeneratorError(
-                f"period {period_ps:.1f} ps exceeds the oscillator range "
-                f"(max {self.max_period_ps:.1f} ps)"
-            )
-        return granted
-
     def quantize_up_array(self, periods_ps):
         periods_ps = check_periods(periods_ps)
-        # the scalar arithmetic, in place: one allocation per call
+        # max(p, min) rounded up to the next tap, computed in place: one
+        # allocation per call
         granted = np.maximum(periods_ps, self.min_period_ps)
         granted -= self.min_period_ps
         granted /= self.step_ps
@@ -142,19 +117,9 @@ class MultiPLLClockGenerator:
             1e6 / freq for freq in self.frequencies_mhz
         )
         self._period_grid = np.array(self._periods)
-        # a request p is granted grid[i] iff grid[i] + 1e-9 >= p, so the
-        # searchsorted thresholds are exactly the scalar comparison values
+        # a request p is granted the first grid[i] with
+        # grid[i] + 1e-9 >= p: those sums are the searchsorted thresholds
         self._grant_thresholds = self._period_grid + 1e-9
-
-    def quantize_up(self, period_ps):
-        check_period(period_ps)
-        for period in self._periods:
-            if period + 1e-9 >= period_ps:
-                return period
-        raise ClockGeneratorError(
-            f"period {period_ps:.1f} ps exceeds the slowest PLL "
-            f"({self._periods[-1]:.1f} ps)"
-        )
 
     def quantize_up_array(self, periods_ps):
         periods_ps = check_periods(periods_ps)

@@ -1,24 +1,20 @@
 """Clock-period prediction policies.
 
-A policy maps one pipeline :class:`~repro.sim.trace.CycleRecord` to the
-clock period it requests for that cycle.  All policies are *predictive*:
-they use only information available in the cycle itself (which decoded
-instructions are in flight), never measured outcomes — except the genie
-oracle, which exists to compute the paper's theoretical upper bound.
+A policy decides the clock period of every cycle of a compiled trace:
+``periods_for(compiled_trace)`` returns one period per cycle as a NumPy
+array, driven by the :class:`~repro.dta.compiled.CompiledTrace` class-id
+matrix.  All policies are *predictive*: a cycle's period depends only on
+information available in that cycle (which decoded instructions are in
+flight) and, for the learned policy, the cycles before it — never on
+measured outcomes, except the genie oracle, which exists to compute the
+paper's theoretical upper bound.
 
-Every policy offers two equivalent entry points:
-
-- ``period_for(record)`` — the scalar, per-cycle decision (the hardware
-  view of the controller; also the reference semantics);
-- ``periods_for(compiled_trace)`` — the whole trace at once, as a NumPy
-  array, driven by the :class:`~repro.dta.compiled.CompiledTrace` class-id
-  matrix.  LUT policies gather from a class×stage table built off the
-  LUT's dense matrix (:meth:`~repro.dta.lut.DelayLUT.dense`, built once
-  per LUT; the ex-only floor and the two-class fast period reduce over it
-  too), one stage column at a time (:func:`fold_stages`); the genie
-  reduces to a row-wise max of the compiled delay matrix.  Results are
-  bit-identical to the scalar path (same table values, same float
-  operations).
+LUT policies gather from a class×stage table built off the LUT's dense
+matrix (:meth:`~repro.dta.lut.DelayLUT.dense`, built once per LUT; the
+ex-only floor and the two-class fast period reduce over it too), one
+stage column at a time (:func:`fold_stages`); the genie reduces to a
+row-wise max of the compiled delay matrix.  The per-record reference
+decision of each policy lives in the test oracle.
 """
 
 import numpy as np
@@ -61,9 +57,6 @@ class StaticClockPolicy:
             raise ValueError(f"invalid static period {period_ps}")
         self.period_ps = period_ps
 
-    def period_for(self, record):
-        return self.period_ps
-
     def periods_for(self, compiled_trace):
         return np.full(compiled_trace.num_cycles, float(self.period_ps))
 
@@ -76,14 +69,6 @@ class InstructionLutPolicy:
 
     def __init__(self, lut):
         self.lut = lut
-
-    def period_for(self, record):
-        from repro.dta.extraction import attribute_cycle
-
-        classes = attribute_cycle(record)
-        return max(
-            self.lut.entry(classes[stage], stage) for stage in Stage
-        )
 
     def periods_for(self, compiled_trace):
         table = compiled_trace.class_table(self.lut)
@@ -113,16 +98,6 @@ class ExOnlyLutPolicy:
         floor_stages = [Stage.FE, Stage.DC, Stage.CTRL, Stage.WB]
         floor = _worst(matrix[:-1, floor_stages])
         return floor if floor > 0 else self.lut.static_period_ps
-
-    def period_for(self, record):
-        from repro.dta.extraction import attribute_cycle
-
-        ex_cls = attribute_cycle(record)[Stage.EX]
-        return max(
-            self.lut.entry(ex_cls, Stage.EX),
-            self.lut.entry(ex_cls, Stage.ADR),
-            self.floor_ps,
-        )
 
     def periods_for(self, compiled_trace):
         ex = getattr(compiled_trace, "ex_column", int(Stage.EX))
@@ -173,14 +148,6 @@ class TwoClassPolicy:
             or not self.lut.is_characterized(cls)
         )
 
-    def period_for(self, record):
-        from repro.dta.extraction import attribute_cycle
-
-        classes = attribute_cycle(record)
-        if any(self._is_slow(classes[stage]) for stage in Stage):
-            return self.slow_period_ps
-        return self.fast_period_ps
-
     def periods_for(self, compiled_trace):
         slow = np.array(
             [self._is_slow(cls) for cls in compiled_trace.class_names],
@@ -205,12 +172,10 @@ class LearnedPolicy:
     (fractions of the static period), so the policy scales them back by
     the design's static period at deployment.
 
-    The vectorized path extracts the whole feature matrix from the
-    compiled trace; the scalar path keeps an
-    :class:`~repro.ml.features.OnlineFeatureExtractor` whose
-    shift-register window state makes per-record decisions bit-identical
-    to the array path.  Like the LUT policies, the predictor never sees
-    measured outcomes — only the in-flight instruction context.
+    The whole feature matrix is extracted from the compiled trace in one
+    pass (:func:`~repro.ml.features.extract_features`).  Like the LUT
+    policies, the predictor never sees measured outcomes — only the
+    in-flight instruction context and its recent history.
     """
 
     name = "learned"
@@ -220,19 +185,6 @@ class LearnedPolicy:
             raise ValueError(f"invalid static period {static_period_ps}")
         self.model = model
         self.static_period_ps = float(static_period_ps)
-        self._extractor = None
-
-    def period_for(self, record):
-        from repro.ml.features import OnlineFeatureExtractor
-
-        if self._extractor is None:
-            self._extractor = OnlineFeatureExtractor(
-                vocabulary=self.model.vocabulary,
-                window=self.model.window,
-            )
-        row = self._extractor.features_for(record)
-        normalized = self.model.predict_normalized(row)[0]
-        return float(normalized) * self.static_period_ps
 
     def periods_for(self, compiled_trace):
         from repro.ml.features import extract_features
@@ -251,16 +203,15 @@ class GeniePolicy:
 
     Uses the excitation model's measured delays, i.e. knowledge a real
     predictive controller cannot have.  Only used to compute the
-    theoretical upper bound on the gains (the paper's 50 %).
+    theoretical upper bound on the gains (the paper's 50 %).  It reads
+    the trace's own delay matrix, so a trace compiled at another
+    operating point is rejected with :class:`ValueError`.
     """
 
     name = "genie"
 
     def __init__(self, excitation):
         self.excitation = excitation
-
-    def period_for(self, record):
-        return self.excitation.cycle_max(record)
 
     def _same_operating_point(self, compiled_trace):
         """Excitation models are pure functions of (variant, voltage), so
@@ -281,18 +232,11 @@ class GeniePolicy:
 
     def periods_for(self, compiled_trace):
         if not self._same_operating_point(compiled_trace):
-            # compiled against another operating point: replay per record
-            if compiled_trace.trace is None:
-                raise ValueError(
-                    "genie policy at operating point "
-                    f"({self.excitation.profile.variant.value}, "
-                    f"{self.excitation.library.voltage}) cannot evaluate "
-                    "a store-rehydrated trace compiled at "
-                    f"{compiled_trace.operating_point}: it has no "
-                    "per-record trace to replay"
-                )
-            return np.array([
-                self.period_for(record)
-                for record in compiled_trace.trace.records
-            ])
+            raise ValueError(
+                "genie policy at operating point "
+                f"({self.excitation.profile.variant.value}, "
+                f"{self.excitation.library.voltage}) cannot evaluate a "
+                f"trace compiled at {compiled_trace.operating_point}: it "
+                "reads the trace's own excited delays"
+            )
         return compiled_trace.cycle_max_delays()

@@ -7,9 +7,9 @@ ground-truth excited delays — depends only on (program, design).  A
 compact NumPy arrays:
 
 - ``class_ids``: an ``(num_cycles, num_stages)`` integer matrix of interned
-  timing-class ids (the :func:`~repro.dta.extraction.attribute_cycle`
-  driver attribution of every stage group in every cycle), so LUT-style
-  policies reduce to integer fancy-indexing into a class×stage table;
+  timing-class ids (the :func:`~repro.timing.excitation.driver_view`
+  driver of every stage group in every cycle), so LUT-style policies
+  reduce to integer gathers from a class×stage table;
 - ``delays``: an ``(num_cycles, num_stages)`` float matrix of ground-truth
   excited delays from the design's excitation model (computed lazily — a
   sweep that neither checks safety nor runs the genie never pays for it),
@@ -72,10 +72,11 @@ class CompiledTrace:
     #: (num_cycles,) bool vectors of front-end state.
     stall: np.ndarray
     redirect: np.ndarray
-    #: The underlying trace (compatibility path for per-record policies).
-    #: ``None`` for traces rehydrated from the artifact store — those carry
-    #: materialised :attr:`delays` instead and serve only vectorized
-    #: policies.
+    #: The underlying record trace, read only where per-cycle state is
+    #: not in the matrices (the EX replay of :attr:`delays` without an
+    #: ``ex_replay``, the over-scaling report's EX operands).  ``None``
+    #: for traces rehydrated from the artifact store — those carry
+    #: materialised :attr:`delays` instead.
     trace: object
     #: Excitation model used to materialise :attr:`delays` on demand
     #: (``None`` for store-rehydrated traces, whose delays are pre-baked).
@@ -258,9 +259,9 @@ def _operating_point(excitation, spec):
 def compile_trace(trace, excitation, spec=None):
     """Compile one pipeline trace against one excitation model.
 
-    The class attribution is the inlined equivalent of
-    :func:`~repro.dta.extraction.attribute_cycle` (ADR keys on the EX
-    occupant, ``None`` timing classes are bubbles); the per-slot state
+    Every stage group is attributed to its driver's timing class (ADR
+    keys on the EX occupant, ``None`` timing classes are bubbles), as
+    :func:`~repro.timing.excitation.driver_view` maps them; the per-slot state
     flags feed the vectorized delay-matrix construction.  ``spec`` is the
     pipeline spec the trace was simulated under and sets the column count.
     """
@@ -314,7 +315,7 @@ class _LazyTraceProxy:
 
     Vector runs keep per-cycle data as arrays; the full
     :class:`~repro.sim.trace.PipelineTrace` is only materialised when a
-    record-oriented consumer (e.g. a policy without ``periods_for``)
+    record-oriented consumer (the over-scaling report's EX operands)
     actually touches it.  Must not be ``None``: the store-switch eviction
     in :func:`set_trace_store` uses ``trace is None`` to mark rehydrated,
     context-bound entries, and vector-compiled traces are fully simulated.
@@ -359,7 +360,7 @@ def compile_vector_run(run, excitation):
         )
         bubble[:, stage] = stage_bubble
         held[:, stage] = stage_held
-    # the ADR group is driven by the EX occupant (attribute_cycle)
+    # the ADR group is driven by the EX occupant (driver_view)
     codes[:, 0] = codes[:, ex_index]
     bubble[:, 0] = bubble[:, ex_index]
     held[:, 0] = held[:, ex_index]

@@ -17,20 +17,7 @@ worst-case clock period timings from static timing analysis").
 
 from repro.dta.lut import DEFAULT_MIN_OCCURRENCES, DelayLUT
 from repro.sim.trace import Stage
-from repro.timing.excitation import driver_view
 from repro.timing.profiles import BUBBLE_CLASS
-
-
-def attribute_cycle(record):
-    """Driver timing class of every stage group in one cycle."""
-    classes = {}
-    for stage in Stage:
-        view = driver_view(record, stage)
-        classes[stage] = (
-            view.timing_class if view.timing_class is not None
-            else BUBBLE_CLASS
-        )
-    return classes
 
 
 def extract_lut_arrays(dta_result, compiled, static_period_ps,
@@ -39,8 +26,8 @@ def extract_lut_arrays(dta_result, compiled, static_period_ps,
 
     ``dta_result`` is the run's :class:`~repro.dta.gatesim.DtaResult`;
     ``compiled`` is the compiled trace of the same run, whose class-id
-    matrix *is* :func:`attribute_cycle` in bulk (the ADR column already
-    keys on the EX occupant).  The per-class, per-stage maxima reduce to
+    matrix holds the driver class of every stage group in every cycle
+    (the ADR column already keys on the EX occupant).  The per-class, per-stage maxima reduce to
     one ``np.maximum.at`` per column and the EX occurrence counts to a
     ``bincount``; classes seen fewer than ``min_occurrences`` times in EX
     are not characterised.

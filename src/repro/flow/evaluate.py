@@ -149,8 +149,10 @@ class SweepConfig:
     A config is decided in one pass over the whole batch, which relies
     on the generator's ``quantize_up_array`` being element-wise: the
     generator is made once per config and quantises every program's
-    periods in one call.  A generator offering only scalar
-    ``quantize_up`` is made afresh for each program instead.
+    periods in one call.  A policy must implement
+    ``periods_for(compiled_trace)`` and a generator
+    ``quantize_up_array(periods)``; either one without is rejected with
+    :class:`TypeError`.
     """
 
     policy: object
@@ -257,35 +259,13 @@ class TraceBatch:
         ]
 
 
-class _PerProgramGrants:
-    """A generator offering only scalar ``quantize_up``, over a batch: a
-    fresh instance per program (the factory contract) grants that
-    program's periods in order."""
-
-    def __init__(self, first, config, bounds):
-        self.first, self.config, self.bounds = first, config, bounds
-
-    def quantize_up_array(self, periods_ps):
-        granted = []
-        for position, (start, stop) in enumerate(self.bounds):
-            generator = (self.config.make_generator() if position
-                         else self.first)
-            granted.extend(generator.quantize_up(period)
-                           for period in periods_ps[start:stop].tolist())
-        return np.array(granted, dtype=float)
-
-
 def _evaluate_config(batch, design, config, gather):
     """One configuration's row: decided once over the whole batch (a
     failed decision is replayed per program), then finished per
     program."""
     try:
-        generator = config.make_generator()
-        if not (generator is None
-                or hasattr(generator, "quantize_up_array")):
-            generator = _PerProgramGrants(generator, config, batch.bounds)
         periods = ClockAdjustmentController(
-            gather, generator=generator,
+            gather, generator=config.make_generator(),
             margin_percent=config.margin_percent,
         ).periods_for(batch)
     except Exception:

@@ -44,7 +44,6 @@ __all__ = [
     "DEFAULT_WINDOW",
     "FEATURE_SPEC_VERSION",
     "FeatureMatrix",
-    "OnlineFeatureExtractor",
     "class_vocabulary",
     "extract_features",
     "feature_names",
@@ -64,8 +63,8 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "features": (
-        "DEFAULT_WINDOW", "FeatureMatrix", "OnlineFeatureExtractor",
-        "class_vocabulary", "extract_features", "feature_names",
+        "DEFAULT_WINDOW", "FeatureMatrix", "class_vocabulary",
+        "extract_features", "feature_names",
     ),
     "model": (
         "FEATURE_SPEC_VERSION", "MODEL_SCHEMA_VERSION", "LearnedModel",

@@ -19,12 +19,10 @@ stage group — encoded as a flat numeric feature vector:
   taken redirects — cheap history the real monitor could track with a
   shift register.
 
-The vectorized path (:func:`extract_features`) builds the whole
-``(num_cycles, NUM_FEATURES)`` matrix from a
-:class:`~repro.dta.compiled.CompiledTrace` with array ops only; the
-scalar :class:`OnlineFeatureExtractor` produces bit-identical per-record
-rows for the reference evaluation engine (the per-cycle hardware view,
-including its own shift-register window state).
+:func:`extract_features` builds the whole ``(num_cycles, NUM_FEATURES)``
+matrix from a :class:`~repro.dta.compiled.CompiledTrace` with array ops
+only; :class:`WindowedFeatureExtractor` builds the same rows window by
+window for the streaming engine.
 """
 
 import numpy as np
@@ -289,78 +287,3 @@ class WindowedFeatureExtractor:
         matrix = np.concatenate(columns, axis=1)
         return FeatureMatrix(matrix, feature_names(self.window))
 
-
-class OnlineFeatureExtractor:
-    """Scalar (per-record) feature extraction with shift-register state.
-
-    Produces rows bit-identical to :func:`extract_features` when fed the
-    same trace record by record — the reference semantics of a learned
-    policy's hardware monitor.  Stateful: the recent-window counters see
-    only cycles already presented, so build one extractor per program.
-
-    Record-path extraction assumes the default six-slot record layout
-    (non-default pipeline specs evaluate through the vector engine,
-    which :class:`repro.api.Session` enforces).
-    """
-
-    def __init__(self, vocabulary=None, window=DEFAULT_WINDOW):
-        if vocabulary is None:
-            vocabulary = class_vocabulary()
-        self.vocabulary = tuple(vocabulary)
-        self.window = _validate_window(window)
-        self._index = {cls: i for i, cls in enumerate(self.vocabulary)}
-        self._groups = group_ids(self.vocabulary)
-        self._muldiv_history = []
-        self._redirect_history = []
-
-    def reset(self):
-        self._muldiv_history = []
-        self._redirect_history = []
-
-    def features_for(self, record):
-        """The feature row of one cycle record (float64 vector)."""
-        slots = record.slots
-        ex_view = slots[int(Stage.EX)]
-        ids = np.empty(len(Stage), dtype=np.int64)
-        bubble = np.empty(len(Stage), dtype=bool)
-        held = np.empty(len(Stage), dtype=bool)
-        for stage in Stage:
-            # same driver substitution as compile_trace: the ADR group
-            # keys on the EX occupant
-            view = ex_view if stage == Stage.ADR else slots[int(stage)]
-            cls = view.timing_class
-            if cls is None:
-                cls = BUBBLE_CLASS
-            try:
-                ids[stage] = self._index[cls]
-            except KeyError:
-                raise ValueError(
-                    f"timing class {cls!r} not in the model vocabulary"
-                ) from None
-            bubble[stage] = view.mnemonic is None
-            held[stage] = view.held
-
-        groups = self._groups[ids]
-        window = self.window
-        row = np.empty(NUM_FEATURES, dtype=np.float64)
-        row[0:len(Stage)] = ids
-        row[len(Stage):2 * len(Stage)] = groups
-        base = 2 * len(Stage)
-        for stage in Stage:
-            row[base + 2 * int(stage)] = bubble[stage]
-            row[base + 2 * int(stage) + 1] = held[stage]
-        base += 2 * len(Stage)
-        row[base] = bool(record.stall)
-        row[base + 1] = bool(record.redirect)
-        row[base + 2] = float(sum(self._muldiv_history[-window:]))
-        row[base + 3] = float(sum(self._redirect_history[-window:]))
-
-        ex_muldiv = (
-            groups[Stage.EX] == _MULDIV_GROUP_ID and not bubble[Stage.EX]
-        )
-        self._muldiv_history.append(1 if ex_muldiv else 0)
-        self._redirect_history.append(1 if record.redirect else 0)
-        if len(self._muldiv_history) > window:
-            del self._muldiv_history[:-window]
-            del self._redirect_history[:-window]
-        return row

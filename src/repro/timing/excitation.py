@@ -401,14 +401,3 @@ class ExcitationModel:
         else:
             view = record.slots[column]
         return self.group_delay(record, stage, view=view)
-
-    def cycle_delays(self, record):
-        """Excited delay of every endpoint group in this cycle."""
-        return {stage: self.group_delay(record, stage) for stage in Stage}
-
-    def cycle_max(self, record):
-        """The genie-aided minimum safe period for this cycle (Eq. 2 with
-        perfect knowledge): the max excited delay across all groups."""
-        return max(
-            self.group_delay(record, stage).delay_ps for stage in Stage
-        )

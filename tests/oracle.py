@@ -22,6 +22,14 @@ pytest); scripts outside ``tests/`` load it by file path.
   for that dispatch-table ISS);
 - :class:`PipelineSimulator` — the cycle-stepping pipeline, one clock
   at a time (the reference for ``repro.sim.vector``);
+- :func:`period_for` / :func:`quantize_up` / :func:`decide` — the clock
+  decision of one cycle: a policy's request for one record and a
+  generator's grant for one period (the references for every policy's
+  ``periods_for`` and every generator's ``quantize_up_array``), with
+  :func:`attribute_cycle` (the driver class of every stage group),
+  :func:`cycle_max` (the genie's per-record bound) and
+  :class:`OnlineFeatureExtractor` (a learned policy's per-record
+  feature row, the reference for ``repro.ml.features``);
 - :func:`evaluate_program` — one program under one clock policy;
 - :func:`evaluate_grid` — the ``[config][program]`` grid of
   :func:`evaluate_program` results, the shape of
@@ -43,6 +51,8 @@ pytest); scripts outside ``tests/`` load it by file path.
   encoded ``repro.workloads.randomgen`` programs).
 """
 
+import math
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -56,14 +66,23 @@ from repro.adapt.online import (
 )
 from repro.approx.errors import approximate_value, error_magnitude_bits
 from repro.approx.violations import ApproximateResult, OverscalingReport
-from repro.clocking.controller import ClockAdjustmentController
-from repro.clocking.policies import InstructionLutPolicy
-from repro.dta.compiled import worst_per_cycle
-from repro.dta.extraction import (
-    DEFAULT_MIN_OCCURRENCES,
-    attribute_cycle,
-    merge_luts,
+from repro.clocking.controller import ControllerStats
+from repro.clocking.generator import (
+    ClockGeneratorError,
+    IdealClockGenerator,
+    MultiPLLClockGenerator,
+    TunableRingOscillator,
 )
+from repro.clocking.policies import (
+    ExOnlyLutPolicy,
+    GeniePolicy,
+    InstructionLutPolicy,
+    LearnedPolicy,
+    StaticClockPolicy,
+    TwoClassPolicy,
+)
+from repro.dta.compiled import worst_per_cycle
+from repro.dta.extraction import DEFAULT_MIN_OCCURRENCES, merge_luts
 from repro.dta.gatesim import (
     MAX_CYCLES,
     DtaResult,
@@ -81,6 +100,14 @@ from repro.flow.evaluate import (
 from repro.isa.encoding import EncodingError, decode
 from repro.isa.opcodes import KIND_CODE, MNEMONIC_ID, SPECS, InstructionKind
 from repro.isa.registers import REG_LINK
+from repro.ml.features import (
+    _MULDIV_GROUP_ID,
+    DEFAULT_WINDOW,
+    NUM_FEATURES,
+    _validate_window,
+    class_vocabulary,
+    group_ids,
+)
 from repro.sim import vector
 from repro.sim.memory import Memory
 from repro.sim.spec import get_pipeline_spec
@@ -94,6 +121,7 @@ from repro.sim.trace import (
     Stage,
     StageView,
 )
+from repro.timing.excitation import driver_view
 from repro.timing.profiles import BUBBLE_CLASS
 from repro.utils.bitops import (
     mask,
@@ -975,6 +1003,195 @@ class PipelineSimulator:
         return self.trace
 
 
+# -- the scalar clock decision ------------------------------------------------
+#
+# The reference for the array protocol of ``repro.clocking``: one policy
+# request per cycle record and one generator grant per period.  Dispatched
+# on the registry classes; a policy or generator defined elsewhere (a test
+# double) answers through its own ``period_for`` / ``quantize_up``.
+
+
+def attribute_cycle(record):
+    """Driver timing class of every stage group in one cycle."""
+    classes = {}
+    for stage in Stage:
+        view = driver_view(record, stage)
+        classes[stage] = (
+            view.timing_class if view.timing_class is not None
+            else BUBBLE_CLASS
+        )
+    return classes
+
+
+def cycle_max(excitation, record):
+    """The genie-aided minimum safe period for one cycle (Eq. 2 with
+    perfect knowledge): the max excited delay across all groups."""
+    return max(
+        excitation.group_delay(record, stage).delay_ps for stage in Stage
+    )
+
+
+class OnlineFeatureExtractor:
+    """Scalar (per-record) feature extraction with shift-register state.
+
+    Produces rows bit-identical to ``repro.ml.features.extract_features``
+    when fed the same trace record by record — the reference semantics of
+    a learned policy's hardware monitor.  Stateful: the recent-window
+    counters see only cycles already presented, so build one extractor
+    per program.
+
+    Record-path extraction assumes the default six-slot record layout
+    (non-default pipeline specs evaluate through the vector engine,
+    which :class:`repro.api.Session` enforces).
+    """
+
+    def __init__(self, vocabulary=None, window=DEFAULT_WINDOW):
+        if vocabulary is None:
+            vocabulary = class_vocabulary()
+        self.vocabulary = tuple(vocabulary)
+        self.window = _validate_window(window)
+        self._index = {cls: i for i, cls in enumerate(self.vocabulary)}
+        self._groups = group_ids(self.vocabulary)
+        self._muldiv_history = []
+        self._redirect_history = []
+
+    def features_for(self, record):
+        """The feature row of one cycle record (float64 vector)."""
+        slots = record.slots
+        ex_view = slots[int(Stage.EX)]
+        ids = np.empty(len(Stage), dtype=np.int64)
+        bubble = np.empty(len(Stage), dtype=bool)
+        held = np.empty(len(Stage), dtype=bool)
+        for stage in Stage:
+            # same driver substitution as compile_trace: the ADR group
+            # keys on the EX occupant
+            view = ex_view if stage == Stage.ADR else slots[int(stage)]
+            cls = view.timing_class
+            if cls is None:
+                cls = BUBBLE_CLASS
+            try:
+                ids[stage] = self._index[cls]
+            except KeyError:
+                raise ValueError(
+                    f"timing class {cls!r} not in the model vocabulary"
+                ) from None
+            bubble[stage] = view.mnemonic is None
+            held[stage] = view.held
+
+        groups = self._groups[ids]
+        window = self.window
+        row = np.empty(NUM_FEATURES, dtype=np.float64)
+        row[0:len(Stage)] = ids
+        row[len(Stage):2 * len(Stage)] = groups
+        base = 2 * len(Stage)
+        for stage in Stage:
+            row[base + 2 * int(stage)] = bubble[stage]
+            row[base + 2 * int(stage) + 1] = held[stage]
+        base += 2 * len(Stage)
+        row[base] = bool(record.stall)
+        row[base + 1] = bool(record.redirect)
+        row[base + 2] = float(sum(self._muldiv_history[-window:]))
+        row[base + 3] = float(sum(self._redirect_history[-window:]))
+
+        ex_muldiv = (
+            groups[Stage.EX] == _MULDIV_GROUP_ID and not bubble[Stage.EX]
+        )
+        self._muldiv_history.append(1 if ex_muldiv else 0)
+        self._redirect_history.append(1 if record.redirect else 0)
+        if len(self._muldiv_history) > window:
+            del self._muldiv_history[:-window]
+            del self._redirect_history[:-window]
+        return row
+
+
+#: A learned policy's per-record extractor: its shift-register state
+#: lives as long as the policy, as the monitor's would.
+_EXTRACTORS = weakref.WeakKeyDictionary()
+
+
+def period_for(policy, record):
+    """The period ``policy`` requests for one cycle record."""
+    if isinstance(policy, StaticClockPolicy):
+        return policy.period_ps
+    if isinstance(policy, InstructionLutPolicy):
+        classes = attribute_cycle(record)
+        return max(
+            policy.lut.entry(classes[stage], stage) for stage in Stage
+        )
+    if isinstance(policy, ExOnlyLutPolicy):
+        ex_cls = attribute_cycle(record)[Stage.EX]
+        return max(
+            policy.lut.entry(ex_cls, Stage.EX),
+            policy.lut.entry(ex_cls, Stage.ADR),
+            policy.floor_ps,
+        )
+    if isinstance(policy, TwoClassPolicy):
+        classes = attribute_cycle(record)
+        if any(policy._is_slow(classes[stage]) for stage in Stage):
+            return policy.slow_period_ps
+        return policy.fast_period_ps
+    if isinstance(policy, LearnedPolicy):
+        extractor = _EXTRACTORS.get(policy)
+        if extractor is None:
+            extractor = _EXTRACTORS[policy] = OnlineFeatureExtractor(
+                vocabulary=policy.model.vocabulary,
+                window=policy.model.window,
+            )
+        row = extractor.features_for(record)
+        normalized = policy.model.predict_normalized(row)[0]
+        return float(normalized) * policy.static_period_ps
+    if isinstance(policy, GeniePolicy):
+        return cycle_max(policy.excitation, record)
+    return policy.period_for(record)
+
+
+def check_period(period_ps):
+    """``period_ps`` if it is finite and positive, else
+    :class:`ClockGeneratorError`."""
+    if not 0 < period_ps < math.inf:
+        raise ClockGeneratorError(f"invalid period {period_ps}")
+    return period_ps
+
+
+def quantize_up(generator, period_ps):
+    """The period ``generator`` grants for one request (``None`` is the
+    ideal generator)."""
+    if generator is None or isinstance(generator, IdealClockGenerator):
+        return check_period(period_ps)
+    if isinstance(generator, TunableRingOscillator):
+        check_period(period_ps)
+        clamped = max(period_ps, generator.min_period_ps)
+        steps = math.ceil(
+            (clamped - generator.min_period_ps) / generator.step_ps - 1e-9
+        )
+        granted = generator.min_period_ps + steps * generator.step_ps
+        if granted > generator.max_period_ps + 1e-9:
+            raise ClockGeneratorError(
+                f"period {period_ps:.1f} ps exceeds the oscillator range "
+                f"(max {generator.max_period_ps:.1f} ps)"
+            )
+        return granted
+    if isinstance(generator, MultiPLLClockGenerator):
+        check_period(period_ps)
+        for period in generator.available_periods():
+            if period + 1e-9 >= period_ps:
+                return period
+        raise ClockGeneratorError(
+            f"period {period_ps:.1f} ps exceeds the slowest PLL "
+            f"({generator.available_periods()[-1]:.1f} ps)"
+        )
+    return generator.quantize_up(period_ps)
+
+
+def decide(policy, record, generator=None, margin_percent=0.0):
+    """One cycle's granted period: the policy's request scaled by the
+    margin, then quantised by the generator."""
+    return quantize_up(
+        generator,
+        period_for(policy, record) * (1.0 + margin_percent / 100.0),
+    )
+
+
 # -- record-path evaluation ------------------------------------------------------
 
 
@@ -992,13 +1209,12 @@ def evaluate_program(program, design, policy, generator=None,
     simulator = PipelineSimulator(program, spec=spec)
     trace = simulator.run(max_cycles=max_cycles)
 
-    controller = ClockAdjustmentController(
-        policy, generator=generator, margin_percent=margin_percent
-    )
     excitation = design.excitation
+    periods = []
     violations = []
     for record in trace.records:
-        period = controller.period_for(record)
+        period = decide(policy, record, generator, margin_percent)
+        periods.append(period)
         if check_safety:
             for column in range(spec.num_stages):
                 excited = excitation.column_delay(record, column, spec)
@@ -1013,7 +1229,7 @@ def evaluate_program(program, design, policy, generator=None,
                         )
                     )
 
-    stats = controller.stats
+    stats = ControllerStats.from_periods(periods)
     return EvaluationResult(
         program_name=program.name,
         policy_name=getattr(policy, "name", type(policy).__name__),
@@ -1030,21 +1246,23 @@ def evaluate_program(program, design, policy, generator=None,
 
 def evaluate_grid(programs, design, configs, max_cycles=DEFAULT_MAX_CYCLES):
     """:func:`evaluate_program` over every ``SweepConfig`` × program, as
-    the ``[config][program]`` grid ``Session.evaluate_results`` returns
-    (fresh policy and generator per program, as the batch engine)."""
-    return [
-        [
+    the ``[config][program]`` grid ``Session.evaluate_results`` returns:
+    a fresh policy per program, and one generator per config granting
+    every program's periods in program order, as the batch engine."""
+    grid = []
+    for config in configs:
+        generator = config.make_generator()
+        grid.append([
             evaluate_program(
                 program, design, config.make_policy(),
-                generator=config.make_generator(),
+                generator=generator,
                 margin_percent=config.margin_percent,
                 check_safety=config.check_safety,
                 max_cycles=max_cycles,
             )
             for program in programs
-        ]
-        for config in configs
-    ]
+        ])
+    return grid
 
 
 def evaluate_with_drift(program, design, lut, environment, scheme="online",
@@ -1081,7 +1299,7 @@ def evaluate_with_drift(program, design, lut, environment, scheme="online",
             online_scale = measured + tracking_margin
             result.lut_updates += 1
 
-        predicted = policy.period_for(record)
+        predicted = period_for(policy, record)
         if scheme == "online":
             period = predicted * online_scale
         else:
@@ -1115,7 +1333,7 @@ def evaluate_overscaling(program, design, lut, overscale_factor,
         total_time_ps=0.0,
     )
     for record in trace.records:
-        period = policy.period_for(record) * overscale_factor
+        period = period_for(policy, record) * overscale_factor
         report.total_time_ps += period
         cycle_violated = False
         for stage in Stage:

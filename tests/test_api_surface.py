@@ -192,3 +192,46 @@ def test_frame_public_surface():
         and name not in ("schema",)
     }
     assert public == expected
+
+
+#: The clock-decision protocol: every policy the package ships decides a
+#: whole compiled trace and every generator grants a whole period array.
+#: The per-record / per-period steps live in ``tests/oracle.py`` only.
+EXPECTED_POLICIES = {
+    "static": "StaticClockPolicy",
+    "instruction-lut": "InstructionLutPolicy",
+    "ex-only-lut": "ExOnlyLutPolicy",
+    "two-class": "TwoClassPolicy",
+    "learned": "LearnedPolicy",
+    "genie": "GeniePolicy",
+}
+EXPECTED_GENERATORS = {
+    "ideal": "IdealClockGenerator",
+    "ring-oscillator": "TunableRingOscillator",
+    "multi-pll": "MultiPLLClockGenerator",
+}
+
+
+def _named_classes(module):
+    return {
+        value.name: value for value in vars(module).values()
+        if inspect.isclass(value) and value.__module__ == module.__name__
+        and isinstance(getattr(value, "name", None), str)
+    }
+
+
+def test_clock_decision_protocol():
+    from repro.clocking import generator, policies
+
+    shipped = _named_classes(policies)
+    assert {name: cls.__name__ for name, cls in shipped.items()} \
+        == EXPECTED_POLICIES
+    for cls in shipped.values():
+        assert callable(getattr(cls, "periods_for", None)), cls
+        assert not hasattr(cls, "period_for"), cls
+    shipped = _named_classes(generator)
+    assert {name: cls.__name__ for name, cls in shipped.items()} \
+        == EXPECTED_GENERATORS
+    for cls in shipped.values():
+        assert callable(getattr(cls, "quantize_up_array", None)), cls
+        assert not hasattr(cls, "quantize_up"), cls

@@ -1,11 +1,11 @@
 """Oracle-vs-vectorized equivalence of the compiled-trace batch engine.
 
 The batch engine must be a pure acceleration: for every policy and every
-workload kernel, ``periods_for(compiled_trace)`` must equal the per-record
-``period_for(record)`` sequence *exactly* (same table lookups, same float
-operations), and the batch :class:`EvaluationResult` must be bit-identical
-to the per-record reference in ``tests/oracle.py`` — periods, aggregate
-stats, and violations.
+workload kernel, ``periods_for(compiled_trace)`` must equal the oracle's
+per-record ``period_for(policy, record)`` sequence *exactly* (same table
+lookups, same float operations), and the batch :class:`EvaluationResult`
+must be bit-identical to the per-record reference in ``tests/oracle.py``
+— periods, aggregate stats, and violations.
 """
 
 import copy
@@ -62,8 +62,8 @@ def compiled_traces(design):
 
 
 class TestPeriodEquivalence:
-    """periods_for == [period_for(r) for r in records], exactly, for every
-    policy × every workload kernel."""
+    """periods_for == [oracle.period_for(policy, r) for r in records],
+    exactly, for every policy × every workload kernel."""
 
     @pytest.mark.parametrize("policy_name", POLICY_NAMES)
     def test_policy_matches_scalar_on_every_kernel(
@@ -72,7 +72,7 @@ class TestPeriodEquivalence:
         for kernel_name, compiled in compiled_traces.items():
             vectorized = policy.periods_for(compiled)
             scalar = np.array([
-                policy.period_for(record)
+                oracle.period_for(policy, record)
                 for record in compiled.trace.records
             ])
             assert vectorized.shape == scalar.shape, kernel_name
@@ -173,31 +173,50 @@ class TestBatchEngine:
             for ours, expected in zip(batch_row, reference_row):
                 oracle.assert_results_identical(expected, ours)
 
-    def test_policy_without_periods_for_falls_back(self, design, evaluate_one):
-        """Policies that only implement the scalar protocol still work."""
+    def test_policy_without_periods_for_is_rejected(self, design,
+                                                   evaluate_one):
+        """A policy with only a per-record ``period_for`` is refused
+        before any period is granted, naming the missing method."""
 
-        class OddPolicy:
-            name = "odd"
-
-            def __init__(self, period_ps):
-                self.period_ps = period_ps
+        class ScalarOnlyPolicy:
+            name = "scalar-only"
 
             def period_for(self, record):
-                return self.period_ps + (record.cycle % 2)
+                return design.static_period_ps
 
         program = get_kernel("fib").program()
-        policy = OddPolicy(design.static_period_ps)
-        scalar = oracle.evaluate_program(
-            program, design, policy, check_safety=False
-        )
-        batch = evaluate_one(program, policy, check_safety=False)
-        assert scalar.total_time_ps == batch.total_time_ps
-        assert scalar.switch_rate == batch.switch_rate
+        with pytest.raises(TypeError, match=r"ScalarOnlyPolicy .*periods_for"):
+            evaluate_one(program, ScalarOnlyPolicy(), check_safety=False)
+        with pytest.raises(TypeError, match="periods_for"):
+            Session.for_design(design).evaluate_results(
+                [program], [SweepConfig(policy=ScalarOnlyPolicy)]
+            )
+
+    def test_generator_without_quantize_up_array_is_rejected(
+            self, design, evaluate_one):
+        """Likewise a generator with only a per-period ``quantize_up``."""
+
+        class ScalarOnlyGenerator:
+            def quantize_up(self, period_ps):
+                return period_ps
+
+        program = get_kernel("fib").program()
+        policy = StaticClockPolicy(design.static_period_ps)
+        with pytest.raises(TypeError,
+                           match=r"ScalarOnlyGenerator .*quantize_up_array"):
+            evaluate_one(program, policy, generator=ScalarOnlyGenerator(),
+                         check_safety=False)
+        with pytest.raises(TypeError, match="quantize_up_array"):
+            Session.for_design(design).evaluate_results(
+                [program], [SweepConfig(policy=policy,
+                                        generator=ScalarOnlyGenerator)]
+            )
 
 
 class OddPolicy:
-    """Scalar-only policy: no ``periods_for``, so every program is gathered
-    record by record."""
+    """Alternates two periods cycle by cycle, counting from each
+    program's first cycle: a program gathered from the wrong offset of
+    the batch shows in its period sequence."""
 
     name = "odd"
 
@@ -207,20 +226,31 @@ class OddPolicy:
     def period_for(self, record):
         return self.period_ps + (record.cycle % 2)
 
+    def periods_for(self, compiled_trace):
+        return self.period_ps + np.arange(compiled_trace.num_cycles) % 2
+
 
 class FirstGrantSlowGenerator:
-    """Offers only the scalar ``quantize_up``, and grants the first
-    request of each instance one ring tap slower: an instance carried
-    from one program into the next would show in its first period."""
+    """Grants the first request of each instance one ring tap slower:
+    one instance decides a config over the whole batch, so only the
+    first program's first period is slow, and an instance made per
+    program would show in every program's first period."""
 
     def __init__(self):
         self.ring = TunableRingOscillator()
         self.grants = 0
 
     def quantize_up(self, period_ps):
-        granted = self.ring.quantize_up(period_ps)
+        granted = oracle.quantize_up(self.ring, period_ps)
         self.grants += 1
         return granted + (self.ring.step_ps if self.grants == 1 else 0.0)
+
+    def quantize_up_array(self, periods_ps):
+        granted = self.ring.quantize_up_array(periods_ps)
+        if self.grants == 0 and granted.size:
+            granted[0] += self.ring.step_ps
+        self.grants += granted.size
+        return granted
 
 
 class TestBatchBoundaries:
@@ -259,6 +289,8 @@ class TestBatchBoundaries:
             SweepConfig(policy=lambda: GeniePolicy(design.excitation),
                         generator=TunableRingOscillator(),
                         check_safety=True),
+            SweepConfig(policy=lambda: OddPolicy(static),
+                        check_safety=False),
         ]
 
     def test_batch_matches_oracle_grid(self, design, lut):
@@ -283,6 +315,12 @@ class TestBatchBoundaries:
             True, True, True, False
         ]
         assert all(result.is_safe for result in batch[6])
+        # one generator instance per config: only the first program's
+        # first grant is the slow one (programs 0 and 2 are both fib)
+        step = TunableRingOscillator().step_ps
+        assert batch[4][0].max_period_ps == batch[4][2].max_period_ps + step
+        # every program alternates from its own first cycle
+        assert all(result.switch_rate == 1.0 for result in batch[8])
 
 
 class TestFactoryContract:
@@ -432,13 +470,12 @@ class TestOverscalingEquivalence:
 
 class TestCompiledTrace:
     def test_class_ids_match_attribution(self, design):
-        from repro.dta.extraction import attribute_cycle
         from repro.sim.trace import Stage
 
         trace = oracle.PipelineSimulator(get_kernel("fib").program()).run()
         compiled = compile_trace(trace, design.excitation)
         for record in trace.records[:50]:
-            classes = attribute_cycle(record)
+            classes = oracle.attribute_cycle(record)
             for stage in Stage:
                 assert (
                     compiled.class_names[

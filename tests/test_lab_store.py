@@ -105,17 +105,22 @@ class TestTraceRoundTrip:
 
     def test_genie_rejects_rehydrated_trace_of_other_point(
             self, design, conventional_design, store, fib_compiled):
-        """The genie's cross-operating-point fallback needs per-record
-        state a rehydrated trace does not have — clear error, no
-        AttributeError."""
+        """The genie reads a trace's own excited delays, so a trace
+        compiled at another operating point is refused with a clear
+        error — live and store-rehydrated alike, no AttributeError and
+        no per-record replay."""
         from repro.clocking.policies import GeniePolicy
 
         program, compiled = fib_compiled
+        assert compiled.trace is not None   # live: records to replay
         store.save_compiled_trace(compiled, program, design, MAX_CYCLES)
         loaded = store.load_compiled_trace(program, design, MAX_CYCLES)
+        assert loaded.trace is None
         policy = GeniePolicy(conventional_design.excitation)
-        with pytest.raises(ValueError, match="store-rehydrated"):
-            policy.periods_for(loaded)
+        for trace in (compiled, loaded):
+            with pytest.raises(ValueError,
+                               match="cannot evaluate a trace compiled at"):
+                policy.periods_for(trace)
 
 
 class TestInvalidation:

@@ -8,7 +8,6 @@ from repro.isa.opcodes import SPECS
 from repro.ml.features import (
     NUM_FEATURES,
     OPCODE_GROUPS,
-    OnlineFeatureExtractor,
     class_group,
     class_vocabulary,
     extract_features,
@@ -20,7 +19,7 @@ from repro.sim.trace import Stage
 from repro.timing.profiles import BUBBLE_CLASS
 from repro.workloads import get_kernel
 
-from oracle import PipelineSimulator
+from oracle import OnlineFeatureExtractor, PipelineSimulator
 
 
 @pytest.fixture(scope="module")

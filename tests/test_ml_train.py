@@ -125,9 +125,9 @@ class TestDeployment:
 
     def test_scalar_and_vector_paths_bit_identical(self, design, lut,
                                                    tmp_path):
-        """The learned policy's per-record ``period_for`` (the oracle
-        loop) and its vectorized ``periods_for`` (the Session) give
-        bit-identical results, violations included."""
+        """The learned policy's per-record decision (the oracle's
+        ``period_for`` loop) and its vectorized ``periods_for`` (the
+        Session) give bit-identical results, violations included."""
         import oracle
         from repro.api import Session
         from repro.flow.evaluate import SweepConfig
